@@ -176,6 +176,18 @@ def _render_text(record: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _precision(minimum: int):
+    """argparse type for --prec: an integer no smaller than `minimum`."""
+
+    def precision(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return precision
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # global options, also accepted after the subcommand; the subcommand copies
     # use SUPPRESS defaults so they never clobber a value given up front
@@ -208,20 +220,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("series", help="dump a series' exact coefficients")
     p.add_argument("--which", required=True, help="E2k, g[u,v], Delta or Theta")
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=_precision(0), required=True)
 
     p = add_parser("verify-system", help="check the differential system")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prec", type=int, required=True)
+    # compares z^0..z^(prec-1), and z^0 always matches
+    p.add_argument("--prec", type=_precision(2), required=True)
 
     p = add_parser("ak", help="reduction polynomial for E_{2k}")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prec", type=int, default=60)
+    p.add_argument("--prec", type=_precision(0), default=60)
 
     p = add_parser("ord", help="order of vanishing of an evaluated polynomial")
     p.add_argument("--poly", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=_precision(0), required=True)
 
     p = add_parser("deriv", help="apply the derivation D")
     p.add_argument("--poly", required=True)
@@ -233,13 +246,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("k0", help="order of vanishing of the Theta evaluation")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=_precision(0), required=True)
 
     p = add_parser("auxsearch", help="auxiliary polynomial vanishing search")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d0", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=_precision(0), default=None, help="default: adaptive")
     p.add_argument("--grid", default=None, help="D0MAX:DMAX grid of budgets")
 
     return parser

@@ -139,6 +139,8 @@ class FunctionTuple:
     precision: int
     series: tuple[TruncatedSeries, ...]
     names: tuple[str, ...]
+    # monomial -> its series at this tuple; filled by ring.monomial_series
+    monomial_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def function_tuple(m: int, precision: int) -> FunctionTuple:

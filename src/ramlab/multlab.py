@@ -14,8 +14,8 @@ from math import comb
 from typing import Optional
 
 from ._linalg import RowReducer
-from .forms import function_tuple
-from .ring import Monomial, Polynomial, SystemConfig, evaluate, monomial_key
+from .forms import InternalConsistencyError, function_tuple
+from .ring import Monomial, Polynomial, SystemConfig, evaluate, monomial_key, monomial_series
 from .series import Order
 
 __all__ = [
@@ -120,6 +120,11 @@ def expected_basis_size(budget: DegreeBudget, cfg: SystemConfig) -> int:
     return (budget.d0 + 1) * comb(budget.d + nu, nu)
 
 
+# Adaptive precision starts this many coefficients past the basis size T.
+# Every cell measured so far has n* = T - 1, which needs rows 0..T-1.
+PRECISION_SLACK = 5
+
+
 def max_vanishing_search(
     budget: DegreeBudget, cfg: SystemConfig, precision: Optional[int] = None
 ) -> ExperimentRow:
@@ -128,16 +133,35 @@ def max_vanishing_search(
     Adds one coefficient condition (matrix row) at a time until the rank
     reaches the basis size; the last kernel before that is, by maximality,
     the best achievable vanishing order within the budget.
+
+    An explicit precision is used as given.  Without one, the search starts
+    at T + PRECISION_SLACK and doubles while the result is precision-limited,
+    up to 3T.  Row r of the matrix is the same at every precision >= r, so
+    everything but the reported precision equals the search at 3T.
     """
     basis = monomial_basis(budget, cfg)
     T = len(basis)
-    assert T == expected_basis_size(budget, cfg)
-    if precision is None:
-        precision = 3 * T
+    if T != expected_basis_size(budget, cfg):
+        raise InternalConsistencyError(f"basis size {T} disagrees with the count formula")
+    if precision is not None:
+        return _search(budget, cfg, basis, precision)
+    cap = 3 * T
+    precision = min(T + PRECISION_SLACK, cap)
+    while True:
+        row = _search(budget, cfg, basis, precision)
+        if not row.precision_limited or precision >= cap:
+            return row
+        precision = min(2 * precision, cap)
+
+
+def _search(
+    budget: DegreeBudget, cfg: SystemConfig, basis: list[Monomial], precision: int
+) -> ExperimentRow:
+    """The search at one fixed precision."""
+    T = len(basis)
     tup = function_tuple(cfg.m, precision)
-    columns = [
-        evaluate(Polynomial.from_monomial(mono, cfg), tup) for mono in basis
-    ]
+    # basis order is graded, so each column is one product off a cached parent
+    columns = [monomial_series(mono, tup) for mono in basis]
 
     reducer = RowReducer(T)
     n_star: Optional[int] = None
@@ -156,17 +180,18 @@ def max_vanishing_search(
         cfg,
         {mono: c for mono, c in zip(basis, kernel) if c != 0},
     )
+    # the columns filled the tuple's cache, so this is sum c_j * col_j
     measured = evaluate(witness, tup).order()
     if flagged:
         n_star = precision + 1
         if measured.is_finite:
-            raise AssertionError(
+            raise InternalConsistencyError(
                 "rank never reached the basis size yet the witness does not "
                 "vanish through the precision"
             )
     else:
         if not (measured.is_finite and measured.value == n_star):
-            raise AssertionError(
+            raise InternalConsistencyError(
                 f"witness order {measured} disagrees with search cutoff {n_star}"
             )
 

@@ -21,6 +21,7 @@ __all__ = [
     "derive",
     "velocity",
     "evaluate",
+    "monomial_series",
     "parse",
     "format_polynomial",
     "ParseError",
@@ -335,26 +336,46 @@ def derive(p: Polynomial) -> Polynomial:
 # -- evaluation ----------------------------------------------------------
 
 
+def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
+    """The series of one monomial at the function tuple, memoised on the tuple.
+
+    A z factor is a shift.  Otherwise the monomial is its graded parent (one
+    unit of its first nonzero variable removed) times that variable's series:
+    one product when the parent is cached, as it always is along a
+    downward-closed basis taken in graded order.  Without a cached parent, a
+    pure power is built by squaring and any other monomial as that power
+    times the rest.
+    """
+    cache = tup.monomial_cache
+    found = cache.get(mono)
+    if found is not None:
+        return found
+    if mono[0]:
+        result = monomial_series((0,) + mono[1:], tup).shift(mono[0])
+    elif not any(mono):
+        result = TruncatedSeries.constant(1, tup.precision)
+    else:
+        i = next(i for i, e in enumerate(mono) if e)
+        parent = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+        rest = mono[:i] + (0,) + mono[i + 1 :]
+        if parent in cache:
+            result = cache[parent] * tup.series[i]
+        elif any(rest):
+            power = (0,) * i + (mono[i],) + (0,) * (len(mono) - i - 1)
+            result = monomial_series(power, tup) * monomial_series(rest, tup)
+        else:
+            result = tup.series[i] ** mono[i]
+    cache[mono] = result
+    return result
+
+
 def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
     """Substitute the function tuple into p; exact truncated series."""
     if tup.m != p.config.m:
         raise ValueError("function tuple and polynomial have different m")
-    precision = tup.precision
-    pow_cache: dict[tuple[int, int], TruncatedSeries] = {}
-
-    def power(i: int, e: int) -> TruncatedSeries:
-        key = (i, e)
-        if key not in pow_cache:
-            pow_cache[key] = tup.series[i] ** e
-        return pow_cache[key]
-
-    total = TruncatedSeries.zero(precision)
+    total = TruncatedSeries.zero(tup.precision)
     for mono, c in p.terms.items():
-        term = TruncatedSeries.constant(c, precision)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * power(i, e)
-        total = total + term
+        total = total + monomial_series(mono, tup).scale(c)
     return total
 
 

@@ -133,16 +133,28 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "TruncatedSeries":
+        """Square-and-multiply: at most 2*floor(log2 e) products."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result = TruncatedSeries.constant(1, self.precision)
+        if e == 0:
+            return TruncatedSeries.constant(1, self.precision)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
+
+    def shift(self, k: int) -> "TruncatedSeries":
+        """Multiply by z^k at the same precision, with no series product."""
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
+        return TruncatedSeries(
+            ([Fraction(0)] * k + list(self.coeffs))[: self.precision + 1]
+        )
 
     def delta(self) -> "TruncatedSeries":
         """Euler operator z d/dz: multiplies the z^n coefficient by n."""

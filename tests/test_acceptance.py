@@ -153,7 +153,7 @@ def test_criterion_7_k0():
 def test_criterion_8_multiplicity_lab():
     start = time.monotonic()
     budgets = [DegreeBudget(d0, d) for d0 in (0, 1) for d in (0, 1, 2)]
-    rows, summary = experiment_grid(1, budgets)  # default precision 3T per cell
+    rows, summary = experiment_grid(1, budgets)  # adaptive default precision
     for row in rows:
         assert not row.precision_limited
         assert row.measured_ord.is_finite

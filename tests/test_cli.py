@@ -192,3 +192,28 @@ def test_strict_flag_on_unresolved_ord(capsys):
     )
     assert code == 1
     assert json.loads(out)["payload"]["ord"] == ">=4"
+
+
+def test_verify_system_prec_0_is_rejected(capsys):
+    # --prec 0 compares no coefficient, and --prec 1 only z^0, which always matches
+    code, out, err = invoke(capsys, "verify-system", "--m", "1", "--prec", "0")
+    assert code == 2
+    assert out == ""
+    assert "--prec: must be at least 2, got 0" in err
+
+
+def test_series_negative_prec_is_rejected(capsys):
+    code, out, err = invoke(capsys, "series", "--which", "E4", "--prec", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--prec: must be at least 0, got -3" in err
+
+
+def test_auxsearch_negative_prec_is_rejected(capsys):
+    code, out, err = invoke(
+        capsys, "auxsearch", "--m", "1", "--d0", "0", "--d", "1", "--prec", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--prec: must be at least 0, got -1" in err
+    assert "constant term" not in err

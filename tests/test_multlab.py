@@ -1,9 +1,19 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from ramlab.forms import function_tuple
-from ramlab.ring import Polynomial, SystemConfig, evaluate, format_polynomial
+from helpers import count_series_products, naive_monomial_series
+from ramlab import multlab
+from ramlab._linalg import RowReducer
+from ramlab.forms import InternalConsistencyError, function_tuple
+from ramlab.ring import (
+    Polynomial,
+    SystemConfig,
+    evaluate,
+    format_polynomial,
+    monomial_series,
+)
 from ramlab.multlab import (
     DegreeBudget,
     PrecisionError,
@@ -108,3 +118,87 @@ def test_k0_independent_of_m():
     # Theta involves no Y variable, so the order cannot depend on m
     values = {compute_k0(m, 8).value for m in (1, 3, 5)}
     assert values == {2}
+
+
+CRITERION_8_GRID = (1, [DegreeBudget(d0, d) for d0 in (0, 1) for d in (0, 1, 2)])
+M3_GRID = (3, [DegreeBudget(d0, d) for d0 in (0, 1) for d in (0, 1)])
+
+
+@pytest.mark.parametrize("m, budgets", [CRITERION_8_GRID, M3_GRID])
+def test_columns_match_naive_oracle(m, budgets):
+    cfg = SystemConfig(m)
+    for budget in budgets:
+        basis = monomial_basis(budget, cfg)
+        tup = function_tuple(m, 3 * len(basis))
+        # in basis order, as the search builds them
+        columns = [monomial_series(mono, tup) for mono in basis]
+        for mono, col in zip(basis, columns):
+            assert col == naive_monomial_series(mono, tup)
+
+
+def test_search_products_are_the_z_free_columns_only(monkeypatch):
+    # z columns are shifts, and the witness is a combination of cached columns
+    budget = DegreeBudget(1, 2)
+    z_free = [mono for mono in monomial_basis(budget, CFG1) if mono[0] == 0]
+    count = count_series_products(monkeypatch)
+    max_vanishing_search(budget, CFG1, precision=40)
+    assert count[0] == len(z_free) - 1  # the constant column costs nothing
+
+
+def _answer(row):
+    return (
+        row.T,
+        row.n_star,
+        format_polynomial(row.witness),
+        str(row.measured_ord),
+        row.ratio,
+        row.ratio_paper,
+        row.precision_limited,
+    )
+
+
+@pytest.mark.parametrize("m, budgets", [CRITERION_8_GRID, M3_GRID])
+def test_adaptive_precision_equals_search_at_3t(m, budgets):
+    cfg = SystemConfig(m)
+    for budget in budgets:
+        adaptive = max_vanishing_search(budget, cfg)
+        fixed = max_vanishing_search(budget, cfg, precision=3 * adaptive.T)
+        assert _answer(adaptive) == _answer(fixed)
+        assert adaptive.precision == min(adaptive.T + multlab.PRECISION_SLACK, 3 * adaptive.T)
+        assert fixed.precision == 3 * fixed.T
+
+
+def test_adaptive_precision_doubles_while_precision_limited(monkeypatch):
+    budget = DegreeBudget(1, 2)  # T = 30, n* = 29
+    fixed = max_vanishing_search(budget, CFG1, precision=90)
+    monkeypatch.setattr(multlab, "PRECISION_SLACK", -20)
+    escalated = max_vanishing_search(budget, CFG1)  # 10, 20, then 40
+    assert escalated.precision == 40
+    assert _answer(escalated) == _answer(fixed)
+
+
+def test_adaptive_precision_stops_at_3t(monkeypatch):
+    tried = []
+
+    def always_limited(budget, cfg, basis, precision):
+        tried.append(precision)
+        return SimpleNamespace(precision_limited=True, precision=precision)
+
+    monkeypatch.setattr(multlab, "_search", always_limited)
+    row = max_vanishing_search(DegreeBudget(1, 2), CFG1)  # T = 30
+    assert tried == [35, 70, 90]
+    assert row.precision == 90
+
+
+def test_witness_cutoff_mismatch_raises(monkeypatch):
+    # witness 1 has order 0, which contradicts any cutoff n* > 0
+    monkeypatch.setattr(
+        RowReducer,
+        "kernel_vector",
+        lambda self: [Fraction(1)] + [Fraction(0)] * (self.ncols - 1),
+    )
+    with pytest.raises(InternalConsistencyError, match="disagrees"):
+        max_vanishing_search(DegreeBudget(1, 1), CFG1)
+    # precision-limited branch: the witness must vanish through the precision
+    with pytest.raises(InternalConsistencyError, match="does not vanish"):
+        max_vanishing_search(DegreeBudget(1, 1), CFG1, precision=3)

@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_monomial, random_polynomial
-from ramlab.forms import function_tuple
+from helpers import (
+    count_series_products,
+    naive_evaluate,
+    random_coefficient,
+    random_monomial,
+    random_polynomial,
+)
+from ramlab.forms import discriminant_series, function_tuple
 from ramlab.ring import (
     ParseError,
     Polynomial,
@@ -208,6 +214,37 @@ def test_evaluate_examples():
     assert evaluate(Polynomial.variable("E2", CFG1), tup) == tup.series[1]
     with pytest.raises(ValueError):
         evaluate(theta, function_tuple(3, 6))
+
+
+def test_evaluate_matches_naive_oracle_with_high_exponents():
+    rng = random.Random(29)
+    for cfg in (CFG1, CFG3):
+        shared = function_tuple(cfg.m, 15)
+        for _ in range(12):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                mono = list(random_monomial(cfg, rng))
+                mono[rng.randrange(cfg.nvars)] += rng.randint(8, 12)
+                terms[tuple(mono)] = random_coefficient(rng)
+            p = Polynomial(cfg, terms)
+            # a fresh tuple has an empty cache; the shared one fills up
+            expected = naive_evaluate(p, shared)
+            assert evaluate(p, function_tuple(cfg.m, 15)) == expected
+            assert evaluate(p, shared) == expected
+
+
+def test_evaluate_builds_pure_powers_by_squaring(monkeypatch):
+    tup = function_tuple(1, 20)
+    e4_60 = Polynomial.from_monomial((0, 0, 60, 0, 0), CFG1)
+    count = count_series_products(monkeypatch)
+    evaluate(e4_60, tup)
+    assert count[0] <= 12
+    # the 21 terms E4^(3a)*E6^(40-2a) of Delta^20: building each from its
+    # graded parent, one product per unit of E4, would take over 600
+    count[0] = 0
+    s = evaluate(delta_poly(CFG1) ** 20, function_tuple(1, 20))
+    assert count[0] < 300
+    assert s == discriminant_series(20) ** 20
 
 
 def test_parse_examples():

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import count_series_products
 from ramlab.arith import sigma
 from ramlab.forms import discriminant_series, eisenstein, g_series, theta_series
 from ramlab.series import Order, TruncatedSeries
@@ -68,6 +70,32 @@ def test_pow():
     e4sq = eisenstein(2, 3) ** 2
     assert e4sq.coefficient(0) == 1
     assert e4sq.coefficient(1) == 480
+
+
+def test_pow_equals_repeated_product():
+    base = eisenstein(2, 12) + g_series(0, 1, 12)
+    product = TruncatedSeries.constant(1, 12)
+    for e in range(10):
+        assert base**e == product
+        product = product * base
+
+
+def test_pow_squares_no_more_than_needed(monkeypatch):
+    e4 = eisenstein(2, 30)
+    expected = e4**60
+    count = count_series_products(monkeypatch)
+    assert e4**60 == expected
+    # 60 = 0b111100: five squarings and three multiplies
+    assert count[0] == 8
+    assert count[0] <= 2 * ceil(log2(60))
+
+
+def test_shift_is_product_with_z_power():
+    s = eisenstein(3, 8)
+    for k in range(11):
+        assert s.shift(k) == s * TruncatedSeries.z(8) ** k
+    with pytest.raises(ValueError):
+        s.shift(-1)
 
 
 def test_numeric_eval():
