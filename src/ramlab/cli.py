@@ -12,7 +12,6 @@ import io
 import json
 import re
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .forms import (
@@ -34,6 +33,7 @@ from .multlab import (
 from .ring import (
     ParseError,
     SystemConfig,
+    _fraction_str,
     derive,
     evaluate,
     format_polynomial,
@@ -49,14 +49,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def _series_payload(s: TruncatedSeries) -> dict:
     return {
         "precision": s.precision,
-        "coefficients": [_frac_str(c) for c in s.coeffs],
+        "coefficients": [_fraction_str(c) for c in s.coeffs],
     }
 
 
@@ -131,16 +127,16 @@ def _experiment_rows(rows, summary) -> dict:
                 "T": r.T,
                 "n_star": r.n_star,
                 "ord": str(r.measured_ord),
-                "ratio": _frac_str(r.ratio),
-                "ratio_paper": _frac_str(r.ratio_paper),
+                "ratio": _fraction_str(r.ratio),
+                "ratio_paper": _fraction_str(r.ratio_paper),
                 "witness": format_polynomial(r.witness),
                 "precision": r.precision,
                 "precision_limited": r.precision_limited,
             }
             for r in rows
         ],
-        "max_ratio": _frac_str(summary.max_ratio),
-        "max_ratio_paper": _frac_str(summary.max_ratio_paper),
+        "max_ratio": _fraction_str(summary.max_ratio),
+        "max_ratio_paper": _fraction_str(summary.max_ratio_paper),
         "flagged": [{"d0": b.d0, "d": b.d} for b in summary.flagged],
     }
 
@@ -280,7 +276,7 @@ def _dispatch(args) -> tuple[dict, int, Optional[str]]:
         ak = ak_polynomial(args.k, args.prec)
         record["payload"] = {
             "monomials": [
-                {"e4_exp": a, "e6_exp": b, "coefficient": _frac_str(c)}
+                {"e4_exp": a, "e6_exp": b, "coefficient": _fraction_str(c)}
                 for (a, b), c in sorted(ak.coefficients.items())
             ]
         }

@@ -176,6 +176,7 @@ def _search(
     flagged = n_star is None
 
     kernel = reducer.kernel_vector()
+    del reducer  # frees the echelon's large integers before the witness is built
     witness = Polynomial(
         cfg,
         {mono: c for mono, c in zip(basis, kernel) if c != 0},

@@ -181,14 +181,17 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result = Polynomial.constant(1, self.config)
+        if e == 0:
+            return Polynomial.constant(1, self.config)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     # -- degrees and weights ------------------------------------------
 

@@ -79,3 +79,75 @@ def count_series_products(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
     return count
+
+
+def gauss_jordan_solve(matrix, rhs):
+    """Slow oracle for _linalg.solve_square: Gauss-Jordan over Fraction."""
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        piv = aug[col][col]
+        aug[col] = [x / piv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+class FractionRowReducer:
+    """Slow oracle for _linalg.RowReducer: a monic reduced echelon over Fraction.
+
+    Same interface; add() reduces its row again, so it accepts any row.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        # pivot column -> monic reduced row
+        self.rows: dict[int, list[Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row):
+        row = [Fraction(x) for x in row]
+        for col in sorted(self.rows):
+            if row[col] != 0:
+                factor = row[col]
+                basis = self.rows[col]
+                for c in range(col, self.ncols):
+                    if basis[c]:
+                        row[c] -= factor * basis[c]
+        return row
+
+    def add(self, row) -> bool:
+        reduced = self.reduce(row)
+        pivot = next((c for c, x in enumerate(reduced) if x != 0), None)
+        if pivot is None:
+            return False
+        piv = reduced[pivot]
+        reduced = [x / piv for x in reduced]
+        # back-eliminate the new pivot column from existing rows
+        for col, basis in self.rows.items():
+            if basis[pivot] != 0:
+                factor = basis[pivot]
+                self.rows[col] = [x - factor * y for x, y in zip(basis, reduced)]
+        self.rows[pivot] = reduced
+        return True
+
+    def kernel_vector(self) -> list[Fraction]:
+        if self.rank >= self.ncols:
+            raise ValueError("kernel is trivial")
+        free = next(c for c in range(self.ncols) if c not in self.rows)
+        vec = [Fraction(0)] * self.ncols
+        vec[free] = Fraction(1)
+        for col, basis in self.rows.items():
+            # rows are fully reduced, so pivots solve directly
+            vec[col] = -basis[free]
+        lead = next(x for x in vec if x != 0)
+        return [x / lead for x in vec]

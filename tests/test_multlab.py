@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import count_series_products, naive_monomial_series
+from helpers import FractionRowReducer, count_series_products, naive_monomial_series
 from ramlab import multlab
 from ramlab._linalg import RowReducer
 from ramlab.forms import InternalConsistencyError, function_tuple
@@ -202,3 +202,23 @@ def test_witness_cutoff_mismatch_raises(monkeypatch):
     # precision-limited branch: the witness must vanish through the precision
     with pytest.raises(InternalConsistencyError, match="does not vanish"):
         max_vanishing_search(DegreeBudget(1, 1), CFG1, precision=3)
+
+
+@pytest.mark.parametrize(
+    "m, budgets, precision",
+    [
+        (*CRITERION_8_GRID, None),
+        (*M3_GRID, None),
+        (1, [DegreeBudget(0, 2)], 4),  # precision-limited: T = 15, 5 rows
+    ],
+)
+def test_search_matches_fraction_reducer(monkeypatch, m, budgets, precision):
+    cfg = SystemConfig(m)
+    fast = [max_vanishing_search(b, cfg, precision) for b in budgets]
+    monkeypatch.setattr(multlab, "RowReducer", FractionRowReducer)
+    slow = [max_vanishing_search(b, cfg, precision) for b in budgets]
+    assert [(_answer(r), r.precision) for r in fast] == [
+        (_answer(r), r.precision) for r in slow
+    ]
+    if precision is not None:
+        assert fast[0].precision_limited

@@ -233,6 +233,32 @@ def test_evaluate_matches_naive_oracle_with_high_exponents():
             assert evaluate(p, shared) == expected
 
 
+def test_pow_equals_repeated_product():
+    base = delta_poly(CFG1) + Polynomial.variable("z", CFG1)
+    product = Polynomial.constant(1, CFG1)
+    for e in range(10):
+        assert base**e == product
+        product = product * base
+
+
+def test_pow_squares_no_more_than_needed(monkeypatch):
+    base = delta_poly(CFG1)
+    expected = Polynomial.constant(1, CFG1)
+    for _ in range(60):
+        expected = expected * base
+    count = [0]
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert base**60 == expected
+    # 60 = 0b111100: five squarings and three multiplies
+    assert count[0] == 8
+
+
 def test_evaluate_builds_pure_powers_by_squaring(monkeypatch):
     tup = function_tuple(1, 20)
     e4_60 = Polynomial.from_monomial((0, 0, 60, 0, 0), CFG1)
