@@ -42,15 +42,22 @@ def sigma(k: int, n: int) -> Fraction:
 
 
 def sigma_table(k: int, N: int) -> list[Fraction]:
-    """[sigma_k(1), ..., sigma_k(N)] via a divisor sieve (outer loop over d)."""
+    """[sigma_k(1), ..., sigma_k(N)] via a divisor sieve (outer loop over d).
+
+    The sieve runs on sigma_|k| in plain integers; for negative k the entry
+    is sigma_|k|(n) / n^|k|, since the divisors d and n/d pair up.
+    """
     if N < 1:
         raise ValueError("N must be positive")
-    table = [Fraction(0)] * (N + 1)
+    e = abs(k)
+    table = [0] * (N + 1)
     for d in range(1, N + 1):
-        dk = Fraction(d) ** k
+        de = d**e
         for mult in range(d, N + 1, d):
-            table[mult] += dk
-    return table[1:]
+            table[mult] += de
+    if k < 0:
+        return [Fraction(table[n], n**e) for n in range(1, N + 1)]
+    return [Fraction(s) for s in table[1:]]
 
 
 def binomial(n: int, k: int) -> int:

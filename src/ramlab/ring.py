@@ -324,16 +324,18 @@ def derive(p: Polynomial) -> Polynomial:
     """The derivation D = z d/dz + sum of coefficient polynomials times d/dx."""
     cfg = p.config
     vels = _velocities(cfg.m)
-    result = Polynomial.zero(cfg)
+    terms: dict[Monomial, Fraction] = {}
     for mono, c in p.terms.items():
         for i, e in enumerate(mono):
             if e == 0:
                 continue
-            lowered = list(mono)
-            lowered[i] -= 1
-            partial = Polynomial.from_monomial(tuple(lowered), cfg, c * e)
-            result = result + partial * vels[i]
-    return result
+            # (c*e) * mono/x_i * D(x_i), accumulated in place
+            lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
+            ce = c * e
+            for vmono, vc in vels[i].terms.items():
+                key = tuple(a + b for a, b in zip(lowered, vmono))
+                terms[key] = terms.get(key, Fraction(0)) + ce * vc
+    return Polynomial(cfg, terms)
 
 
 # -- evaluation ----------------------------------------------------------

@@ -3,6 +3,14 @@
 A series carries coefficients for z^0 .. z^P and nothing beyond; P is the
 precision.  Arithmetic results carry the minimum precision of the operands,
 so a coefficient is stored only if it is actually known.
+
+A product of two series is one exact big-integer multiply (Kronecker
+substitution; Harvey, J. Symbolic Comput. 2009).  Each operand is scaled to
+integer numerators by the lcm of its denominators and packed into one
+integer, coefficient n in slot n of a fixed bit width.  The width is chosen
+so that every signed coefficient of the product fits in its slot, so the low
+P+1 slots of the integer product are read back exactly; the result is those
+integers over the product of the two denominators.  No floating point.
 """
 
 from __future__ import annotations
@@ -10,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 __all__ = ["Order", "TruncatedSeries", "NumericValue"]
@@ -47,6 +56,19 @@ class NumericValue:
 
     text: str
     note: str
+
+
+def _integer_numerators(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """(D, [D*c for c in coeffs]) with D the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _pack(nums: list[int], nbytes: int) -> int:
+    """sum(x * 256**(nbytes*i) for i, x in enumerate(nums)), each |x| < 256**nbytes."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(nbytes, "little") for x in nums)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(nbytes, "little") for x in nums)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class TruncatedSeries:
@@ -120,14 +142,25 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         p = min(self.precision, other.precision)
-        out = [Fraction(0)] * (p + 1)
-        for i, a in enumerate(self.coeffs[: p + 1]):
-            if a == 0:
-                continue
-            for j in range(p + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
+        da, a = _integer_numerators(self.coeffs[: p + 1])
+        db, b = _integer_numerators(other.coeffs[: p + 1])
+        # every product coefficient is a sum of at most p+1 terms a_i*b_j
+        bound = (p + 1) * max(map(abs, a)) * max(map(abs, b))
+        if not bound:  # a zero operand; the slots below would not fit the other
+            return TruncatedSeries.zero(p)
+        nbytes = bound.bit_length() // 8 + 1  # 2**(8*nbytes - 1) > bound
+        # keep the low p+1 slots with a mask: % would be a long division
+        mask = (1 << 8 * nbytes * (p + 1)) - 1
+        low = (_pack(a, nbytes) * _pack(b, nbytes)) & mask
+        raw = low.to_bytes(nbytes * (p + 1), "little")
+        den = da * db
+        out = []
+        borrow = 0
+        for start in range(0, len(raw), nbytes):
+            s = int.from_bytes(raw[start : start + nbytes], "little", signed=True)
+            out.append(Fraction(s + borrow, den))
+            # a negative slot borrowed one unit from the slot above it
+            borrow = s < 0
         return TruncatedSeries(out)
 
     __rmul__ = __mul__

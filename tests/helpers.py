@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from ramlab.forms import FunctionTuple
-from ramlab.ring import Polynomial, SystemConfig
+from ramlab.ring import Polynomial, SystemConfig, velocity
 from ramlab.series import TruncatedSeries
 
 
@@ -48,6 +48,57 @@ def random_two_term_polynomial(cfg: SystemConfig, rng: random.Random) -> Polynom
             return Polynomial(
                 cfg, {m1: random_coefficient(rng), m2: random_coefficient(rng)}
             )
+
+
+def random_series(
+    rng: random.Random,
+    precision: int,
+    digits: int = 3,
+    max_den: int = 9,
+    density: float = 1.0,
+    leading_zeros: int = 0,
+) -> TruncatedSeries:
+    """Signed numerators up to `digits` digits over denominators 1..max_den.
+
+    Each coefficient past the leading zeros is nonzero with chance `density`.
+    """
+    top = 10**digits
+    coeffs = []
+    for n in range(precision + 1):
+        if n < leading_zeros or rng.random() >= density:
+            coeffs.append(Fraction(0))
+        else:
+            coeffs.append(Fraction(rng.randint(-top, top), rng.randint(1, max_den)))
+    return TruncatedSeries(coeffs)
+
+
+def schoolbook_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Slow oracle for series products: the Fraction double loop."""
+    p = min(a.precision, b.precision)
+    out = [Fraction(0)] * (p + 1)
+    for i, x in enumerate(a.coeffs[: p + 1]):
+        if x == 0:
+            continue
+        for j in range(p + 1 - i):
+            y = b.coeffs[j]
+            if y:
+                out[i + j] += x * y
+    return TruncatedSeries(out)
+
+
+def naive_derive(p: Polynomial) -> Polynomial:
+    """Slow oracle for ring.derive: one immutable Polynomial sum per term."""
+    cfg = p.config
+    result = Polynomial.zero(cfg)
+    for mono, c in p.terms.items():
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            lowered = list(mono)
+            lowered[i] -= 1
+            partial = Polynomial.from_monomial(tuple(lowered), cfg, c * e)
+            result = result + partial * velocity(cfg.names[i], cfg)
+    return result
 
 
 def naive_monomial_series(mono, tup: FunctionTuple) -> TruncatedSeries:

@@ -66,9 +66,9 @@ def test_sigma_minus_one_special_case():
 
 
 def test_sigma_table_matches_sigma():
-    for k in (-3, -1, 0, 1, 3, 5):
-        table = sigma_table(k, 60)
-        for n in range(1, 61):
+    for k in (-7, -5, -3, -1, 0, 1, 3, 5, 11):
+        table = sigma_table(k, 200)
+        for n in range(1, 201):
             assert table[n - 1] == sigma(k, n)
 
 

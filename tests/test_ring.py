@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     count_series_products,
+    naive_derive,
     naive_evaluate,
     random_coefficient,
     random_monomial,
@@ -136,6 +137,20 @@ def test_derive_examples():
     assert derive(Polynomial.variable("g[2,3]", CFG3)) == (x2_3 - one3).scale(
         Fraction(1, 240)
     )
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_derive_matches_naive_oracle(m):
+    # m=7 reaches g[0..6,7], whose closing velocity is the A_4 polynomial
+    cfg = SystemConfig(m)
+    rng = random.Random(900 + m)
+    closing = Polynomial.variable(cfg.names[-1], cfg)
+    for _ in range(40):
+        p = random_polynomial(cfg, rng, max_total_deg=4, max_terms=8)
+        assert derive(p) == naive_derive(p)
+        assert derive(p * closing) == naive_derive(p * closing)
+    for p in (Polynomial.zero(cfg), Polynomial.constant(Fraction(-5, 3), cfg)):
+        assert derive(p) == naive_derive(p) == Polynomial.zero(cfg)
 
 
 def test_derive_leibniz():

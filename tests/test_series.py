@@ -1,11 +1,12 @@
+import random
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, isqrt, log2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_series_products
+from helpers import count_series_products, random_series, schoolbook_mul
 from ramlab.arith import sigma
 from ramlab.forms import discriminant_series, eisenstein, g_series, theta_series
 from ramlab.series import Order, TruncatedSeries
@@ -43,6 +44,75 @@ def test_mul_examples():
     assert prod.coefficient(2) == 1728
     a = TruncatedSeries([2, 3, 5])
     assert a * TruncatedSeries.constant(1, 2) == a
+
+
+def _check_product(a, b):
+    prod = a * b
+    assert prod.precision == min(a.precision, b.precision)
+    assert prod == schoolbook_mul(a, b)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"digits": 1, "max_den": 1},
+        {"digits": 120},
+        {"max_den": 10**6},
+        {"digits": 40, "max_den": 10**30},
+        {"density": 0.15},
+        {"leading_zeros": 4},
+    ],
+    ids=["small-ints", "120-digits", "mixed-dens", "big-both", "sparse", "lead0"],
+)
+def test_mul_matches_schoolbook(shape):
+    rng = random.Random(4100)
+    precisions = [(0, 0), (0, 9), (9, 0)]
+    precisions += [(rng.randint(0, 14), rng.randint(0, 14)) for _ in range(30)]
+    for pa, pb in precisions:
+        a = random_series(rng, pa, **shape)
+        b = random_series(rng, pb, **shape)
+        _check_product(a, b)
+        _check_product(b, a)
+
+
+def test_mul_zero_operand():
+    rng = random.Random(4200)
+    for p in (0, 1, 9):
+        a = random_series(rng, p + 3, digits=50, max_den=1000)
+        zero = TruncatedSeries.zero(p)
+        _check_product(a, zero)
+        _check_product(zero, a)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 64, 336])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mul_slot_boundary(bits, sign):
+    # the top coefficient reaches the bound (p+1)*max|a|*max|b|, whose bit
+    # length is a whole number of bytes, so rounding the slot up to bytes
+    # leaves no spare bit
+    p = 5
+    m = isqrt((1 << (bits - 1)) // (p + 1)) + 1
+    bound = (p + 1) * m * m
+    assert bound.bit_length() == bits
+    a = TruncatedSeries([m] * (p + 1))
+    b = TruncatedSeries([sign * m] * (p + 1))
+    prod = a * b
+    assert prod.coefficient(p) == sign * bound
+    assert prod == schoolbook_mul(a, b)
+    # the same over denominators: the bound is on the integer numerators
+    assert a.scale(Fraction(1, 7)) * b.scale(Fraction(5, 3)) == prod.scale(Fraction(5, 21))
+
+
+def test_mul_real_products():
+    g03 = g_series(0, 3, 200)
+    _check_product(g03, g03)
+    e4 = eisenstein(2, 300)
+    e6 = eisenstein(3, 300)
+    e4_cubed = e4 * e4 * e4
+    e6_squared = e6 * e6
+    assert e4_cubed == schoolbook_mul(schoolbook_mul(e4, e4), e4)
+    assert e6_squared == schoolbook_mul(e6, e6)
+    assert (e4_cubed - e6_squared).order() == Order.finite(1)
 
 
 def test_delta():
