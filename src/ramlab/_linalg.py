@@ -1,4 +1,20 @@
-"""Exact linear algebra over Q by fraction-free elimination over Z.
+"""Exact linear algebra over Q: a rank profile modulo a prime, an exact
+square solve by p-adic lifting, and fraction-free elimination over Z.
+
+`rank_profile_mod_p` scales each rational row to integers once and reduces
+the rows one at a time over GF(p).  Its rank can only be lower than the rank
+over Q, since a minor that is nonzero mod p is nonzero.
+
+`solve_lifted` solves a square integer system that is nonsingular mod p by
+Dixon's p-adic lifting (Numer. Math. 1982): one inverse mod p, then one
+digit of the p-adic solution per step, and rational reconstruction (Wang's
+half extended Euclid) over a common denominator.  It tries to stop at each
+check, and a reconstructed vector is accepted only if it passes the exact
+test M x = d b.  At the Hadamard bound the reconstruction is unique, so
+failing there is an internal inconsistency.  The matrix-vector products of
+the lifting are integer combinations of the matrix columns, each packed
+into one integer with whole-byte slots (Kronecker substitution, as in
+`TruncatedSeries.__mul__`).
 
 `RowReducer` keeps an integer echelon basis, one row at a time, with
 Bareiss' integer-preserving step (Bareiss, Math. Comp. 1968): every stored
@@ -7,16 +23,30 @@ is ever taken.  The pivot of a new row is its first nonzero column, so the
 pivot columns are those where the column rank rises, whatever the order of
 insertion, and the kernel vector (first free column 1, the others 0, first
 nonzero coordinate 1) is the one a reduced row echelon form gives.
-`solve_square` is a kernel vector of `[A | b]`.  Deterministic by
-construction; desk-scale matrices only.
+`solve_square` is a kernel vector of `[A | b]`, which gives an exact
+verdict on singular systems.  Deterministic by construction; desk-scale
+matrices only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt
+from typing import Iterable, Optional, Sequence
 
-__all__ = ["solve_square", "RowReducer"]
+from .arith import integer_numerators, pack, slot_bytes, unpack
+
+__all__ = [
+    "InternalConsistencyError",
+    "solve_square",
+    "solve_lifted",
+    "rank_profile_mod_p",
+    "RowReducer",
+]
+
+
+class InternalConsistencyError(Exception):
+    """A self-check that must always pass did not."""
 
 
 def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -32,6 +62,187 @@ def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     if v[n] == 0:
         raise ValueError("singular matrix")
     return [-x / v[n] for x in v[:n]]
+
+
+def rank_profile_mod_p(
+    rows: Iterable[Sequence[Fraction]], target: int, p: int
+) -> tuple[Optional[int], list[int], list[list[int]]]:
+    """Reduce rational rows over GF(p), in order, until the rank would hit target.
+
+    Returns (index of the first row that would bring the rank to target, or
+    None if no row does; the pivot column of each kept row; the kept rows,
+    scaled to integers).  A kept row is one that raised the rank mod p; its
+    pivot is its first nonzero column after reduction.
+    """
+    if target < 1:
+        raise ValueError("target rank must be positive")
+    basis: list[tuple[int, int]] = []  # (pivot, packed monic reduced row)
+    kept: list[list[int]] = []
+    # a row takes fewer than `target` eliminations, each adding < p*p to a slot
+    nbytes = slot_bytes(target * p * p)
+    for index, row in enumerate(rows):
+        _, ints = integer_numerators(row)
+        x = pack([a % p for a in ints], nbytes)
+        for col, b in basis:
+            x = _eliminate(x, b, col, nbytes, p)
+        x = [u % p for u in unpack(x, len(ints), nbytes)]
+        pivot = next((c for c, u in enumerate(x) if u), None)
+        if pivot is None:
+            continue
+        if len(basis) + 1 == target:
+            return index, [col for col, _ in basis], kept
+        inv = pow(x[pivot], -1, p)
+        basis.append((pivot, pack([u * inv % p for u in x], nbytes)))
+        kept.append(ints)
+    return None, [col for col, _ in basis], kept
+
+
+def _slot(packed: int, i: int, nbytes: int) -> int:
+    """Slot i of a packed integer whose slots are all nonnegative."""
+    return packed >> 8 * nbytes * i & (1 << 8 * nbytes) - 1
+
+
+def _eliminate(x: int, pivot_row: int, col: int, nbytes: int, p: int) -> int:
+    """x with slot col made 0 mod p by a multiple of a pivot row that is 1 there.
+
+    Rows mod p are packed with nonnegative slots, and an elimination adds
+    (p - f) times a row whose entries are below p, so slots only grow, by
+    less than p*p per step, and are reduced mod p only when they are read.
+    """
+    f = _slot(x, col, nbytes) % p
+    return x + (p - f) * pivot_row if f else x
+
+
+def _combine(columns: list[int], weights: Sequence[int]) -> int:
+    """sum(w * column) of packed columns: a matrix-vector product, packed."""
+    return sum(w * column for column, w in zip(columns, weights) if w)
+
+
+def _inverse_columns(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """The columns of the inverse of a square integer matrix mod p.
+
+    Gauss-Jordan on [M^T | I] over packed rows: row i of the inverse of M^T
+    is column i of the inverse of M.
+    """
+    n = len(matrix)
+    # a row takes at most n eliminations before its slots are read for the last time
+    nbytes = slot_bytes(n * p * p)
+    rows = [
+        pack([a % p for a in col] + [int(i == j) for j in range(n)], nbytes)
+        for i, col in enumerate(zip(*matrix))
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if _slot(rows[r], col, nbytes) % p), None)
+        if piv is None:
+            raise ValueError("singular matrix modulo p")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        values = [u % p for u in unpack(rows[col], 2 * n, nbytes)]
+        inv = pow(values[col], -1, p)
+        rows[col] = pivot_row = pack([u * inv % p for u in values], nbytes)
+        for r in range(n):
+            if r != col:
+                rows[r] = _eliminate(rows[r], pivot_row, col, nbytes, p)
+    return [[u % p for u in unpack(row >> 8 * nbytes * n, n, nbytes)] for row in rows]
+
+
+def _reconstruct(residue: int, modulus: int, bound: int) -> Optional[tuple[int, int]]:
+    """(n, d) with n = d * residue mod modulus, |n| <= bound, 0 < d <= bound.
+
+    Wang's half extended Euclid, which finds such a pair whenever one exists;
+    None if it finds none.  With 2*bound**2 < modulus, every such pair has
+    the same value n/d.
+    """
+    r0, r1 = modulus, residue % modulus
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not t1 or abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _rational_vector(
+    residues: list[int], modulus: int, bound: int
+) -> Optional[tuple[list[int], int]]:
+    """(numerators, d) with numerators / d = residues mod modulus, or None.
+
+    One denominator is shared: each coordinate is first multiplied by the
+    denominator found so far, and is reconstructed only if that product is
+    not already a small integer.
+    """
+    den = 1
+    nums: list[int] = []
+    half = modulus // 2
+    for x in residues:
+        y = den * x % modulus
+        if y > half:
+            y -= modulus
+        if abs(y) <= bound:
+            nums.append(y)
+            continue
+        found = _reconstruct(y, modulus, bound)
+        if found is None:
+            return None
+        num, d = found
+        den *= d
+        if den > bound:
+            return None
+        nums = [v * d for v in nums]
+        nums.append(num)
+    return nums, den
+
+
+def solve_lifted(matrix: list[list[int]], rhs: list[int], p: int) -> list[Fraction]:
+    """Solve M x = b exactly for a square integer M that is nonsingular mod p.
+
+    Raises ValueError if M is singular mod p.
+    """
+    n = len(matrix)
+    if n == 0:
+        return []
+    inverse = _inverse_columns(matrix, p)
+    # Hadamard over the rows of [M | b] bounds |det M| and every Cramer
+    # numerator by h with h**2 = h2; a modulus above 2*h2 fixes x uniquely
+    h2 = 1
+    for row, b in zip(matrix, rhs):
+        h2 *= sum(a * a for a in row) + b * b
+    top = max(max(map(abs, row)) for row in matrix)
+    # |residue| stays <= n*top + |b|, and M times a digit vector adds < n*top*p
+    width = slot_bytes(max(map(abs, rhs)) + 2 * n * top * p)
+    cols = [pack(col, width) for col in zip(*matrix)]
+    inv_width = slot_bytes(n * p * p)
+    inv_cols = [pack(col, inv_width) for col in inverse]
+    residue = pack(rhs, width)
+    solution = [0] * n  # x mod p**steps
+    modulus = 1
+    # reconstruct at steps 2, 3, 4, 6, 9, 13, ...: one try costs a few steps
+    check_at = 2
+    steps = 0
+    while True:
+        r = [v % p for v in unpack(residue, n, width)]
+        digit = [v % p for v in unpack(_combine(inv_cols, r), n, inv_width)]
+        residue = (residue - _combine(cols, digit)) // p
+        solution = [s + d * modulus for s, d in zip(solution, digit)]
+        modulus *= p
+        steps += 1
+        final = modulus > 2 * h2
+        if steps < check_at and not final:
+            continue
+        check_at += check_at // 2
+        found = _rational_vector(solution, modulus, isqrt(modulus // 2))
+        if found is not None:
+            nums, den = found
+            if all(
+                sum(a * v for a, v in zip(row, nums)) == den * b
+                for row, b in zip(matrix, rhs)
+            ):
+                return [Fraction(v, den) for v in nums]
+        if final:
+            raise InternalConsistencyError(
+                "p-adic solution has no rational reconstruction at the Hadamard bound"
+            )
 
 
 class RowReducer:
@@ -56,8 +267,7 @@ class RowReducer:
         The result is zero on every pivot column, and it is zero exactly
         when the row lies in the span of the rows added so far.
         """
-        scale = lcm(*(x.denominator for x in row))
-        x = [v.numerator * (scale // v.denominator) for v in row]
+        _, x = integer_numerators(row)
         prev = 1
         for col, basis in self.rows:
             piv = basis[col]

@@ -1,4 +1,11 @@
-"""Exact integer/rational helpers: Bernoulli numbers, divisor sums, binomials.
+"""Exact integer/rational helpers: Bernoulli numbers, divisor sums, binomials,
+the scaling of a rational vector to integers, and Kronecker packing.
+
+A vector of integers is packed into one integer, value i in slot i, each
+slot a whole number of bytes (Kronecker substitution).  A sum of multiples
+of packed vectors, or a product of two packed polynomials, is then one
+big-integer operation, and reads back exactly as long as every slot value
+fits its slot.
 
 Everything here is exact; no floating point anywhere.
 """
@@ -6,9 +13,19 @@ Everything here is exact; no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from typing import Sequence
 
-__all__ = ["bernoulli", "sigma", "sigma_table", "binomial"]
+__all__ = [
+    "bernoulli",
+    "sigma",
+    "sigma_table",
+    "binomial",
+    "integer_numerators",
+    "slot_bytes",
+    "pack",
+    "unpack",
+]
 
 # Append-only cache of B_0, B_1, ...; grown on demand.  Appending is atomic
 # enough for concurrent readers (CPython list semantics).
@@ -65,3 +82,35 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be nonnegative")
     return comb(n, k)
+
+
+def integer_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [D*x for x in values]) with D the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def slot_bytes(bound: int) -> int:
+    """Whole bytes per slot so that every value with |x| <= bound fits signed."""
+    return bound.bit_length() // 8 + 1
+
+
+def pack(values: Sequence[int], nbytes: int) -> int:
+    """sum(x * 256**(nbytes*i) for i, x in enumerate(values)), each x fitting signed."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(nbytes, "little") for x in values)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(nbytes, "little") for x in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def unpack(packed: int, n: int, nbytes: int) -> list[int]:
+    """The low n signed slot values of a packed integer (the inverse of pack)."""
+    # the low slots are kept with a mask: % would be a long division
+    raw = (packed & (1 << 8 * nbytes * n) - 1).to_bytes(nbytes * n, "little")
+    out = []
+    borrow = 0
+    for start in range(0, len(raw), nbytes):
+        s = int.from_bytes(raw[start : start + nbytes], "little", signed=True)
+        out.append(s + borrow)
+        # a negative slot borrowed one unit from the slot above it
+        borrow = s < 0
+    return out

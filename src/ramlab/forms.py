@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import bernoulli, sigma_table
-from ._linalg import solve_square
+from ._linalg import InternalConsistencyError, solve_square
 from .series import TruncatedSeries
 
 __all__ = [
@@ -25,10 +25,6 @@ __all__ = [
     "verify_system",
     "InternalConsistencyError",
 ]
-
-
-class InternalConsistencyError(Exception):
-    """A self-check that must always pass did not."""
 
 
 def eisenstein(k: int, precision: int) -> TruncatedSeries:

@@ -1,9 +1,16 @@
 """Empirical multiplicity laboratory.
 
 Searches for auxiliary polynomials of constrained degrees with the highest
-possible order of vanishing at z = 0, by exact incremental row reduction of
-the coefficient matrix, and profiles the measured orders against the
-degree-product bound shape.
+possible order of vanishing at z = 0, and profiles the measured orders
+against the degree-product bound shape.
+
+The search takes the rank profile of the coefficient matrix modulo a prime
+and recovers the kernel vector exactly by p-adic lifting.  The rank mod p is
+at most the rank over Q, so the cutoff n*_p it finds is at least the true
+n*; a witness polynomial whose exact order of vanishing is n*_p proves
+n* >= n*_p, hence equality.  The witness's order is always computed
+exactly, so this certificate holds whatever the prime; if it fails, the
+next prime is tried.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from ._linalg import RowReducer
+from ._linalg import rank_profile_mod_p, solve_lifted
 from .forms import InternalConsistencyError, function_tuple
 from .ring import Monomial, Polynomial, SystemConfig, evaluate, monomial_key, monomial_series
 from .series import Order
@@ -120,6 +127,10 @@ def expected_basis_size(budget: DegreeBudget, cfg: SystemConfig) -> int:
     return (budget.d0 + 1) * comb(budget.d + nu, nu)
 
 
+# 61-bit primes for the rank profile, tried in order until the witness
+# certifies the cutoff; 2**61 - 1 is a Mersenne prime
+PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
 # Adaptive precision starts this many coefficients past the basis size T.
 # Every cell measured so far has n* = T - 1, which needs rows 0..T-1.
 PRECISION_SLACK = 5
@@ -154,6 +165,25 @@ def max_vanishing_search(
         precision = min(2 * precision, cap)
 
 
+def _kernel_vector(
+    T: int, pivots: list[int], kept: list[list[int]], p: int
+) -> list[Fraction]:
+    """The kernel vector of the kept rows whose free column is the first mod p.
+
+    With f the first column that is not a pivot mod p, coordinates past f
+    are 0, coordinate f is 1, and the first f solve the kept rows with pivot
+    before f on columns 0..f-1: a square system, nonsingular mod p.  The
+    first nonzero coordinate is normalised to 1.
+    """
+    pivot_set = set(pivots)
+    f = next(c for c in range(T) if c not in pivot_set)
+    system = [row for row, col in zip(kept, pivots) if col < f]
+    head = solve_lifted([row[:f] for row in system], [-row[f] for row in system], p)
+    vec = head + [Fraction(1)] + [Fraction(0)] * (T - f - 1)
+    lead = next(x for x in vec if x != 0)
+    return [x / lead for x in vec]
+
+
 def _search(
     budget: DegreeBudget, cfg: SystemConfig, basis: list[Monomial], precision: int
 ) -> ExperimentRow:
@@ -163,38 +193,32 @@ def _search(
     # basis order is graded, so each column is one product off a cached parent
     columns = [monomial_series(mono, tup) for mono in basis]
 
-    reducer = RowReducer(T)
-    n_star: Optional[int] = None
-    for r in range(precision + 1):
-        row = [col.coefficient(r) for col in columns]
-        reduced = reducer.reduce(row)
-        if any(x != 0 for x in reduced):
-            if reducer.rank + 1 == T:
-                n_star = r
+    for p in PRIMES:
+        rows = ([col.coeffs[r] for col in columns] for r in range(precision + 1))
+        cutoff, pivots, kept = rank_profile_mod_p(rows, T, p)
+        kernel = _kernel_vector(T, pivots, kept, p)
+        del kept  # frees the rows' large integers before the witness is built
+        witness = Polynomial(
+            cfg,
+            {mono: c for mono, c in zip(basis, kernel) if c != 0},
+        )
+        # the columns filled the tuple's cache, so this is sum c_j * col_j
+        measured = evaluate(witness, tup).order()
+        if cutoff is None:
+            if not measured.is_finite:
                 break
-            reducer.add(reduced)
-    flagged = n_star is None
-
-    kernel = reducer.kernel_vector()
-    del reducer  # frees the echelon's large integers before the witness is built
-    witness = Polynomial(
-        cfg,
-        {mono: c for mono, c in zip(basis, kernel) if c != 0},
-    )
-    # the columns filled the tuple's cache, so this is sum c_j * col_j
-    measured = evaluate(witness, tup).order()
-    if flagged:
-        n_star = precision + 1
-        if measured.is_finite:
-            raise InternalConsistencyError(
+            failure = (
                 "rank never reached the basis size yet the witness does not "
                 "vanish through the precision"
             )
+        elif measured.is_finite and measured.value == cutoff:
+            break
+        else:
+            failure = f"witness order {measured} disagrees with search cutoff {cutoff}"
     else:
-        if not (measured.is_finite and measured.value == n_star):
-            raise InternalConsistencyError(
-                f"witness order {measured} disagrees with search cutoff {n_star}"
-            )
+        raise InternalConsistencyError(f"{failure} for every prime")
+    flagged = cutoff is None
+    n_star = precision + 1 if flagged else cutoff
 
     nu = operational_exponent(cfg.m)
     nu_paper = paper_exponent(cfg.m)

@@ -9,10 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterator, Optional, Union
 
 from .forms import FunctionTuple, ak_polynomial, y_pairs
-from .arith import bernoulli
+from .arith import bernoulli, integer_numerators
 from .series import TruncatedSeries
 
 __all__ = [
@@ -375,13 +376,25 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
 
 
 def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
-    """Substitute the function tuple into p; exact truncated series."""
+    """Substitute the function tuple into p; exact truncated series.
+
+    The sum of c * monomial series is taken in integers over one common
+    denominator, so a Fraction (and its gcd) is built only per coefficient
+    of the result.
+    """
     if tup.m != p.config.m:
         raise ValueError("function tuple and polynomial have different m")
-    total = TruncatedSeries.zero(tup.precision)
-    for mono, c in p.terms.items():
-        total = total + monomial_series(mono, tup).scale(c)
-    return total
+    scaled = [
+        (c, integer_numerators(monomial_series(mono, tup).coeffs))
+        for mono, c in p.terms.items()
+    ]
+    # c * col = c.numerator * nums / (c.denominator * d)
+    den = lcm(*(c.denominator * d for c, (d, _) in scaled))
+    total = [0] * (tup.precision + 1)
+    for c, (d, nums) in scaled:
+        weight = c.numerator * (den // (c.denominator * d))
+        total = [t + weight * x for t, x in zip(total, nums)]
+    return TruncatedSeries._of(tuple(Fraction(t, den) for t in total))
 
 
 # -- printing ------------------------------------------------------------
@@ -509,12 +522,15 @@ class _Parser:
             sign = -1
         elif self.peek().kind == "+":
             self.next()
-        result = self.parse_term().scale(sign)
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            term = self.parse_term()
-            result = result + term if op == "+" else result - term
-        return result
+        # one dict for the whole sum: adding Polynomials term by term would
+        # copy the sum so far for every term
+        terms: dict[Monomial, Fraction] = {}
+        while True:
+            for mono, c in self.parse_term().terms.items():
+                terms[mono] = terms.get(mono, 0) + (c if sign > 0 else -c)
+            if self.peek().kind not in ("+", "-"):
+                return Polynomial(self.cfg, terms)
+            sign = 1 if self.next().kind == "+" else -1
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Union
+
+from .arith import integer_numerators, pack, slot_bytes, unpack
 
 __all__ = ["Order", "TruncatedSeries", "NumericValue"]
 
@@ -58,19 +59,6 @@ class NumericValue:
     note: str
 
 
-def _integer_numerators(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """(D, [D*c for c in coeffs]) with D the lcm of the denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def _pack(nums: list[int], nbytes: int) -> int:
-    """sum(x * 256**(nbytes*i) for i, x in enumerate(nums)), each |x| < 256**nbytes."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(nbytes, "little") for x in nums)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(nbytes, "little") for x in nums)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 class TruncatedSeries:
     """Exact power series truncation; immutable."""
 
@@ -81,6 +69,17 @@ class TruncatedSeries:
         if not cs:
             raise ValueError("a series stores at least the constant term")
         object.__setattr__(self, "coeffs", cs)
+
+    @classmethod
+    def _of(cls, coeffs: tuple[Fraction, ...]) -> "TruncatedSeries":
+        """A series over a nonempty tuple of Fractions, stored as it is.
+
+        For results that are Fractions already: the public constructor would
+        pass every coefficient through Fraction() again.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "coeffs", coeffs)
+        return series
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -114,7 +113,7 @@ class TruncatedSeries:
     def truncate(self, precision: int) -> "TruncatedSeries":
         if precision > self.precision:
             raise ValueError("cannot extend a truncation")
-        return TruncatedSeries(self.coeffs[: precision + 1])
+        return TruncatedSeries._of(self.coeffs[: precision + 1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
@@ -123,45 +122,32 @@ class TruncatedSeries:
         return hash(self.coeffs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        p = min(self.precision, other.precision)
-        return TruncatedSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(p + 1)]
-        )
+        return TruncatedSeries._of(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return TruncatedSeries._of(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._of(tuple(-c for c in self.coeffs))
 
     def scale(self, c: Scalar) -> "TruncatedSeries":
         c = Fraction(c)
-        return TruncatedSeries([c * x for x in self.coeffs])
+        return TruncatedSeries._of(tuple(c * x for x in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         p = min(self.precision, other.precision)
-        da, a = _integer_numerators(self.coeffs[: p + 1])
-        db, b = _integer_numerators(other.coeffs[: p + 1])
+        da, a = integer_numerators(self.coeffs[: p + 1])
+        db, b = integer_numerators(other.coeffs[: p + 1])
         # every product coefficient is a sum of at most p+1 terms a_i*b_j
         bound = (p + 1) * max(map(abs, a)) * max(map(abs, b))
         if not bound:  # a zero operand; the slots below would not fit the other
             return TruncatedSeries.zero(p)
-        nbytes = bound.bit_length() // 8 + 1  # 2**(8*nbytes - 1) > bound
-        # keep the low p+1 slots with a mask: % would be a long division
-        mask = (1 << 8 * nbytes * (p + 1)) - 1
-        low = (_pack(a, nbytes) * _pack(b, nbytes)) & mask
-        raw = low.to_bytes(nbytes * (p + 1), "little")
+        nbytes = slot_bytes(bound)
+        low = unpack(pack(a, nbytes) * pack(b, nbytes), p + 1, nbytes)
         den = da * db
-        out = []
-        borrow = 0
-        for start in range(0, len(raw), nbytes):
-            s = int.from_bytes(raw[start : start + nbytes], "little", signed=True)
-            out.append(Fraction(s + borrow, den))
-            # a negative slot borrowed one unit from the slot above it
-            borrow = s < 0
-        return TruncatedSeries(out)
+        return TruncatedSeries._of(tuple(Fraction(n, den) for n in low))
 
     __rmul__ = __mul__
 
@@ -185,13 +171,11 @@ class TruncatedSeries:
         """Multiply by z^k at the same precision, with no series product."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        return TruncatedSeries(
-            ([Fraction(0)] * k + list(self.coeffs))[: self.precision + 1]
-        )
+        return TruncatedSeries._of(((Fraction(0),) * k + self.coeffs)[: self.precision + 1])
 
     def delta(self) -> "TruncatedSeries":
         """Euler operator z d/dz: multiplies the z^n coefficient by n."""
-        return TruncatedSeries([n * c for n, c in enumerate(self.coeffs)])
+        return TruncatedSeries._of(tuple(n * c for n, c in enumerate(self.coeffs)))
 
     def order(self) -> Order:
         for n, c in enumerate(self.coeffs):

@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ramlab.forms import FunctionTuple
-from ramlab.ring import Polynomial, SystemConfig, velocity
+from ramlab import ring
+from ramlab._linalg import RowReducer
+from ramlab.forms import FunctionTuple, InternalConsistencyError, function_tuple
+from ramlab.multlab import ExperimentRow, operational_exponent, paper_exponent
+from ramlab.ring import Polynomial, SystemConfig, evaluate, monomial_series, velocity
 from ramlab.series import TruncatedSeries
 
 
@@ -118,6 +121,40 @@ def naive_evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
     return total
 
 
+def fraction_sum_evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
+    """Slow oracle for ring.evaluate: one Fraction series sum per term."""
+    total = TruncatedSeries.zero(tup.precision)
+    for mono, c in p:
+        total = total + monomial_series(mono, tup).scale(c)
+    return total
+
+
+class LeftFoldParser(ring._Parser):
+    """Oracle for the parser's sums: one immutable Polynomial sum per term."""
+
+    def parse_expression(self) -> Polynomial:
+        sign = 1
+        if self.peek().kind == "-":
+            self.next()
+            sign = -1
+        elif self.peek().kind == "+":
+            self.next()
+        result = self.parse_term().scale(sign)
+        while self.peek().kind in ("+", "-"):
+            op = self.next().kind
+            term = self.parse_term()
+            result = result + term if op == "+" else result - term
+        return result
+
+
+def left_fold_parse(text: str, cfg: SystemConfig) -> Polynomial:
+    parser = LeftFoldParser(ring._tokenize(text), cfg)
+    poly = parser.parse_expression()
+    if parser.peek().kind != "EOF":
+        raise ValueError("trailing input")
+    return poly
+
+
 def count_series_products(monkeypatch) -> list[int]:
     """Count series-by-series products from now on; read the count at [0]."""
     count = [0]
@@ -202,3 +239,49 @@ class FractionRowReducer:
             vec[col] = -basis[free]
         lead = next(x for x in vec if x != 0)
         return [x / lead for x in vec]
+
+
+def reducer_search(budget, cfg, basis, precision, reducer_cls=RowReducer) -> ExperimentRow:
+    """Oracle for multlab._search: exact row reduction over Q, one row at a time.
+
+    The cutoff is the first row that would bring the rank to T, and the
+    witness is the reducer's kernel vector of the rows before it.
+    """
+    T = len(basis)
+    tup = function_tuple(cfg.m, precision)
+    columns = [monomial_series(mono, tup) for mono in basis]
+    reducer = reducer_cls(T)
+    n_star = None
+    for r in range(precision + 1):
+        row = [col.coefficient(r) for col in columns]
+        reduced = reducer.reduce(row)
+        if any(x != 0 for x in reduced):
+            if reducer.rank + 1 == T:
+                n_star = r
+                break
+            reducer.add(reduced)
+    flagged = n_star is None
+    kernel = reducer.kernel_vector()
+    witness = Polynomial(cfg, {mono: c for mono, c in zip(basis, kernel) if c != 0})
+    measured = evaluate(witness, tup).order()
+    if flagged:
+        n_star = precision + 1
+        if measured.is_finite:
+            raise InternalConsistencyError("oracle witness does not vanish")
+    elif not (measured.is_finite and measured.value == n_star):
+        raise InternalConsistencyError("oracle witness order disagrees with its cutoff")
+    denom = (budget.d0 + 1) * (budget.d + 1) ** operational_exponent(cfg.m)
+    denom_paper = (budget.d0 + 1) * (budget.d + 1) ** paper_exponent(cfg.m)
+    return ExperimentRow(
+        m=cfg.m,
+        d0=budget.d0,
+        d=budget.d,
+        T=T,
+        n_star=n_star,
+        measured_ord=measured,
+        ratio=Fraction(n_star, denom),
+        ratio_paper=Fraction(n_star, denom_paper),
+        witness=witness,
+        precision=precision,
+        precision_limited=flagged,
+    )

@@ -1,10 +1,20 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 import pytest
 
 from helpers import FractionRowReducer, gauss_jordan_solve, random_coefficient
-from ramlab._linalg import RowReducer, solve_square
+from ramlab import _linalg
+from ramlab._linalg import (
+    InternalConsistencyError,
+    RowReducer,
+    rank_profile_mod_p,
+    solve_lifted,
+    solve_square,
+)
+
+P61 = 2**61 - 1
 
 
 def random_rows(rng: random.Random, ncols: int, nrows: int):
@@ -91,3 +101,128 @@ def test_solve_square_integer_input():
     assert solve_square([[2, 1], [1, 3]], [3, 5]) == [Fraction(4, 5), Fraction(7, 5)]
     with pytest.raises(ValueError, match="singular matrix"):
         solve_square([[1, 2], [2, 4]], [1, 2])
+
+
+def random_integer_system(rng: random.Random, n: int):
+    """An n x n integer system, mostly small entries, some up to 300 bits."""
+    bits = rng.choice([3, 8, 40, 300])
+    top = 2**bits
+    matrix = [[rng.randint(-top, top) if rng.random() < 0.8 else 0 for _ in range(n)]
+              for _ in range(n)]
+    rhs = [rng.randint(-top, top) for _ in range(n)]
+    if rng.random() < 0.1:
+        rhs = [0] * n
+    return matrix, rhs
+
+
+def test_solve_lifted_matches_gauss_jordan():
+    rng = random.Random(47)
+    solved = 0
+    big_denominators = 0
+    while solved < 200:
+        n = rng.randint(1, 9)
+        matrix, rhs = random_integer_system(rng, n)
+        try:
+            expected = gauss_jordan_solve(matrix, rhs)
+        except ValueError:
+            continue  # singular over Q
+        p = rng.choice([P61, 2**61 - 31, 101])
+        try:
+            got = solve_lifted(matrix, rhs, p)
+        except ValueError:
+            # singular mod a small prime only; the 61-bit ones never are here
+            assert p == 101
+            continue
+        assert got == expected
+        solved += 1
+        big_denominators += max(x.denominator for x in got).bit_length() > 200
+    assert big_denominators > 20
+
+
+def test_solve_lifted_edge_cases():
+    assert solve_lifted([], [], P61) == []
+    assert solve_lifted([[3]], [2], P61) == [Fraction(2, 3)]
+    assert solve_lifted([[2, 1], [1, 3]], [3, 5], 7) == [Fraction(4, 5), Fraction(7, 5)]
+    # an integer solution, so the residue vanishes after a few steps
+    big = 10**40
+    assert solve_lifted([[1, 2], [3, 4]], [5 * big, 11 * big], P61) == [big, 2 * big]
+    # nonsingular over Q but singular mod 7
+    with pytest.raises(ValueError, match="singular"):
+        solve_lifted([[7, 0], [0, 1]], [1, 1], 7)
+
+
+def test_solve_lifted_raises_at_the_hadamard_bound(monkeypatch):
+    monkeypatch.setattr(_linalg, "_reconstruct", lambda residue, modulus, bound: None)
+    with pytest.raises(InternalConsistencyError, match="Hadamard"):
+        solve_lifted([[2, 1], [1, 3]], [3, 5], P61)
+
+
+def test_solve_lifted_rejects_a_wrong_reconstruction(monkeypatch):
+    # a reconstruction that is not a solution must not be returned
+    monkeypatch.setattr(_linalg, "_reconstruct", lambda residue, modulus, bound: (1, 1))
+    with pytest.raises(InternalConsistencyError):
+        solve_lifted([[2, 1], [1, 3]], [3, 5], P61)
+
+
+def test_rank_profile_matches_fraction_oracle():
+    rng = random.Random(53)
+    for _ in range(300):
+        ncols = rng.randint(1, 9)
+        rows = random_rows(rng, ncols, rng.randint(0, ncols + 4))
+        target = rng.randint(1, ncols)
+        cutoff, pivots, kept = rank_profile_mod_p(iter(rows), target, P61)
+        oracle = FractionRowReducer(ncols)
+        expected_cutoff, expected_kept = None, []
+        for index, row in enumerate(rows):
+            if not any(oracle.reduce(row)):
+                continue
+            if oracle.rank + 1 == target:
+                expected_cutoff = index
+                break
+            oracle.add(row)
+            expected_kept.append(row)
+        assert cutoff == expected_cutoff
+        assert sorted(pivots) == sorted(oracle.rows)
+        assert len(kept) == len(expected_kept)
+        for ints, row in zip(kept, expected_kept):
+            # each kept row is the rational row times the lcm of its denominators
+            scale = lcm(*(x.denominator for x in row))
+            assert all(type(x) is int for x in ints)
+            assert ints == [scale * x for x in row]
+
+
+def test_rank_profile_mod_a_small_prime_can_only_drop():
+    rng = random.Random(59)
+    dropped = 0
+    for _ in range(200):
+        ncols = rng.randint(2, 7)
+        rows = random_rows(rng, ncols, ncols + 3)
+        # denominators divisible by 7 make the scaled rows vanish mod 7 off the top
+        rows = [[x / 7 ** rng.randint(0, 2) for x in row] for row in rows]
+        over_q, _, _ = rank_profile_mod_p(iter(rows), ncols, P61)
+        mod_7, _, kept = rank_profile_mod_p(iter(rows), ncols, 7)
+        if over_q is None:
+            assert mod_7 is None
+        elif mod_7 is None or mod_7 > over_q:
+            dropped += 1
+        else:
+            assert mod_7 == over_q
+    assert dropped > 10
+
+
+def test_reconstruct_matches_brute_force():
+    # every residue of small moduli against the definition: the fraction
+    # n/d in lowest terms with |n|, d <= bound and n = d*x mod modulus
+    for modulus in (7, 101, 211, 1009):
+        bound = isqrt(modulus // 2)
+        table = {}
+        for d in range(1, bound + 1):
+            for n in range(-bound, bound + 1):
+                if gcd(n, d) == 1:
+                    table.setdefault(n * pow(d, -1, modulus) % modulus, (n, d))
+        found = 0
+        for x in range(modulus):
+            got = _linalg._reconstruct(x, modulus, bound)
+            assert got == table.get(x)
+            found += got is not None
+        assert 0 < found < modulus

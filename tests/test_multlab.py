@@ -1,11 +1,16 @@
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import FractionRowReducer, count_series_products, naive_monomial_series
+from helpers import (
+    FractionRowReducer,
+    count_series_products,
+    naive_monomial_series,
+    reducer_search,
+)
 from ramlab import multlab
-from ramlab._linalg import RowReducer
 from ramlab.forms import InternalConsistencyError, function_tuple
 from ramlab.ring import (
     Polynomial,
@@ -191,11 +196,11 @@ def test_adaptive_precision_stops_at_3t(monkeypatch):
 
 
 def test_witness_cutoff_mismatch_raises(monkeypatch):
-    # witness 1 has order 0, which contradicts any cutoff n* > 0
+    # witness 1 has order 0, which contradicts any cutoff n* > 0, whatever the prime
     monkeypatch.setattr(
-        RowReducer,
-        "kernel_vector",
-        lambda self: [Fraction(1)] + [Fraction(0)] * (self.ncols - 1),
+        multlab,
+        "_kernel_vector",
+        lambda T, pivots, kept, p: [Fraction(1)] + [Fraction(0)] * (T - 1),
     )
     with pytest.raises(InternalConsistencyError, match="disagrees"):
         max_vanishing_search(DegreeBudget(1, 1), CFG1)
@@ -215,10 +220,80 @@ def test_witness_cutoff_mismatch_raises(monkeypatch):
 def test_search_matches_fraction_reducer(monkeypatch, m, budgets, precision):
     cfg = SystemConfig(m)
     fast = [max_vanishing_search(b, cfg, precision) for b in budgets]
-    monkeypatch.setattr(multlab, "RowReducer", FractionRowReducer)
+    oracle = partial(reducer_search, reducer_cls=FractionRowReducer)
+    monkeypatch.setattr(multlab, "_search", oracle)
     slow = [max_vanishing_search(b, cfg, precision) for b in budgets]
     assert [(_answer(r), r.precision) for r in fast] == [
         (_answer(r), r.precision) for r in slow
     ]
     if precision is not None:
         assert fast[0].precision_limited
+
+
+RANK_CELL = (5, [DegreeBudget(3, 1)], 57)  # T = 52, the rank benchmark's cell
+LIMITED_CELL = (1, [DegreeBudget(0, 2)], 4)  # T = 15, kernel of dimension > 1
+
+
+def _search_with_oracle(monkeypatch, m, budgets, precision):
+    cfg = SystemConfig(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(multlab, "_search", reducer_search)
+        return [max_vanishing_search(b, cfg, precision) for b in budgets]
+
+
+def _full_answer(rows):
+    return [(_answer(r), r.precision) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "m, budgets, precision",
+    [(*CRITERION_8_GRID, None), (*M3_GRID, None), RANK_CELL, LIMITED_CELL],
+)
+def test_search_matches_bareiss_oracle(monkeypatch, m, budgets, precision):
+    cfg = SystemConfig(m)
+    fast = [max_vanishing_search(b, cfg, precision) for b in budgets]
+    assert _full_answer(fast) == _full_answer(
+        _search_with_oracle(monkeypatch, m, budgets, precision)
+    )
+
+
+def _record_primes(monkeypatch) -> list[int]:
+    primes = []
+    profile = multlab.rank_profile_mod_p
+
+    def recording(rows, target, p):
+        primes.append(p)
+        return profile(rows, target, p)
+
+    monkeypatch.setattr(multlab, "rank_profile_mod_p", recording)
+    return primes
+
+
+@pytest.mark.parametrize("m, budgets, precision", [(*CRITERION_8_GRID, None), LIMITED_CELL])
+def test_search_retries_after_a_bad_prime(monkeypatch, m, budgets, precision):
+    # 7 divides denominators of the rows, so the rank mod 7 drops and the
+    # witness it gives fails the exact order check; the next prime is used
+    expected = _search_with_oracle(monkeypatch, m, budgets, precision)
+    big = multlab.PRIMES[0]
+    primes = _record_primes(monkeypatch)
+    monkeypatch.setattr(multlab, "PRIMES", (7, big))
+    cfg = SystemConfig(m)
+    got = [max_vanishing_search(b, cfg, precision) for b in budgets]
+    assert _full_answer(got) == _full_answer(expected)
+    assert set(primes) == {7, big}
+
+
+def test_search_raises_when_every_prime_fails(monkeypatch):
+    monkeypatch.setattr(multlab, "PRIMES", (7,))
+    with pytest.raises(InternalConsistencyError, match="every prime"):
+        max_vanishing_search(DegreeBudget(1, 1), CFG1)
+    with pytest.raises(InternalConsistencyError, match="every prime"):
+        max_vanishing_search(DegreeBudget(0, 2), CFG1, precision=4)
+
+
+def test_search_primes_are_distinct_61_bit_primes():
+    assert len(set(multlab.PRIMES)) == len(multlab.PRIMES) >= 2
+    for p in multlab.PRIMES:
+        assert p.bit_length() == 61
+        # Fermat's test to six bases; a typo in a constant would fail it
+        assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7, 11, 13))

@@ -5,6 +5,8 @@ import pytest
 
 from helpers import (
     count_series_products,
+    fraction_sum_evaluate,
+    left_fold_parse,
     naive_derive,
     naive_evaluate,
     random_coefficient,
@@ -248,6 +250,24 @@ def test_evaluate_matches_naive_oracle_with_high_exponents():
             assert evaluate(p, shared) == expected
 
 
+def test_evaluate_matches_fraction_sum():
+    rng = random.Random(61)
+    for cfg in (CFG1, CFG3, SystemConfig(5)):
+        tup = function_tuple(cfg.m, 30)
+        for _ in range(25):
+            p = random_polynomial(cfg, rng, max_total_deg=5, max_terms=12)
+            got = evaluate(p, tup)
+            assert got == fraction_sum_evaluate(p, tup)
+            assert type(got.coeffs) is tuple
+            assert all(type(c) is Fraction for c in got.coeffs)
+        zero = evaluate(Polynomial.zero(cfg), tup)
+        assert zero == fraction_sum_evaluate(Polynomial.zero(cfg), tup)
+        assert all(type(c) is Fraction for c in zero.coeffs)
+    # Ramanujan's D(E2) = (E2^2 - E4)/12: large terms that cancel to a small sum
+    tup = function_tuple(1, 40)
+    assert evaluate(velocity("E2", CFG1), tup) == tup.series[1].delta()
+
+
 def test_pow_equals_repeated_product():
     base = delta_poly(CFG1) + Polynomial.variable("z", CFG1)
     product = Polynomial.constant(1, CFG1)
@@ -299,6 +319,54 @@ def test_parse_examples():
     assert parse("-z + 3", CFG1) == Polynomial.constant(3, CFG1) - Polynomial.variable(
         "z", CFG1
     )
+
+
+def random_sum_text(cfg, rng: random.Random, nterms: int) -> str:
+    """A sum of signed rational multiples of monomials, some repeated and some
+    cancelling an earlier term, with an optional leading sign."""
+    names = cfg.names
+    pieces = []
+    earlier = []
+    for i in range(nterms):
+        if earlier and rng.random() < 0.2:
+            # the same monomial again, sometimes with the opposite coefficient
+            sign, coeff, body = rng.choice(earlier)
+            if rng.random() < 0.5:
+                sign = "-" if sign == "+" else "+"
+        else:
+            sign = rng.choice("+-")
+            coeff = f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"
+            factors = [
+                f"{rng.choice(names)}^{rng.randint(1, 3)}" for _ in range(rng.randint(0, 3))
+            ]
+            body = "*".join([coeff] + factors)
+            earlier.append((sign, coeff, body))
+        if i == 0:
+            lead = rng.choice(["", "-", "+"])
+            pieces.append(lead + body)
+        else:
+            pieces.append(f" {sign} {body}")
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_parse_sum_matches_left_fold(m):
+    cfg = SystemConfig(m)
+    rng = random.Random(67 + m)
+    cancelled = 0
+    for _ in range(60):
+        nterms = rng.randint(1, 40)
+        text = random_sum_text(cfg, rng, nterms)
+        got = parse(text, cfg)
+        expected = left_fold_parse(text, cfg)
+        assert got == expected
+        assert format_polynomial(got) == format_polynomial(expected)
+        assert all(c != 0 for c in got.terms.values())
+        cancelled += len(got.terms) < nterms
+    assert cancelled > 10
+    # nested sums and a sum that cancels to zero
+    text = "-(E2 - E4)*(E2 + E4) + E2^2 - E4^2 - (1/2*z - 1/2*z)"
+    assert parse(text, cfg) == left_fold_parse(text, cfg) == Polynomial.zero(cfg)
 
 
 def test_parse_errors():

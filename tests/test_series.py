@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import count_series_products, random_series, schoolbook_mul
 from ramlab.arith import sigma
-from ramlab.forms import discriminant_series, eisenstein, g_series, theta_series
+from ramlab.forms import (
+    discriminant_series,
+    eisenstein,
+    function_tuple,
+    g_series,
+    theta_series,
+)
+from ramlab.ring import Polynomial, SystemConfig, evaluate
 from ramlab.series import Order, TruncatedSeries
 
 rationals = st.fractions(
@@ -225,3 +232,49 @@ def test_immutability():
     s = TruncatedSeries([1, 2])
     with pytest.raises(AttributeError):
         s.coeffs = ()
+
+
+def _public_copy(s: TruncatedSeries) -> TruncatedSeries:
+    """The same coefficients through the coercing public constructor."""
+    return TruncatedSeries([Fraction(c) for c in s.coeffs])
+
+
+def test_every_operation_stores_a_tuple_of_fractions():
+    rng = random.Random(71)
+    a = random_series(rng, 12, max_den=30)
+    b = random_series(rng, 9, max_den=30, leading_zeros=2)
+    tup = function_tuple(3, 12)
+    cfg = SystemConfig(3)
+    poly = Polynomial.variable("E4", cfg) * Polynomial.variable("g[1,3]", cfg)
+    results = [
+        a * b,
+        a * 0,
+        a + b,
+        a - b,
+        -a,
+        a.scale(3),
+        a.scale(Fraction(-2, 7)),
+        a.shift(0),
+        a.shift(4),
+        a.delta(),
+        a.truncate(5),
+        a**3,
+        evaluate(poly.scale(Fraction(5, 6)), tup),
+        TruncatedSeries([1, Fraction(1, 2), 0]),
+    ]
+    for s in results:
+        assert type(s.coeffs) is tuple
+        assert all(type(c) is Fraction for c in s.coeffs)
+        copy = _public_copy(s)
+        assert s == copy and hash(s) == hash(copy)
+        assert hash(s) == hash(s.coeffs)
+    # storing as-is keeps equality, hashing and immutability of the public type
+    same = TruncatedSeries._of(a.coeffs)
+    assert same == a and hash(same) == hash(a) and same is not a
+    assert a + TruncatedSeries.zero(12) == a
+    with pytest.raises(AttributeError):
+        same.coeffs = ()
+    # the public constructor still coerces
+    coerced = TruncatedSeries([1, 2, Fraction(3, 4)])
+    assert all(type(c) is Fraction for c in coerced.coeffs)
+    assert coerced == TruncatedSeries._of((Fraction(1), Fraction(2), Fraction(3, 4)))
