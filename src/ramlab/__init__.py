@@ -8,10 +8,29 @@ Subpackages:
   stability  principal D-stability and cofactor profiling
   multlab    auxiliary-polynomial vanishing experiments
   cli        command-line front end
-"""
 
-from .series import Order, TruncatedSeries
-from .ring import Polynomial, SystemConfig
+Layering and start-up: `import ramlab` loads no layer.  The four names
+below resolve on first use (PEP 562), `ring` loads only `arith` until it
+evaluates at the function tuple, and the CLI imports each layer in the
+subcommand that runs it.  So `ramlab deriv` and `ramlab stable` never load
+the q-series layers, `_linalg` or `multlab`, and a command's process start
+does not compile them.
+"""
 
 __all__ = ["Order", "TruncatedSeries", "Polynomial", "SystemConfig"]
 __version__ = "0.1.0"
+
+_HOMES = {
+    "Order": "series",
+    "TruncatedSeries": "series",
+    "Polynomial": "ring",
+    "SystemConfig": "ring",
+}
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_HOMES[name]}", __name__), name)

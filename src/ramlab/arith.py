@@ -1,5 +1,7 @@
 """Exact integer/rational helpers: Bernoulli numbers, divisor sums, binomials,
-the scaling of a rational vector to integers, and Kronecker packing.
+the scaling of a rational vector to integers, Kronecker packing, the index
+pairs of the g variables and the exact text of a rational.  Every other
+module may import this one; it imports no other ramlab module.
 
 A vector of integers is packed into one integer, value i in slot i, each
 slot a whole number of bytes (Kronecker substitution).  A sum of multiples
@@ -25,6 +27,8 @@ __all__ = [
     "slot_bytes",
     "pack",
     "unpack",
+    "y_pairs",
+    "fraction_str",
 ]
 
 # Append-only cache of B_0, B_1, ...; grown on demand.  Appending is atomic
@@ -114,3 +118,13 @@ def unpack(packed: int, n: int, nbytes: int) -> list[int]:
         # a negative slot borrowed one unit from the slot above it
         borrow = s < 0
     return out
+
+
+def y_pairs(m: int) -> list[tuple[int, int]]:
+    """(u, v) index pairs in canonical order: v ascending over odd v, then u."""
+    return [(u, v) for v in range(1, m + 1, 2) for u in range(v)]
+
+
+def fraction_str(c: Fraction) -> str:
+    """c as an integer string, or "p/q" in lowest terms."""
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"

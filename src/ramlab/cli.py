@@ -2,45 +2,23 @@
 
 Subcommands: series, verify-system, ak, ord, deriv, stable, k0, auxsearch.
 All machine output renders rationals exactly as "p/q" or integer strings.
+
+Importing this module loads no other ramlab module: each subcommand imports
+the layers it runs, so a process starts with only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .forms import (
-    SystemReport,
-    ak_polynomial,
-    discriminant_series,
-    eisenstein,
-    function_tuple,
-    g_series,
-    theta_series,
-    verify_system,
-)
-from .multlab import (
-    DegreeBudget,
-    PrecisionError,
-    compute_k0,
-    experiment_grid,
-)
-from .ring import (
-    ParseError,
-    SystemConfig,
-    _fraction_str,
-    derive,
-    evaluate,
-    format_polynomial,
-    parse,
-)
-from .series import TruncatedSeries
-from .stability import principal_stability
+if TYPE_CHECKING:
+    from .forms import SystemReport
+    from .multlab import DegreeBudget
+    from .series import TruncatedSeries
 
 __all__ = ["main", "run"]
 
@@ -50,9 +28,11 @@ EXIT_USAGE = 2
 
 
 def _series_payload(s: TruncatedSeries) -> dict:
+    from .arith import fraction_str
+
     return {
         "precision": s.precision,
-        "coefficients": [_fraction_str(c) for c in s.coeffs],
+        "coefficients": [fraction_str(c) for c in s.coeffs],
     }
 
 
@@ -63,6 +43,8 @@ class CliError(Exception):
 
 
 def _resolve_series(which: str, precision: int) -> TruncatedSeries:
+    from .forms import discriminant_series, eisenstein, g_series, theta_series
+
     if which == "Delta":
         return discriminant_series(precision)
     if which == "Theta":
@@ -98,6 +80,8 @@ def _report_payload(report: SystemReport) -> dict:
 
 
 def _parse_poly(text: str, m: int):
+    from .ring import ParseError, SystemConfig, parse
+
     try:
         return parse(text, SystemConfig(m))
     except ParseError as exc:
@@ -106,6 +90,8 @@ def _parse_poly(text: str, m: int):
 
 def _parse_grid(spec: str) -> list[DegreeBudget]:
     """Grid spec "D0MAX:DMAX": every budget with d0 <= D0MAX and d <= DMAX."""
+    from .multlab import DegreeBudget
+
     m = re.fullmatch(r"(\d+):(\d+)", spec)
     if not m:
         raise CliError("grid spec must look like D0MAX:DMAX, e.g. 1:2")
@@ -116,6 +102,9 @@ def _parse_grid(spec: str) -> list[DegreeBudget]:
 
 
 def _experiment_rows(rows, summary) -> dict:
+    from .arith import fraction_str
+    from .ring import format_polynomial
+
     return {
         "exponent_operational": summary.exponent_operational,
         "exponent_paper": summary.exponent_paper,
@@ -127,21 +116,24 @@ def _experiment_rows(rows, summary) -> dict:
                 "T": r.T,
                 "n_star": r.n_star,
                 "ord": str(r.measured_ord),
-                "ratio": _fraction_str(r.ratio),
-                "ratio_paper": _fraction_str(r.ratio_paper),
+                "ratio": fraction_str(r.ratio),
+                "ratio_paper": fraction_str(r.ratio_paper),
                 "witness": format_polynomial(r.witness),
                 "precision": r.precision,
                 "precision_limited": r.precision_limited,
             }
             for r in rows
         ],
-        "max_ratio": _fraction_str(summary.max_ratio),
-        "max_ratio_paper": _fraction_str(summary.max_ratio_paper),
+        "max_ratio": fraction_str(summary.max_ratio),
+        "max_ratio_paper": fraction_str(summary.max_ratio_paper),
         "flagged": [{"d0": b.d0, "d": b.d} for b in summary.flagged],
     }
 
 
 def _rows_to_csv(rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -254,17 +246,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> tuple[dict, int, Optional[str]]:
-    """Returns (record, exit_code, csv_text or None)."""
+def _dispatch(args) -> tuple[dict, int, Optional[list]]:
+    """Returns (record, exit_code, search rows or None); CSV renders the rows.
+
+    Each branch imports the layers it runs, and only those.
+    """
     record: dict = {"subcommand": args.subcommand, "params": {}, "payload": {}}
     code = EXIT_OK
-    csv_text = None
+    rows = None
 
     if args.subcommand == "series":
         record["params"] = {"which": args.which, "prec": args.prec}
         record["payload"] = _series_payload(_resolve_series(args.which, args.prec))
 
     elif args.subcommand == "verify-system":
+        from .forms import verify_system
+
         record["params"] = {"m": args.m, "prec": args.prec}
         report = verify_system(args.m, args.prec)
         record["payload"] = _report_payload(report)
@@ -272,16 +269,22 @@ def _dispatch(args) -> tuple[dict, int, Optional[str]]:
             code = EXIT_FAIL
 
     elif args.subcommand == "ak":
+        from .arith import fraction_str
+        from .forms import ak_polynomial
+
         record["params"] = {"k": args.k, "prec": args.prec}
         ak = ak_polynomial(args.k, args.prec)
         record["payload"] = {
             "monomials": [
-                {"e4_exp": a, "e6_exp": b, "coefficient": _fraction_str(c)}
+                {"e4_exp": a, "e6_exp": b, "coefficient": fraction_str(c)}
                 for (a, b), c in sorted(ak.coefficients.items())
             ]
         }
 
     elif args.subcommand == "ord":
+        from .forms import function_tuple
+        from .ring import evaluate
+
         record["params"] = {"poly": args.poly, "m": args.m, "prec": args.prec}
         poly = _parse_poly(args.poly, args.m)
         order = evaluate(poly, function_tuple(args.m, args.prec)).order()
@@ -290,11 +293,16 @@ def _dispatch(args) -> tuple[dict, int, Optional[str]]:
             code = EXIT_FAIL
 
     elif args.subcommand == "deriv":
+        from .ring import derive, format_polynomial
+
         record["params"] = {"poly": args.poly, "m": args.m}
         poly = _parse_poly(args.poly, args.m)
         record["payload"] = {"derivative": format_polynomial(derive(poly))}
 
     elif args.subcommand == "stable":
+        from .ring import format_polynomial
+        from .stability import principal_stability
+
         record["params"] = {"poly": args.poly, "m": args.m}
         poly = _parse_poly(args.poly, args.m)
         if poly.is_zero():
@@ -305,6 +313,8 @@ def _dispatch(args) -> tuple[dict, int, Optional[str]]:
             record["payload"]["cofactor"] = format_polynomial(verdict.cofactor)
 
     elif args.subcommand == "k0":
+        from .multlab import PrecisionError, compute_k0
+
         record["params"] = {"m": args.m, "prec": args.prec}
         try:
             order = compute_k0(args.m, args.prec)
@@ -313,6 +323,8 @@ def _dispatch(args) -> tuple[dict, int, Optional[str]]:
         record["payload"] = {"ord": order.value}
 
     elif args.subcommand == "auxsearch":
+        from .multlab import DegreeBudget, experiment_grid
+
         if args.grid is not None:
             budgets = _parse_grid(args.grid)
         elif args.d0 is not None and args.d is not None:
@@ -326,14 +338,30 @@ def _dispatch(args) -> tuple[dict, int, Optional[str]]:
         }
         rows, summary = experiment_grid(args.m, budgets, args.prec)
         record["payload"] = _experiment_rows(rows, summary)
-        csv_text = _rows_to_csv(rows)
         if summary.flagged and args.strict:
             code = EXIT_FAIL
 
-    return record, code, csv_text
+    return record, code, rows
 
 
 def run(argv: Optional[list[str]] = None) -> int:
+    """Run one command line; returns the exit code.
+
+    Coefficients may pass the 4,300 digits that Python (3.11+, and security
+    releases before it) allows in int/str conversion by default, so the
+    limit is lifted while the command runs and restored afterwards.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -341,7 +369,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        record, code, csv_text = _dispatch(args)
+        record, code, rows = _dispatch(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -352,10 +380,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     if args.format == "json":
         output = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
-        if csv_text is None:
+        if rows is None:
             print("error: csv output is only available for auxsearch", file=sys.stderr)
             return EXIT_USAGE
-        output = csv_text
+        output = _rows_to_csv(rows)
     else:
         output = _render_text(record)
 

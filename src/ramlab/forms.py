@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import bernoulli, sigma_table
+from .arith import bernoulli, sigma_table, y_pairs
 from ._linalg import InternalConsistencyError, solve_square
 from .series import TruncatedSeries
 
@@ -120,11 +120,6 @@ def ak_polynomial(k: int, precision: int = 60) -> AkPolynomial:
             )
     coeffs = {p: c for p, c in zip(pairs, solution) if c != 0}
     return AkPolynomial(k=k, coefficients=coeffs)
-
-
-def y_pairs(m: int) -> list[tuple[int, int]]:
-    """(u, v) index pairs in canonical order: v ascending over odd v, then u."""
-    return [(u, v) for v in range(1, m + 1, 2) for u in range(v)]
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,27 @@
 z, X1, X2, X3 (printed as z, E2, E4, E6) and Y_{u,v} (printed g[u,v]),
 with the derivation D, the two weight gradings, exact division, evaluation
 at the function tuple, and a text parser/printer.
+
+Loading this module loads only `arith`.  The q-series layers (`series`,
+`forms`) are imported inside the functions that use them: `evaluate`,
+`monomial_series`, and D's closing velocity for v >= 7, which needs A_k.
+So parsing, D, exact division and printing never load them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from .forms import FunctionTuple, ak_polynomial, y_pairs
-from .arith import bernoulli, integer_numerators
-from .series import TruncatedSeries
+from .arith import bernoulli, fraction_str, integer_numerators, y_pairs
+
+if TYPE_CHECKING:
+    from .forms import FunctionTuple
+    from .series import TruncatedSeries
 
 __all__ = [
     "SystemConfig",
@@ -275,6 +283,8 @@ class Polynomial:
 
 
 def _ak_as_polynomial(k: int, cfg: SystemConfig) -> Polynomial:
+    from .forms import ak_polynomial
+
     x2 = Polynomial.variable("E4", cfg)
     x3 = Polynomial.variable("E6", cfg)
     total = Polynomial.zero(cfg)
@@ -359,6 +369,8 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
     if mono[0]:
         result = monomial_series((0,) + mono[1:], tup).shift(mono[0])
     elif not any(mono):
+        from .series import TruncatedSeries
+
         result = TruncatedSeries.constant(1, tup.precision)
     else:
         i = next(i for i, e in enumerate(mono) if e)
@@ -382,6 +394,8 @@ def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
     denominator, so a Fraction (and its gcd) is built only per coefficient
     of the result.
     """
+    from .series import TruncatedSeries
+
     if tup.m != p.config.m:
         raise ValueError("function tuple and polynomial have different m")
     scaled = [
@@ -400,10 +414,6 @@ def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
 # -- printing ------------------------------------------------------------
 
 
-def _fraction_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_polynomial(p: Polynomial) -> str:
     """Canonical rendering; graded-lex descending, exact rationals."""
     if p.is_zero():
@@ -419,11 +429,11 @@ def format_polynomial(p: Polynomial) -> str:
         ]
         mag = abs(c)
         if not factors:
-            body = _fraction_str(mag)
+            body = fraction_str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_fraction_str(mag)] + factors)
+            body = "*".join([fraction_str(mag)] + factors)
         if idx == 0:
             pieces.append(body if c > 0 else f"-{body}")
         else:
@@ -443,55 +453,57 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # NUM, NAME, or a literal symbol
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # NUM, NAME, EOF, or a literal symbol
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 _SYMBOLS = set("+-*^()[],/")
 
+# After a run of whitespace other than a newline: a newline, a run of
+# letters and digits, or any other single character that is not whitespace.
+# For str patterns \s is exactly str.isspace and [^\W_] exactly
+# str.isalnum, non-ASCII characters included, so the matches split the text
+# where a scan with those methods would.  Trailing whitespace matches nothing.
+_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|([^\W_]+)|(\S))")
+
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens with 1-based line and column; a column counts characters."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        newline, word, other = match.groups()
+        start = match.start(match.lastindex)
+        col = start - line_start + 1
+        if newline:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+            line_start = start + 1
+        elif other:
+            if other not in _SYMBOLS:
+                raise ParseError(f"unexpected character {other!r}", line, col)
+            tokens.append(_Token(other, other, line, col))
+        else:
+            # a word is a number (its leading digits), then a name, which
+            # must start with a letter and takes the rest of the word
+            if word.isdigit():
+                k = len(word)
+            elif word[0].isalpha():
+                k = 0
+            else:
+                k = next(i for i, ch in enumerate(word) if not ch.isdigit())
+            if k:
+                tokens.append(_Token("NUM", word[:k], line, col))
+            if k < len(word):
+                if not word[k].isalpha():
+                    raise ParseError(f"unexpected character {word[k]!r}", line, col + k)
+                tokens.append(_Token("NAME", word[k:], line, col + k))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -536,7 +548,15 @@ class _Parser:
         result = self.parse_factor()
         while self.peek().kind == "*":
             self.next()
-            result = result * self.parse_factor()
+            factor = self.parse_factor()
+            if len(result.terms) == 1 and len(factor.terms) == 1:
+                # two single terms: one monomial sum and one coefficient product
+                ((m1, c1),) = result.terms.items()
+                ((m2, c2),) = factor.terms.items()
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                result = Polynomial(self.cfg, {mono: c1 * c2})
+            else:
+                result = result * factor
         return result
 
     def parse_factor(self) -> Polynomial:

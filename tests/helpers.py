@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ramlab import ring
@@ -129,8 +130,60 @@ def fraction_sum_evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
     return total
 
 
+@dataclass(frozen=True)
+class ScanToken:
+    kind: str  # NUM, NAME, EOF, or a literal symbol
+    text: str
+    line: int
+    col: int
+
+
+def char_scan_tokenize(text: str) -> list[ScanToken]:
+    """Slow oracle for ring._tokenize: one character at a time, classified by
+    str.isspace, isdigit, isalpha and isalnum."""
+    tokens: list[ScanToken] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(ScanToken("NUM", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and text[j].isalnum():
+                j += 1
+            tokens.append(ScanToken("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^()[],/":
+            tokens.append(ScanToken(ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise ring.ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(ScanToken("EOF", "", line, col))
+    return tokens
+
+
 class LeftFoldParser(ring._Parser):
-    """Oracle for the parser's sums: one immutable Polynomial sum per term."""
+    """Oracle for the parser's sums and products: one immutable Polynomial
+    sum per term and one Polynomial product per factor."""
 
     def parse_expression(self) -> Polynomial:
         sign = 1
@@ -146,9 +199,16 @@ class LeftFoldParser(ring._Parser):
             result = result + term if op == "+" else result - term
         return result
 
+    def parse_term(self) -> Polynomial:
+        result = self.parse_factor()
+        while self.peek().kind == "*":
+            self.next()
+            result = result * self.parse_factor()
+        return result
+
 
 def left_fold_parse(text: str, cfg: SystemConfig) -> Polynomial:
-    parser = LeftFoldParser(ring._tokenize(text), cfg)
+    parser = LeftFoldParser(char_scan_tokenize(text), cfg)
     poly = parser.parse_expression()
     if parser.peek().kind != "EOF":
         raise ValueError("trailing input")

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from ramlab import cli
 from ramlab.cli import run
 from ramlab.ring import SystemConfig, parse
 
@@ -97,6 +99,27 @@ def test_deriv(capsys):
     assert json.loads(out)["payload"]["derivative"] == "E2*E4^3 - E2*E6^2"
 
 
+def test_coefficients_past_the_digit_limit(capsys):
+    # 5,000 digits, past the 4,300 that Python converts between int and str
+    # by default; the command lifts the limit only while it runs
+    digits = "1" + "0" * 4998 + "7"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = invoke(
+        capsys, "--format", "json", "deriv", "--poly", f"{digits}*E4", "--m", "1"
+    )
+    assert code == 0
+    # D(E4) = (E2*E4 - E6)/3, and 3 does not divide the coefficient
+    assert json.loads(out)["payload"]["derivative"] == f"{digits}/3*E2*E4 - {digits}/3*E6"
+    code, out, _ = invoke(capsys, "deriv", "--poly", f"{digits}*E4", "--m", "1")
+    assert code == 0 and f'"derivative": "{digits}/3*E2*E4' in out
+    for fmt in ("json", "text"):
+        code, out, _ = invoke(
+            capsys, "--format", fmt, "stable", "--poly", f"{digits}*(E4^3 - E6^2)", "--m", "1"
+        )
+        assert code == 0 and '"cofactor": "E2"' in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_auxsearch_json_witness_round_trip(capsys):
     code, out, _ = invoke(
         capsys,
@@ -128,6 +151,46 @@ def test_auxsearch_csv(capsys):
     assert lines[0] == "m,d0,d,T,n_star,ord,ratio_num,ratio_den,flag"
     assert lines[1] == "1,0,0,1,0,0,0,1,0"
     assert lines[2] == "1,1,0,2,1,1,1,2,0"
+
+
+# the CSV of the benchmark's two `search` grids
+SEARCH_GRID_CSV = {
+    ("1", "1:2"): (
+        "m,d0,d,T,n_star,ord,ratio_num,ratio_den,flag\n"
+        "1,0,0,1,0,0,0,1,0\n"
+        "1,0,1,5,4,4,1,4,0\n"
+        "1,0,2,15,14,14,14,81,0\n"
+        "1,1,0,2,1,1,1,2,0\n"
+        "1,1,1,10,9,9,9,32,0\n"
+        "1,1,2,30,29,29,29,162,0\n"
+    ),
+    ("3", "1:1"): (
+        "m,d0,d,T,n_star,ord,ratio_num,ratio_den,flag\n"
+        "3,0,0,1,0,0,0,1,0\n"
+        "3,0,1,8,7,7,7,128,0\n"
+        "3,1,0,2,1,1,1,2,0\n"
+        "3,1,1,16,15,15,15,256,0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("m, grid", sorted(SEARCH_GRID_CSV))
+def test_auxsearch_builds_csv_only_for_csv_output(capsys, monkeypatch, m, grid):
+    rendered = []
+    real = cli._rows_to_csv
+
+    def recording(rows):
+        rendered.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(cli, "_rows_to_csv", recording)
+    for fmt in ("text", "json"):
+        code, out, _ = invoke(capsys, "--format", fmt, "auxsearch", "--m", m, "--grid", grid)
+        assert code == 0 and out
+    assert rendered == []
+    code, out, _ = invoke(capsys, "--format", "csv", "auxsearch", "--m", m, "--grid", grid)
+    assert code == 0 and len(rendered) == 1
+    assert out == SEARCH_GRID_CSV[m, grid]
 
 
 def test_csv_only_for_auxsearch(capsys):

@@ -1,9 +1,12 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import (
+    char_scan_tokenize,
     count_series_products,
     fraction_sum_evaluate,
     left_fold_parse,
@@ -18,6 +21,7 @@ from ramlab.ring import (
     ParseError,
     Polynomial,
     SystemConfig,
+    _tokenize,
     derive,
     evaluate,
     format_polynomial,
@@ -323,7 +327,9 @@ def test_parse_examples():
 
 def random_sum_text(cfg, rng: random.Random, nterms: int) -> str:
     """A sum of signed rational multiples of monomials, some repeated and some
-    cancelling an earlier term, with an optional leading sign."""
+    cancelling an earlier term, with an optional leading sign.  A coefficient
+    may be zero and may stand anywhere among its term's factors, and some
+    terms have a two-term factor in parentheses."""
     names = cfg.names
     pieces = []
     earlier = []
@@ -335,11 +341,14 @@ def random_sum_text(cfg, rng: random.Random, nterms: int) -> str:
                 sign = "-" if sign == "+" else "+"
         else:
             sign = rng.choice("+-")
-            coeff = f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"
+            coeff = f"{rng.choice([0, *range(1, 10)])}/{rng.randint(1, 9)}"
             factors = [
                 f"{rng.choice(names)}^{rng.randint(1, 3)}" for _ in range(rng.randint(0, 3))
             ]
-            body = "*".join([coeff] + factors)
+            if rng.random() < 0.2:
+                factors.append(f"({rng.choice(names)} - {rng.randint(1, 9)})")
+            factors.insert(rng.randint(0, len(factors)), coeff)
+            body = "*".join(factors)
             earlier.append((sign, coeff, body))
         if i == 0:
             lead = rng.choice(["", "-", "+"])
@@ -367,6 +376,77 @@ def test_parse_sum_matches_left_fold(m):
     # nested sums and a sum that cancels to zero
     text = "-(E2 - E4)*(E2 + E4) + E2^2 - E4^2 - (1/2*z - 1/2*z)"
     assert parse(text, cfg) == left_fold_parse(text, cfg) == Polynomial.zero(cfg)
+
+
+def test_parse_multiplies_single_terms_without_polynomial_products(monkeypatch):
+    calls = [0]
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    p = parse("3/4*z*E2*E4^1*E6*g[1,3] - E2*2*g[0,1]", CFG3)
+    assert calls[0] == 0
+    z, x1, x2, x3 = gens(CFG3)
+    g01, g13 = (Polynomial.variable(name, CFG3) for name in ("g[0,1]", "g[1,3]"))
+    assert p == (z * x1 * x2 * x3 * g13).scale(Fraction(3, 4)) - (x1 * g01).scale(2)
+    # a factor of more than one term still takes the general product
+    calls[0] = 0
+    assert parse("(E2 - 1)*5", CFG3) == (x1 - 1).scale(5)
+    assert calls[0] == 1
+
+
+def _scan(tokenize, text):
+    """Every token as (kind, text, line, col), or the error and its position."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+def test_tokenize_matches_char_scan_on_symbolic_inputs():
+    # the nine seed-1 inputs of the benchmark's symbolic workload
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = [case["argv"][2] for case in workloads.symbolic_inputs(1)]
+    assert len(texts) == 9
+    for text in texts:
+        tokens = _scan(_tokenize, text)
+        assert len(tokens) > 10 and tokens == _scan(char_scan_tokenize, text)
+
+
+# whitespace (tab, carriage return, vertical tab, form feed, \x1c, \x1f,
+# NEL, no-break, line separator, ideographic), characters no token takes,
+# and letters and digits beyond ASCII: é and a CJK letter, superscript two
+# (a digit, not decimal), one half and Roman twelve (numeric, neither digit
+# nor letter), and the decimal digits Arabic-Indic three, fullwidth one and
+# double-struck one
+ODD_CHARACTERS = (
+    "\t\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"
+    "_$@.=;"
+    "\u00e9\u4e00\u00b2\u00bd\u216b\u0663\uff11\U0001d7d9"
+)
+
+
+def test_tokenize_matches_char_scan_on_malformed_text():
+    texts = [
+        "", "   ", "\n\n", "z\n", "E4 ", "2E4", "E4 2", "z\t+\tE4",
+        "E2\n  + 3/4*E4\r\n- g[0,1]\n  *z", "z + ", "z ** 2",
+    ]
+    for ch in ODD_CHARACTERS:
+        texts += [ch, f"E4{ch}2", f"2{ch}E4", f"z +\n {ch}E6", f"12{ch}", f"E{ch}", f"{ch}{ch}z"]
+    errors = 0
+    for text in texts:
+        got = _scan(_tokenize, text)
+        assert got == _scan(char_scan_tokenize, text), repr(text)
+        errors += got[0] == "error"
+    assert 20 < errors < len(texts) - 20
+    # a decimal digit beyond ASCII is a number, as int() reads it
+    assert parse("\u0663*E4 + \uff11\uff12/5", CFG1) == parse("3*E4 + 12/5", CFG1)
 
 
 def test_parse_errors():
