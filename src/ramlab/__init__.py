@@ -1,9 +1,9 @@
 """Exact computer algebra for the extended Ramanujan differential system.
 
 Subpackages:
-  arith      Bernoulli numbers, divisor sums, binomials (all exact)
+  arith      Bernoulli numbers, divisor sums, shared exact helpers
   series     truncated power series over rationals, Euler operator, ord
-  forms      E_{2k}, g_{u,v}, Delta, Theta, A_k reductions, system verifier
+  forms      E_{2k}, g_{u,v}, Delta, Theta, A_k reductions, chain-rule check of D
   ring       sparse polynomial ring, derivation D, weights, parser/printer
   stability  principal D-stability and cofactor profiling
   multlab    auxiliary-polynomial vanishing experiments

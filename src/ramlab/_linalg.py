@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from .arith import integer_numerators, pack, slot_bytes, unpack
+from .arith import InternalConsistencyError, integer_numerators, pack, slot_bytes, unpack
 
 __all__ = [
     "InternalConsistencyError",
@@ -43,10 +43,6 @@ __all__ = [
     "rank_profile_mod_p",
     "RowReducer",
 ]
-
-
-class InternalConsistencyError(Exception):
-    """A self-check that must always pass did not."""
 
 
 def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -1,7 +1,8 @@
-"""Exact integer/rational helpers: Bernoulli numbers, divisor sums, binomials,
-the scaling of a rational vector to integers, Kronecker packing, the index
-pairs of the g variables and the exact text of a rational.  Every other
-module may import this one; it imports no other ramlab module.
+"""Exact integer/rational helpers: Bernoulli numbers, divisor sums, the
+scaling of a rational vector to integers, Kronecker packing, square-and-
+multiply, the names and index pairs of the system's variables, the exact
+text of a rational, and the error raised when a self-check fails.  Every
+other module may import this one; it imports no other ramlab module.
 
 A vector of integers is packed into one integer, value i in slot i, each
 slot a whole number of bytes (Kronecker substitution).  A sum of multiples
@@ -19,17 +20,23 @@ from math import comb, lcm
 from typing import Sequence
 
 __all__ = [
+    "InternalConsistencyError",
     "bernoulli",
-    "sigma",
     "sigma_table",
-    "binomial",
     "integer_numerators",
     "slot_bytes",
     "pack",
     "unpack",
+    "positive_power",
     "y_pairs",
+    "variable_names",
     "fraction_str",
 ]
+
+
+class InternalConsistencyError(Exception):
+    """A self-check that must always pass did not."""
+
 
 # Append-only cache of B_0, B_1, ...; grown on demand.  Appending is atomic
 # enough for concurrent readers (CPython list semantics).
@@ -51,17 +58,6 @@ def bernoulli(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-def sigma(k: int, n: int) -> Fraction:
-    """Sum of k-th powers of the positive divisors of n; k may be negative."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = Fraction(0)
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += Fraction(d) ** k
-    return total
-
-
 def sigma_table(k: int, N: int) -> list[Fraction]:
     """[sigma_k(1), ..., sigma_k(N)] via a divisor sieve (outer loop over d).
 
@@ -79,13 +75,6 @@ def sigma_table(k: int, N: int) -> list[Fraction]:
     if k < 0:
         return [Fraction(table[n], n**e) for n in range(1, N + 1)]
     return [Fraction(s) for s in table[1:]]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    return comb(n, k)
 
 
 def integer_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -120,9 +109,27 @@ def unpack(packed: int, n: int, nbytes: int) -> list[int]:
     return out
 
 
+def positive_power(base, e: int):
+    """base**e for e >= 1 by square-and-multiply from the base, stopping after
+    the top bit: at most 2*floor(log2 e) products, none with a unit."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
+
+
 def y_pairs(m: int) -> list[tuple[int, int]]:
     """(u, v) index pairs in canonical order: v ascending over odd v, then u."""
     return [(u, v) for v in range(1, m + 1, 2) for u in range(v)]
+
+
+def variable_names(m: int) -> tuple[str, ...]:
+    """The variables z, E2, E4, E6, g[u,v] in canonical order (the y_pairs order)."""
+    return ("z", "E2", "E4", "E6") + tuple(f"g[{u},{v}]" for u, v in y_pairs(m))
 
 
 def fraction_str(c: Fraction) -> str:

@@ -15,10 +15,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from .arith import bernoulli, fraction_str, integer_numerators, y_pairs
+from .arith import bernoulli, fraction_str, integer_numerators, positive_power
+from .arith import variable_names, y_pairs
 
 if TYPE_CHECKING:
     from .forms import FunctionTuple
@@ -73,9 +75,7 @@ class SystemConfig:
         return (0, 1, 2, 3) + tuple(4 * (u - v) for u, v in y_pairs(self.m))
 
 
-@lru_cache(maxsize=None)
-def _names(m: int) -> tuple[str, ...]:
-    return ("z", "E2", "E4", "E6") + tuple(f"g[{u},{v}]" for u, v in y_pairs(m))
+_names = lru_cache(maxsize=None)(variable_names)
 
 
 @lru_cache(maxsize=None)
@@ -192,15 +192,7 @@ class Polynomial:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
             return Polynomial.constant(1, self.config)
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return positive_power(self, e)
 
     # -- degrees and weights ------------------------------------------
 
@@ -253,23 +245,43 @@ class Polynomial:
         return mono, self.terms[mono]
 
     def exact_divide(self, q: "Polynomial") -> Optional["Polynomial"]:
-        """self / q when the division is exact, else None."""
+        """self / q when the division is exact, else None.
+
+        The remainder is one dict updated in place; its leading monomial
+        comes from a heap, where an entry whose term has cancelled is skipped
+        when popped.  A step only adds monomials below the one it removes.
+        Leading means in graded reverse lex order: every monomial order gives
+        the same quotient and verdict, and this one's heap key is a slice.
+        """
         self._check(q)
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return Polynomial.zero(self.config)
-        q_mono, q_coeff = q.leading_term()
+        q_mono = min(q.terms, key=_descending)
+        q_coeff = q.terms[q_mono]
+        q_rest = [(mono, c) for mono, c in q.terms.items() if mono != q_mono]
+        rem = dict(self.terms)
+        heap = [_descending(mono) for mono in rem]
+        heapify(heap)
         quotient: dict[Monomial, Fraction] = {}
-        rem = self
-        while not rem.is_zero():
-            r_mono, r_coeff = rem.leading_term()
+        while rem:
+            r_mono = heappop(heap)[1][::-1]
+            r_coeff = rem.pop(r_mono, None)
+            if r_coeff is None:
+                continue
             diff = tuple(a - b for a, b in zip(r_mono, q_mono))
             if any(e < 0 for e in diff):
                 return None
             c = r_coeff / q_coeff
-            quotient[diff] = quotient.get(diff, Fraction(0)) + c
-            rem = rem - q * Polynomial.from_monomial(diff, self.config, c)
+            quotient[diff] = c
+            for mono, qc in q_rest:
+                key = tuple(a + b for a, b in zip(diff, mono))
+                if key not in rem:
+                    heappush(heap, _descending(key))
+                value = rem.get(key, 0) - c * qc
+                if value:
+                    rem[key] = value
+                else:
+                    del rem[key]
         return Polynomial(self.config, quotient)
 
     def __repr__(self) -> str:
@@ -279,23 +291,28 @@ class Polynomial:
         return format_polynomial(self)
 
 
+def _descending(mono: Monomial) -> tuple:
+    """Min-heap key that pops monomials in descending graded reverse lex order."""
+    return (-sum(mono), mono[::-1])
+
+
 # -- the derivation D ---------------------------------------------------
 
 
 def _ak_as_polynomial(k: int, cfg: SystemConfig) -> Polynomial:
+    """A_k(E4, E6): each E4^a*E6^b is the monomial with exponents (0, 0, a, b, 0, ...)."""
     from .forms import ak_polynomial
 
-    x2 = Polynomial.variable("E4", cfg)
-    x3 = Polynomial.variable("E6", cfg)
-    total = Polynomial.zero(cfg)
-    for (a, b), c in ak_polynomial(k).coefficients.items():
-        total = total + (x2**a * x3**b).scale(c)
-    return total
+    pad = (0,) * (cfg.nvars - 4)
+    return Polynomial(
+        cfg, {(0, 0, a, b) + pad: c for (a, b), c in ak_polynomial(k).coefficients.items()}
+    )
 
 
 @lru_cache(maxsize=None)
 def _velocities(m: int) -> tuple[Polynomial, ...]:
-    """D applied to each variable, in canonical variable order."""
+    """D applied to each variable, in canonical variable order.  This table is
+    the one definition of the system; `forms.verify_system` checks it."""
     cfg = SystemConfig(m)
     z = Polynomial.variable("z", cfg)
     x1 = Polynomial.variable("E2", cfg)
@@ -314,12 +331,8 @@ def _velocities(m: int) -> tuple[Polynomial, ...]:
         else:
             # closing coefficient (B_{v+1}/(2v+2)) * (1 - E_{v+1}) with the
             # weight-(v+1) Eisenstein series written in the ring variables
-            if v == 1:
-                ehat = x1
-            elif v == 3:
-                ehat = x2
-            elif v == 5:
-                ehat = x3
+            if v <= 5:
+                ehat = Polynomial.variable(f"E{v + 1}", cfg)
             else:
                 ehat = _ak_as_polynomial((v + 1) // 2, cfg)
             vels.append((one - ehat).scale(bernoulli(v + 1) / (2 * v + 2)))
@@ -355,8 +368,9 @@ def derive(p: Polynomial) -> Polynomial:
 def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
     """The series of one monomial at the function tuple, memoised on the tuple.
 
-    A z factor is a shift.  Otherwise the monomial is its graded parent (one
-    unit of its first nonzero variable removed) times that variable's series:
+    A z factor is a shift, and a generator is its own series.  Otherwise the
+    monomial is its graded parent (one unit of its first nonzero variable
+    removed) times that variable's series:
     one product when the parent is cached, as it always is along a
     downward-closed basis taken in graded order.  Without a cached parent, a
     pure power is built by squaring and any other monomial as that power
@@ -376,7 +390,9 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
         i = next(i for i, e in enumerate(mono) if e)
         parent = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
         rest = mono[:i] + (0,) + mono[i + 1 :]
-        if parent in cache:
+        if not any(parent):
+            result = tup.series[i]
+        elif parent in cache:
             result = cache[parent] * tup.series[i]
         elif any(rest):
             power = (0,) * i + (mono[i],) + (0,) * (len(mono) - i - 1)
@@ -390,7 +406,8 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
 def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
     """Substitute the function tuple into p; exact truncated series.
 
-    The sum of c * monomial series is taken in integers over one common
+    A single monomial with coefficient 1 is its cached series.  Otherwise
+    the sum of c * monomial series is taken in integers over one common
     denominator, so a Fraction (and its gcd) is built only per coefficient
     of the result.
     """
@@ -398,6 +415,10 @@ def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
 
     if tup.m != p.config.m:
         raise ValueError("function tuple and polynomial have different m")
+    if len(p.terms) == 1:
+        ((mono, c),) = p.terms.items()
+        if c == 1:
+            return monomial_series(mono, tup)
     scaled = [
         (c, integer_numerators(monomial_series(mono, tup).coeffs))
         for mono, c in p.terms.items()

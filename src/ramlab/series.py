@@ -20,7 +20,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .arith import integer_numerators, pack, slot_bytes, unpack
+from .arith import integer_numerators, pack, positive_power, slot_bytes, unpack
 
 __all__ = ["Order", "TruncatedSeries", "NumericValue"]
 
@@ -157,15 +157,7 @@ class TruncatedSeries:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
             return TruncatedSeries.constant(1, self.precision)
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return positive_power(self, e)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by z^k at the same precision, with no series product."""

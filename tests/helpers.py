@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from ramlab import ring
 from ramlab._linalg import RowReducer
@@ -12,6 +13,24 @@ from ramlab.forms import FunctionTuple, InternalConsistencyError, function_tuple
 from ramlab.multlab import ExperimentRow, operational_exponent, paper_exponent
 from ramlab.ring import Polynomial, SystemConfig, evaluate, monomial_series, velocity
 from ramlab.series import TruncatedSeries
+
+
+def sigma(k: int, n: int) -> Fraction:
+    """Oracle for divisor sums: sum of d^k over the positive divisors d of n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    total = Fraction(0)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            total += Fraction(d) ** k
+    return total
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k); zero when k > n."""
+    if n < 0 or k < 0:
+        raise ValueError("binomial arguments must be nonnegative")
+    return comb(n, k)
 
 
 def random_monomial(cfg: SystemConfig, rng: random.Random, max_total_deg: int = 3):
@@ -103,6 +122,26 @@ def naive_derive(p: Polynomial) -> Polynomial:
             partial = Polynomial.from_monomial(tuple(lowered), cfg, c * e)
             result = result + partial * velocity(cfg.names[i], cfg)
     return result
+
+
+def naive_exact_divide(p: Polynomial, q: Polynomial):
+    """Slow oracle for Polynomial.exact_divide: one immutable remainder per step."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return Polynomial.zero(p.config)
+    q_mono, q_coeff = q.leading_term()
+    quotient: dict = {}
+    rem = p
+    while not rem.is_zero():
+        r_mono, r_coeff = rem.leading_term()
+        diff = tuple(a - b for a, b in zip(r_mono, q_mono))
+        if any(e < 0 for e in diff):
+            return None
+        c = r_coeff / q_coeff
+        quotient[diff] = quotient.get(diff, Fraction(0)) + c
+        rem = rem - q * Polynomial.from_monomial(diff, p.config, c)
+    return Polynomial(p.config, quotient)
 
 
 def naive_monomial_series(mono, tup: FunctionTuple) -> TruncatedSeries:

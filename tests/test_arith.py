@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ramlab.arith import bernoulli, binomial, sigma, sigma_table
+from helpers import binomial, sigma
+from ramlab.arith import bernoulli, sigma_table
 
 
 def bernoulli_akiyama_tanigawa(n):

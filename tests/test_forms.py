@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ramlab.arith import bernoulli, sigma
+from helpers import sigma
+from ramlab.arith import bernoulli
 from ramlab.forms import (
     ak_polynomial,
     discriminant_series,
@@ -123,3 +124,70 @@ def test_verify_system_closing_m1():
     report = verify_system(1, 30)
     closing = [eq for eq in report.equations if "g[0,1]" in eq.name]
     assert closing and closing[0].ok
+
+
+# verify_system's equation labels at m=13, pinned as they were printed before
+# the system was checked through D's velocity table; a smaller m prints the
+# first 3 + ((m+1)/2)^2 of them and the first (m-1)/2 errata labels
+CLOSING_M13 = {
+    1: "delta(g[0,1]) = B_2*(1 - E_2)/4",
+    3: "delta(g[2,3]) = B_4*(1 - E_4)/8",
+    5: "delta(g[4,5]) = B_6*(1 - E_6)/12",
+    7: "delta(g[6,7]) = B_8*(1 - E_8)/16",
+    9: "delta(g[8,9]) = B_10*(1 - E_10)/20",
+    11: "delta(g[10,11]) = B_12*(1 - E_12)/24",
+    13: "delta(g[12,13]) = B_14*(1 - E_14)/28",
+}
+EQUATIONS_M13 = [
+    "delta(E2) = (E2^2 - E4)/12",
+    "delta(E4) = (E2*E4 - E6)/3",
+    "delta(E6) = (E2*E6 - E4^2)/2",
+] + [
+    label
+    for v, closing in CLOSING_M13.items()
+    for label in [f"delta(g[{u},{v}]) = g[{u + 1},{v}]" for u in range(v - 1)] + [closing]
+]
+ERRATA_M13 = [
+    "literal: delta(g[2,3]) = B_8*(A_4 - 1)/8",
+    "literal: delta(g[4,5]) = B_12*(A_6 - 1)/12",
+    "literal: delta(g[6,7]) = B_16*(A_8 - 1)/16",
+    "literal: delta(g[8,9]) = B_20*(A_10 - 1)/20",
+    "literal: delta(g[10,11]) = B_24*(A_12 - 1)/24",
+    "literal: delta(g[12,13]) = B_28*(A_14 - 1)/28",
+]
+
+
+@pytest.mark.parametrize("precision", [0, 1, 2, 3, 40])
+@pytest.mark.parametrize("m", range(1, 14, 2))
+def test_verify_system_labels_and_verdicts_are_pinned(m, precision):
+    report = verify_system(m, precision)
+    assert [(eq.name, eq.ok, eq.first_mismatch) for eq in report.equations] == [
+        (name, True, None) for name in EQUATIONS_M13[: 3 + ((m + 1) // 2) ** 2]
+    ]
+    # the literal variant agrees at z^0 and fails at z^1 for every v >= 3
+    literal = (True, None) if precision < 2 else (False, 1)
+    assert [(eq.name, eq.ok, eq.first_mismatch) for eq in report.errata] == [
+        (name, *literal) for name in ERRATA_M13[: (m - 1) // 2]
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, equation",
+    [("E4", "delta(E4) = (E2*E4 - E6)/3"), ("g[2,3]", "delta(g[2,3]) = B_4*(1 - E_4)/8")],
+)
+def test_verify_system_checks_the_velocities_of_d(monkeypatch, name, equation):
+    # verify_system must certify the D that the ring runs: a wrong velocity
+    # in D's table fails exactly that generator's equation
+    from ramlab import ring
+
+    original = ring.velocity
+
+    def perturbed(var, cfg):
+        vel = original(var, cfg)
+        return vel + ring.Polynomial.variable("z", cfg) if var == name else vel
+
+    monkeypatch.setattr(ring, "velocity", perturbed)
+    report = verify_system(3, 20)
+    assert [(eq.name, eq.first_mismatch) for eq in report.equations if not eq.ok] == [
+        (equation, 1)
+    ]

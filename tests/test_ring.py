@@ -12,6 +12,7 @@ from helpers import (
     left_fold_parse,
     naive_derive,
     naive_evaluate,
+    naive_exact_divide,
     random_coefficient,
     random_monomial,
     random_polynomial,
@@ -25,6 +26,7 @@ from ramlab.ring import (
     derive,
     evaluate,
     format_polynomial,
+    monomial_series,
     parse,
     velocity,
 )
@@ -122,6 +124,46 @@ def test_exact_divide_multiply_back():
         q = random_polynomial(CFG1, rng, max_total_deg=2, max_terms=3)
         quotient = (p * q).exact_divide(q)
         assert quotient == p
+
+
+def _symbolic_inputs(seed):
+    """The benchmark's seeded symbolic workload cases."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.symbolic_inputs(seed)
+
+
+def test_exact_divide_matches_naive_oracle():
+    rng = random.Random(31)
+    verdicts = set()
+    for cfg in (CFG1, CFG3):
+        zero = Polynomial.zero(cfg)
+        for _ in range(40):
+            p = random_polynomial(cfg, rng, max_total_deg=3, max_terms=5)
+            q = random_polynomial(cfg, rng, max_total_deg=2, max_terms=4)
+            r = random_polynomial(cfg, rng, max_total_deg=3, max_terms=2)
+            c = Polynomial.constant(random_coefficient(rng), cfg)
+            for a, b in ((p * q, q), (p * q + r, q), (zero, q), (p, c), (c, q), (c, c)):
+                quotient = a.exact_divide(b)
+                assert quotient == naive_exact_divide(a, b)
+                verdicts.add(quotient is None)
+    assert verdicts == {True, False}
+
+
+def test_exact_divide_matches_naive_oracle_on_stable_inputs():
+    # the five `stable` inputs of the benchmark's symbolic workload, seed 1
+    cases = [case for case in _symbolic_inputs(1) if case["argv"][0] == "stable"]
+    assert len(cases) == 5
+    verdicts = set()
+    for case in cases:
+        q = parse(case["argv"][2], SystemConfig(case["m"]))
+        dq = derive(q)
+        quotient = dq.exact_divide(q)
+        assert quotient == naive_exact_divide(dq, q)
+        verdicts.add(quotient is None)
+    assert verdicts == {True, False}
 
 
 def test_derive_examples():
@@ -312,6 +354,17 @@ def test_evaluate_builds_pure_powers_by_squaring(monkeypatch):
     assert s == discriminant_series(20) ** 20
 
 
+def test_a_generator_is_its_own_series(monkeypatch):
+    tup = function_tuple(3, 30)
+    monomial_series((0,) * CFG3.nvars, tup)  # caches the constant column
+    count = count_series_products(monkeypatch)
+    for i in range(1, CFG3.nvars):
+        mono = tuple(int(j == i) for j in range(CFG3.nvars))
+        assert monomial_series(mono, tup) is tup.series[i]
+        assert evaluate(Polynomial.from_monomial(mono, CFG3), tup) is tup.series[i]
+    assert count[0] == 0
+
+
 def test_parse_examples():
     theta = Polynomial.variable("z", CFG1) * delta_poly(CFG1)
     assert parse("z*(E4^3 - E6^2)", CFG1) == theta
@@ -408,11 +461,7 @@ def _scan(tokenize, text):
 
 def test_tokenize_matches_char_scan_on_symbolic_inputs():
     # the nine seed-1 inputs of the benchmark's symbolic workload
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    texts = [case["argv"][2] for case in workloads.symbolic_inputs(1)]
+    texts = [case["argv"][2] for case in _symbolic_inputs(1)]
     assert len(texts) == 9
     for text in texts:
         tokens = _scan(_tokenize, text)

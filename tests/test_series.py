@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_series_products, random_series, schoolbook_mul
-from ramlab.arith import sigma
+from helpers import count_series_products, random_series, schoolbook_mul, sigma
 from ramlab.forms import (
     discriminant_series,
     eisenstein,

@@ -82,12 +82,23 @@ def run_cli(*argv: str) -> str:
             run_cli("stable", "--poly", "(E4^3 - E6^2)^2*g[0,3]", "--m", "3"),
             ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.ring", "ramlab.stability"],
         ),
+        (
+            run_cli("series", "--which", "Theta", "--prec", "30"),
+            ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.series"],
+        ),
+        (
+            run_cli("verify-system", "--m", "3", "--prec", "30"),
+            ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.ring",
+             "ramlab.series"],
+        ),
     ],
-    ids=["import-ramlab", "import-cli", "import-polynomial", "deriv", "stable"],
+    ids=["import-ramlab", "import-cli", "import-polynomial", "deriv", "stable", "series",
+         "verify-system"],
 )
 def test_each_entry_point_loads_only_the_layers_it_runs(code, expected):
     # deriv and stable need neither the q-series layers (series, forms) nor
-    # _linalg and multlab
+    # _linalg and multlab; below m=7 no closing velocity needs A_k, so
+    # verify-system, like series, does not load _linalg
     assert loaded_after(code) == expected
 
 
