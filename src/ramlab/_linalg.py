@@ -9,12 +9,13 @@ over Q, since a minor that is nonzero mod p is nonzero.
 Dixon's p-adic lifting (Numer. Math. 1982): one inverse mod p, then one
 digit of the p-adic solution per step, and rational reconstruction (Wang's
 half extended Euclid) over a common denominator.  It tries to stop at each
-check, and a reconstructed vector is accepted only if it passes the exact
-test M x = d b.  At the Hadamard bound the reconstruction is unique, so
-failing there is an internal inconsistency.  The matrix-vector products of
-the lifting are integer combinations of the matrix columns, each packed
-into one integer with whole-byte slots (Kronecker substitution, as in
-`TruncatedSeries.__mul__`).
+check, where the digits lifted since the last one join the solution by
+binary splitting, and a reconstructed vector is accepted only if it passes
+the exact test M x = d b.  At the Hadamard bound the reconstruction is
+unique, so failing there is an internal inconsistency.  The matrix-vector
+products of the lifting are integer combinations of the matrix columns,
+each packed into one integer with whole-byte slots (Kronecker substitution,
+as in `TruncatedSeries.__mul__`).
 
 `RowReducer` keeps an integer echelon basis, one row at a time, with
 Bareiss' integer-preserving step (Bareiss, Math. Comp. 1968): every stored
@@ -117,28 +118,40 @@ def _combine(columns: list[int], weights: Sequence[int]) -> int:
 def _inverse_columns(matrix: list[list[int]], p: int) -> list[list[int]]:
     """The columns of the inverse of a square integer matrix mod p.
 
-    Gauss-Jordan on [M^T | I] over packed rows: row i of the inverse of M^T
-    is column i of the inverse of M.
+    Gauss-Jordan in place on the packed rows of M^T (row i of the inverse of
+    M^T is column i of the inverse of M), n slots a row.  Each pivot column
+    turns into the column of the inverse that the identity would have held:
+    the pivot row's slot is set to 1 before the row is scaled by 1/a, and
+    every other row's slot is taken out before (p - f) times the pivot row
+    is added, so that it becomes -f/a.  The row swaps permute the columns
+    of the result, which are put back at the end.
     """
     n = len(matrix)
     # a row takes at most n eliminations before its slots are read for the last time
     nbytes = slot_bytes(n * p * p)
-    rows = [
-        pack([a % p for a in col] + [int(i == j) for j in range(n)], nbytes)
-        for i, col in enumerate(zip(*matrix))
-    ]
+    rows = [pack([a % p for a in col], nbytes) for col in zip(*matrix)]
+    swaps = []
     for col in range(n):
         piv = next((r for r in range(col, n) if _slot(rows[r], col, nbytes) % p), None)
         if piv is None:
             raise ValueError("singular matrix modulo p")
+        swaps.append(piv)
         rows[col], rows[piv] = rows[piv], rows[col]
-        values = [u % p for u in unpack(rows[col], 2 * n, nbytes)]
+        values = [u % p for u in unpack(rows[col], n, nbytes)]
         inv = pow(values[col], -1, p)
+        values[col] = 1
         rows[col] = pivot_row = pack([u * inv % p for u in values], nbytes)
+        shift = 8 * nbytes * col
         for r in range(n):
-            if r != col:
-                rows[r] = _eliminate(rows[r], pivot_row, col, nbytes, p)
-    return [[u % p for u in unpack(row >> 8 * nbytes * n, n, nbytes)] for row in rows]
+            raw = _slot(rows[r], col, nbytes)
+            f = raw % p
+            if f and r != col:
+                rows[r] += (p - f) * pivot_row - (raw << shift)
+    # the swaps made this the inverse of P M^T; undo P on the columns
+    order = list(range(n))
+    for col, piv in reversed(list(enumerate(swaps))):
+        order[col], order[piv] = order[piv], order[col]
+    return [[values[j] % p for j in order] for values in (unpack(row, n, nbytes) for row in rows)]
 
 
 def _reconstruct(residue: int, modulus: int, bound: int) -> Optional[tuple[int, int]]:
@@ -190,6 +203,20 @@ def _rational_vector(
     return nums, den
 
 
+def _fold(digits: list[list[int]], p: int) -> tuple[list[int], int]:
+    """(sum of digits[i] * p**i, p**len(digits)) for a nonempty list of vectors.
+
+    By binary splitting: the halves are folded first and joined by one
+    product per coordinate, so the long multiplications are few and balanced.
+    """
+    if len(digits) == 1:
+        return digits[0], p
+    half = len(digits) // 2
+    low, low_scale = _fold(digits[:half], p)
+    high, high_scale = _fold(digits[half:], p)
+    return [a + low_scale * b for a, b in zip(low, high)], low_scale * high_scale
+
+
 def solve_lifted(matrix: list[list[int]], rhs: list[int], p: int) -> list[Fraction]:
     """Solve M x = b exactly for a square integer M that is nonsingular mod p.
 
@@ -211,22 +238,28 @@ def solve_lifted(matrix: list[list[int]], rhs: list[int], p: int) -> list[Fracti
     inv_width = slot_bytes(n * p * p)
     inv_cols = [pack(col, inv_width) for col in inverse]
     residue = pack(rhs, width)
-    solution = [0] * n  # x mod p**steps
+    solution = [0] * n  # x mod modulus
     modulus = 1
+    digits: list[list[int]] = []  # the digits of x past modulus, lowest first
     # reconstruct at steps 2, 3, 4, 6, 9, 13, ...: one try costs a few steps
     check_at = 2
     steps = 0
+    lifted = 1  # p**steps
     while True:
         r = [v % p for v in unpack(residue, n, width)]
         digit = [v % p for v in unpack(_combine(inv_cols, r), n, inv_width)]
         residue = (residue - _combine(cols, digit)) // p
-        solution = [s + d * modulus for s, d in zip(solution, digit)]
-        modulus *= p
+        digits.append(digit)
+        lifted *= p
         steps += 1
-        final = modulus > 2 * h2
+        final = lifted > 2 * h2
         if steps < check_at and not final:
             continue
         check_at += check_at // 2
+        high, _ = _fold(digits, p)
+        solution = [s + modulus * d for s, d in zip(solution, high)]
+        modulus = lifted
+        digits = []
         found = _rational_vector(solution, modulus, isqrt(modulus // 2))
         if found is not None:
             nums, den = found

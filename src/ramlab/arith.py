@@ -1,8 +1,9 @@
 """Exact integer/rational helpers: Bernoulli numbers, divisor sums, the
 scaling of a rational vector to integers, Kronecker packing, square-and-
 multiply, the names and index pairs of the system's variables, the exact
-text of a rational, and the error raised when a self-check fails.  Every
-other module may import this one; it imports no other ramlab module.
+text of a rational, the error raised when a self-check fails, and the base
+of the immutable value classes.  Every other module may import this one; it
+imports no other ramlab module.
 
 A vector of integers is packed into one integer, value i in slot i, each
 slot a whole number of bytes (Kronecker substitution).  A sum of multiples
@@ -21,6 +22,7 @@ from typing import Sequence
 
 __all__ = [
     "InternalConsistencyError",
+    "Record",
     "bernoulli",
     "sigma_table",
     "integer_numerators",
@@ -36,6 +38,60 @@ __all__ = [
 
 class InternalConsistencyError(Exception):
     """A self-check that must always pass did not."""
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    The annotated names of a subclass body are its fields, in order, and a
+    value assigned there is that field's default.  A record is built by
+    position or keyword, compares and hashes as the tuple of its fields, and
+    prints as ``Name(field=value, ...)``.  Nothing is compiled when a
+    subclass is defined.  A subclass may define `__post_init__`, which runs
+    once the fields are set, to validate them or to add state outside them.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        own = vars(cls)
+        cls._defaults = {name: own[name] for name in cls._fields if name in own}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (
+            len(args) > len(fields)
+            or len(values) != len(fields)
+            or not kwargs.keys() <= set(fields[len(args) :])
+        ):
+            raise TypeError(f"{type(self).__name__}() takes each of {', '.join(fields)} once")
+        self.__dict__.update(values, _values=tuple(map(values.__getitem__, fields)))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({shown})"
 
 
 # Append-only cache of B_0, B_1, ...; grown on demand.  Appending is atomic

@@ -9,10 +9,10 @@ loads `arith` and `series`; `verify_system` imports `ring`, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import InternalConsistencyError, bernoulli, sigma_table, variable_names, y_pairs
+from .arith import InternalConsistencyError, Record, bernoulli, sigma_table, variable_names
+from .arith import y_pairs
 from .series import TruncatedSeries
 
 __all__ = [
@@ -40,7 +40,7 @@ def eisenstein(k: int, precision: int) -> TruncatedSeries:
     if precision >= 1:
         table = sigma_table(2 * k - 1, precision)
         coeffs += [factor * s for s in table]
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._of(tuple(coeffs))
 
 
 def g_series(u: int, v: int, precision: int) -> TruncatedSeries:
@@ -52,8 +52,8 @@ def g_series(u: int, v: int, precision: int) -> TruncatedSeries:
     coeffs = [Fraction(0)]
     if precision >= 1:
         table = sigma_table(-v, precision)
-        coeffs += [Fraction(n**u) * table[n - 1] for n in range(1, precision + 1)]
-    return TruncatedSeries(coeffs)
+        coeffs += [n**u * table[n - 1] for n in range(1, precision + 1)]
+    return TruncatedSeries._of(tuple(coeffs))
 
 
 def discriminant_series(precision: int) -> TruncatedSeries:
@@ -68,8 +68,7 @@ def theta_series(precision: int) -> TruncatedSeries:
     return TruncatedSeries.z(precision) * discriminant_series(precision)
 
 
-@dataclass(frozen=True)
-class AkPolynomial:
+class AkPolynomial(Record):
     """E_{2k} written as a polynomial in (X2, X3) = (E4, E6).
 
     Only exponent pairs (a, b) with 2a + 3b = k occur.
@@ -128,16 +127,18 @@ def ak_polynomial(k: int, precision: int = 60) -> AkPolynomial:
     return AkPolynomial(k=k, coefficients=coeffs)
 
 
-@dataclass(frozen=True)
-class FunctionTuple:
+class FunctionTuple(Record):
     """The ordered series tuple (z, E2, E4, E6, g_{0,1}, g_{0,3}, ...)."""
 
     m: int
     precision: int
     series: tuple[TruncatedSeries, ...]
     names: tuple[str, ...]
-    # monomial -> its series at this tuple; filled by ring.monomial_series
-    monomial_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # monomial -> its series at this tuple; filled by ring.monomial_series.
+        # Not a field, so it takes no part in ==, hash or repr.
+        self.__dict__["monomial_cache"] = {}
 
 
 def function_tuple(m: int, precision: int) -> FunctionTuple:
@@ -149,15 +150,13 @@ def function_tuple(m: int, precision: int) -> FunctionTuple:
     return FunctionTuple(m=m, precision=precision, series=tuple(series), names=variable_names(m))
 
 
-@dataclass(frozen=True)
-class EquationCheck:
+class EquationCheck(Record):
     name: str
     ok: bool
     first_mismatch: int | None = None
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(Record):
     m: int
     precision: int
     equations: tuple[EquationCheck, ...]

@@ -15,12 +15,12 @@ next prime is tried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
 from ._linalg import rank_profile_mod_p, solve_lifted
+from .arith import Record
 from .forms import InternalConsistencyError, function_tuple
 from .ring import Monomial, Polynomial, SystemConfig, evaluate, monomial_key, monomial_series
 from .series import Order
@@ -43,8 +43,7 @@ class PrecisionError(Exception):
     """The requested quantity is not visible at the stored precision."""
 
 
-@dataclass(frozen=True)
-class DegreeBudget:
+class DegreeBudget(Record):
     """Max degree in z (d0) and max total degree in all other variables (d)."""
 
     d0: int
@@ -65,8 +64,7 @@ def paper_exponent(m: int) -> int:
     return 3 + ((m - 1) // 2) ** 2
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(Record):
     m: int
     d0: int
     d: int
@@ -80,8 +78,7 @@ class ExperimentRow:
     precision_limited: bool
 
 
-@dataclass(frozen=True)
-class GridSummary:
+class GridSummary(Record):
     m: int
     exponent_operational: int
     exponent_paper: int

@@ -12,14 +12,13 @@ So parsing, D, exact division and printing never load them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from .arith import bernoulli, fraction_str, integer_numerators, positive_power
+from .arith import Record, bernoulli, fraction_str, integer_numerators, positive_power
 from .arith import variable_names, y_pairs
 
 if TYPE_CHECKING:
@@ -42,8 +41,7 @@ Scalar = Union[int, Fraction]
 Monomial = tuple[int, ...]  # exponents aligned with SystemConfig.names
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Record):
     """Fixes the odd parameter m, hence the variable set and D."""
 
     m: int

@@ -15,20 +15,18 @@ integers over the product of the two denominators.  No floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .arith import integer_numerators, pack, positive_power, slot_bytes, unpack
+from .arith import Record, integer_numerators, pack, positive_power, slot_bytes, unpack
 
 __all__ = ["Order", "TruncatedSeries", "NumericValue"]
 
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(Record):
     """Order of vanishing at z = 0, possibly censored by the truncation.
 
     ``Finite(t)``: the coefficient of z^t is nonzero and all lower ones
@@ -51,8 +49,7 @@ class Order:
         return str(self.value) if self.is_finite else f">={self.value}"
 
 
-@dataclass(frozen=True)
-class NumericValue:
+class NumericValue(Record):
     """Decimal rendering of a truncated evaluation, with a honesty note."""
 
     text: str

@@ -6,10 +6,10 @@ DQ = Q*B is then constrained to the linear form a*X1 + b with integer a, b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .arith import Record
 from .ring import Polynomial, SystemConfig, derive
 
 __all__ = [
@@ -21,14 +21,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Record):
     stable: bool
     cofactor: Optional[Polynomial] = None
 
 
-@dataclass(frozen=True)
-class CofactorProfile:
+class CofactorProfile(Record):
     phi_of_cofactor: Optional[int]  # None when the cofactor is zero
     z_degree_of_cofactor: int
     linear_form: Optional[tuple[Fraction, Fraction]]  # (a, b) when B = a*X1 + b

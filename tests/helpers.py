@@ -286,6 +286,25 @@ def gauss_jordan_solve(matrix, rhs):
     return [aug[r][n] for r in range(n)]
 
 
+def inverse_mod_p(matrix, p):
+    """Slow oracle for _linalg._inverse_columns: the rows of M^-1 mod p by
+    Gauss-Jordan on [M | I] over plain lists, or None if M is singular mod p."""
+    n = len(matrix)
+    aug = [[a % p for a in row] + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot_row is None:
+            return None
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        aug[col] = [x * inv % p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [(x - factor * y) % p for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 class FractionRowReducer:
     """Slow oracle for _linalg.RowReducer: a monic reduced echelon over Fraction.
 

@@ -13,7 +13,7 @@ from ramlab.forms import (
     theta_series,
     verify_system,
 )
-from ramlab.series import Order
+from ramlab.series import Order, TruncatedSeries
 
 
 def test_eisenstein_leading_coefficients():
@@ -37,6 +37,19 @@ def test_g_series_examples():
     assert g23.coefficient(2) == Fraction(9, 2)
     for v in (1, 3, 5, 7):
         assert g_series(0, v, 2).coefficient(1) == 1
+
+
+def test_generator_series_store_tuples_of_fractions():
+    # built without the coercing constructor, they must still hold exactly
+    # what it would store
+    made = [eisenstein(k, prec) for k in (1, 2, 3, 6) for prec in (0, 1, 30)]
+    made += [g_series(u, v, prec) for v in (1, 3, 5) for u in range(v) for prec in (0, 1, 30)]
+    for s in made:
+        assert type(s.coeffs) is tuple
+        assert all(type(c) is Fraction for c in s.coeffs)
+        assert s == TruncatedSeries(list(s.coeffs))
+    g23 = g_series(2, 3, 30)
+    assert g23.coeffs[1:] == tuple(n**2 * sigma(-3, n) for n in range(1, 31))
 
 
 def test_g_series_validation():

@@ -4,7 +4,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
-from helpers import FractionRowReducer, gauss_jordan_solve, random_coefficient
+from helpers import FractionRowReducer, gauss_jordan_solve, inverse_mod_p, random_coefficient
 from ramlab import _linalg
 from ramlab._linalg import (
     InternalConsistencyError,
@@ -137,6 +137,71 @@ def test_solve_lifted_matches_gauss_jordan():
         solved += 1
         big_denominators += max(x.denominator for x in got).bit_length() > 200
     assert big_denominators > 20
+
+
+@pytest.mark.parametrize("p", [P61, 101, 7])
+def test_inverse_columns_matches_an_independent_inverse(p):
+    # the leading entries of M's first row (the first column of M^T, which
+    # is reduced) and of its first column vanish mod p, so rows are swapped
+    rng = random.Random(p % 1000)
+    inverted = singular = 0
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        matrix = [[rng.randint(-(2**70), 2**70) for _ in range(n)] for _ in range(n)]
+        for j in range(rng.randint(1, n)):
+            matrix[0][j] = p * rng.randint(-5, 5)
+            matrix[j][0] = p * rng.randint(-5, 5)
+        expected = inverse_mod_p(matrix, p)
+        if expected is None:
+            with pytest.raises(ValueError, match="singular"):
+                _linalg._inverse_columns(matrix, p)
+            singular += 1
+            continue
+        assert _linalg._inverse_columns(matrix, p) == [list(col) for col in zip(*expected)]
+        inverted += 1
+    assert inverted > 50 and singular > 10
+
+
+def test_fold_equals_the_step_by_step_sum():
+    rng = random.Random(61)
+    for p in (P61, 101, 2):
+        for length in range(1, 40):
+            n = rng.randint(1, 5)
+            digits = [[rng.randrange(p) for _ in range(n)] for _ in range(length)]
+            total, scale = [0] * n, 1
+            for digit in digits:
+                total = [t + d * scale for t, d in zip(total, digit)]
+                scale *= p
+            assert _linalg._fold(digits, p) == (total, scale)
+
+
+def test_solve_lifted_holds_the_p_adic_solution_at_every_check(monkeypatch):
+    # at each check the solution is x mod p**steps with every coordinate in
+    # [0, p**steps), which is what adding one digit per step gave
+    checks = []
+    original = _linalg._rational_vector
+
+    def recording(residues, modulus, bound):
+        checks.append((list(residues), modulus))
+        return original(residues, modulus, bound)
+
+    monkeypatch.setattr(_linalg, "_rational_vector", recording)
+    steps = [2, 3, 4, 6, 9, 13, 19, 28, 42, 63, 94, 141]
+    rng = random.Random(67)
+    for p in (P61, 101):
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            matrix, rhs = random_integer_system(rng, n)
+            try:
+                x = solve_lifted(matrix, rhs, p)
+            except ValueError:
+                continue
+            for (residues, modulus), step in zip(checks, steps):
+                if modulus != p**step:  # only the last check may come early
+                    assert (residues, modulus) == checks[-1]
+                assert residues == [v.numerator * pow(v.denominator, -1, modulus) % modulus
+                                    for v in x]
+            checks.clear()
 
 
 def test_solve_lifted_edge_cases():

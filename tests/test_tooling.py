@@ -12,12 +12,15 @@ import ramlab
 
 SOURCES = sorted(Path(ramlab.__file__).parent.glob("*.py"))
 
-# prints the ramlab modules loaded once the code above it has run
+# prints the modules loaded once the code above it has run
 LOADED = """
 import json, sys
 {code}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "ramlab")))
+print(json.dumps(sorted(sys.modules)))
 """
+
+# standard modules that only code generation or introspection needs
+HEAVY = {"dataclasses", "inspect", "dis", "ast"}
 
 
 def test_source_has_no_assert_statements():
@@ -28,6 +31,29 @@ def test_source_has_no_assert_statements():
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_source_builds_no_code_at_run_time():
+    # dataclasses compiles each class's methods with exec, and importing it
+    # loads inspect, dis and ast: start-up cost paid by every process
+    def offends(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".")[0] == "dataclasses"
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval")
+        )
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if offends(node)
     ]
     assert found == []
 
@@ -54,8 +80,8 @@ def test_trace_shim_targets_resolve():
     assert missing == []
 
 
-def loaded_after(code: str) -> list[str]:
-    """The ramlab modules a fresh interpreter has loaded after running code."""
+def modules_after(code: str) -> list[str]:
+    """The modules a fresh interpreter has loaded after running code."""
     env = dict(os.environ, PYTHONPATH=str(Path(ramlab.__file__).resolve().parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", LOADED.format(code=code)],
@@ -64,8 +90,24 @@ def loaded_after(code: str) -> list[str]:
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def loaded_after(code: str) -> list[str]:
+    """The ramlab modules a fresh interpreter has loaded after running code."""
+    return [m for m in modules_after(code) if m.split(".")[0] == "ramlab"]
+
+
 def run_cli(*argv: str) -> str:
     return f"from ramlab.cli import run\nif run({list(argv)!r}):\n    sys.exit(1)"
+
+
+# one run of each subcommand that computes something
+COMMANDS = {
+    "deriv": run_cli("deriv", "--poly", "E2*g[1,3]^2 - 1/2*z*E6", "--m", "3"),
+    "stable": run_cli("stable", "--poly", "(E4^3 - E6^2)^2*g[0,3]", "--m", "3"),
+    "series": run_cli("series", "--which", "Theta", "--prec", "30"),
+    "verify-system": run_cli("verify-system", "--m", "3", "--prec", "30"),
+    "ak": run_cli("ak", "--k", "12"),
+    "auxsearch": run_cli("auxsearch", "--m", "1", "--d0", "1", "--d", "1"),
+}
 
 
 @pytest.mark.parametrize(
@@ -74,32 +116,50 @@ def run_cli(*argv: str) -> str:
         ("import ramlab", ["ramlab"]),
         ("import ramlab.cli", ["ramlab", "ramlab.cli"]),
         ("from ramlab import Polynomial", ["ramlab", "ramlab.arith", "ramlab.ring"]),
+        (COMMANDS["deriv"], ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.ring"]),
         (
-            run_cli("deriv", "--poly", "E2*g[1,3]^2 - 1/2*z*E6", "--m", "3"),
-            ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.ring"],
-        ),
-        (
-            run_cli("stable", "--poly", "(E4^3 - E6^2)^2*g[0,3]", "--m", "3"),
+            COMMANDS["stable"],
             ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.ring", "ramlab.stability"],
         ),
         (
-            run_cli("series", "--which", "Theta", "--prec", "30"),
+            COMMANDS["series"],
             ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.series"],
         ),
         (
-            run_cli("verify-system", "--m", "3", "--prec", "30"),
+            COMMANDS["verify-system"],
             ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.ring",
              "ramlab.series"],
         ),
+        (
+            COMMANDS["ak"],
+            ["ramlab", "ramlab._linalg", "ramlab.arith", "ramlab.cli", "ramlab.forms",
+             "ramlab.series"],
+        ),
+        (
+            COMMANDS["auxsearch"],
+            ["ramlab", "ramlab._linalg", "ramlab.arith", "ramlab.cli", "ramlab.forms",
+             "ramlab.multlab", "ramlab.ring", "ramlab.series"],
+        ),
     ],
     ids=["import-ramlab", "import-cli", "import-polynomial", "deriv", "stable", "series",
-         "verify-system"],
+         "verify-system", "ak", "auxsearch"],
 )
 def test_each_entry_point_loads_only_the_layers_it_runs(code, expected):
     # deriv and stable need neither the q-series layers (series, forms) nor
     # _linalg and multlab; below m=7 no closing velocity needs A_k, so
     # verify-system, like series, does not load _linalg
     assert loaded_after(code) == expected
+
+
+@pytest.fixture(scope="module")
+def heavy_at_start() -> set[str]:
+    """The heavy modules a bare interpreter on this host loads anyway."""
+    return HEAVY & set(modules_after("pass"))
+
+
+@pytest.mark.parametrize("code", COMMANDS.values(), ids=COMMANDS.keys())
+def test_no_command_loads_code_generation_modules(code, heavy_at_start):
+    assert HEAVY & set(modules_after(code)) <= heavy_at_start
 
 
 def test_package_names_resolve_on_first_use():
