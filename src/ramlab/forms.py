@@ -77,13 +77,6 @@ class AkPolynomial(Record):
     k: int
     coefficients: dict[tuple[int, int], Fraction]
 
-    def evaluate(self, e4: TruncatedSeries, e6: TruncatedSeries) -> TruncatedSeries:
-        precision = min(e4.precision, e6.precision)
-        total = TruncatedSeries.zero(precision)
-        for (a, b), c in self.coefficients.items():
-            total = total + (e4**a * e6**b).scale(c)
-        return total
-
 
 def _weight_pairs(k: int) -> list[tuple[int, int]]:
     """All (a, b) with 2a + 3b = k, b ascending."""

@@ -15,10 +15,11 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import comb, lcm
+from operator import add
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from .arith import Record, bernoulli, fraction_str, integer_numerators, positive_power
+from .arith import Record, bernoulli, integer_numerators, positive_power
 from .arith import variable_names, y_pairs
 
 if TYPE_CHECKING:
@@ -60,8 +61,8 @@ class SystemConfig(Record):
 
     def index(self, name: str) -> int:
         try:
-            return _name_index(self.m)[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise KeyError(f"unknown variable {name!r} for m={self.m}") from None
 
     def phi_weights(self) -> tuple[int, ...]:
@@ -77,8 +78,10 @@ _names = lru_cache(maxsize=None)(variable_names)
 
 
 @lru_cache(maxsize=None)
-def _name_index(m: int) -> dict[str, int]:
-    return {name: i for i, name in enumerate(_names(m))}
+def _units(m: int) -> dict[str, Monomial]:
+    """Each variable's monomial by name, and the monomial 1 under ""."""
+    n = len(_names(m))
+    return {"": (0,) * n} | {x: tuple(int(j == i) for j in range(n)) for i, x in enumerate(_names(m))}
 
 
 def monomial_key(mono: Monomial) -> tuple:
@@ -99,6 +102,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.config, self.terms)
 
     # -- constructors -------------------------------------------------
 
@@ -176,12 +182,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Polynomial(self.config, terms)
+        left, right = ([(m, c.numerator, c.denominator) for m, c in p.terms.items()]
+                       for p in (self, other))
+        return Polynomial(self.config, _products([(left, right)]))
 
     __rmul__ = __mul__
 
@@ -238,10 +241,6 @@ class Polynomial:
 
     # -- division -----------------------------------------------------
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
-        mono = max(self.terms, key=monomial_key)
-        return mono, self.terms[mono]
-
     def exact_divide(self, q: "Polynomial") -> Optional["Polynomial"]:
         """self / q when the division is exact, else None.
 
@@ -294,6 +293,27 @@ def _descending(mono: Monomial) -> tuple:
     return (-sum(mono), mono[::-1])
 
 
+def _products(pairs) -> dict[Monomial, Fraction]:
+    """Sum over (left, right) in pairs of the products of their (monomial,
+    numerator, denominator) terms.  A coefficient is an unnormalised pair [n, d]
+    until the end: x/d' adds x to n if d' == d, else gives n*d' + x*d over d*d'."""
+    acc: dict[Monomial, list[int]] = {}
+    for left, right in pairs:
+        for m1, n1, d1 in left:
+            for m2, n2, d2 in right:
+                key = tuple(map(add, m1, m2))
+                x, d = n1 * n2, d1 * d2
+                pair = acc.get(key)
+                if pair is None:
+                    acc[key] = [x, d]
+                elif pair[1] == d:
+                    pair[0] += x
+                else:
+                    pair[0] = pair[0] * d + x * pair[1]
+                    pair[1] *= d
+    return {mono: Fraction(n, d) for mono, (n, d) in acc.items() if n}
+
+
 # -- the derivation D ---------------------------------------------------
 
 
@@ -337,6 +357,15 @@ def _velocities(m: int) -> tuple[Polynomial, ...]:
     return tuple(vels)
 
 
+@lru_cache(maxsize=None)
+def _integer_velocities(m: int) -> tuple[int, tuple]:
+    """_velocities over one denominator: (den, per variable its terms as
+    (monomial, numerator, 1))."""
+    vels = _velocities(m)
+    den = lcm(*(c.denominator for v in vels for c in v.terms.values()))
+    return den, tuple(tuple((mono, c.numerator * den // c.denominator, 1) for mono, c in v) for v in vels)
+
+
 def velocity(name: str, cfg: SystemConfig) -> Polynomial:
     """D applied to a single variable."""
     return _velocities(cfg.m)[cfg.index(name)]
@@ -344,20 +373,13 @@ def velocity(name: str, cfg: SystemConfig) -> Polynomial:
 
 def derive(p: Polynomial) -> Polynomial:
     """The derivation D = z d/dz + sum of coefficient polynomials times d/dx."""
-    cfg = p.config
-    vels = _velocities(cfg.m)
-    terms: dict[Monomial, Fraction] = {}
-    for mono, c in p.terms.items():
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            # (c*e) * mono/x_i * D(x_i), accumulated in place
-            lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-            ce = c * e
-            for vmono, vc in vels[i].terms.items():
-                key = tuple(a + b for a, b in zip(lowered, vmono))
-                terms[key] = terms.get(key, Fraction(0)) + ce * vc
-    return Polynomial(cfg, terms)
+    den, vels = _integer_velocities(p.config.m)
+    # (c*e) * mono/x_i * D(x_i) for each variable x_i of each term
+    lowered = (
+        (((mono[:i] + (e - 1,) + mono[i + 1 :], c.numerator * e, c.denominator * den),), vels[i])
+        for mono, c in p.terms.items() for i, e in enumerate(mono) if e
+    )
+    return Polynomial(p.config, _products(lowered))
 
 
 # -- evaluation ----------------------------------------------------------
@@ -439,24 +461,15 @@ def format_polynomial(p: Polynomial) -> str:
         return "0"
     names = p.config.names
     pieces: list[str] = []
-    for idx, mono in enumerate(sorted(p.terms, key=monomial_key, reverse=True)):
+    for mono in sorted(p.terms, key=monomial_key, reverse=True):
         c = p.terms[mono]
-        factors = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, mono)
-            if e
-        ]
-        mag = abs(c)
-        if not factors:
-            body = fraction_str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([fraction_str(mag)] + factors)
-        if idx == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"{' + ' if c > 0 else ' - '}{body}")
+        n, d = c.numerator, c.denominator
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
+        pieces += (" + " if n > 0 else " - ", "*".join(factors))
+    pieces[0] = "" if pieces[0] == " + " else "-"  # the leading term's sign
     return "".join(pieces)
 
 
@@ -484,12 +497,15 @@ class _Token:
 
 _SYMBOLS = set("+-*^()[],/")
 
-# After a run of whitespace other than a newline: a newline, a run of
-# letters and digits, or any other single character that is not whitespace.
-# For str patterns \s is exactly str.isspace and [^\W_] exactly
+MAX_PARSED_TERMS = 100_000  # the most terms a parsed product or power may have
+
+# After a run of whitespace other than a newline: a newline, a run of decimal
+# digits, g[u,v] written without whitespace, a run of letters and digits, or
+# any other single character that is not whitespace.  For str patterns \s is
+# exactly str.isspace, \d exactly str.isdecimal and [^\W_] exactly
 # str.isalnum, non-ASCII characters included, so the matches split the text
 # where a scan with those methods would.  Trailing whitespace matches nothing.
-_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|([^\W_]+)|(\S))")
+_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|(\d+)|(g\[\d+,\d+\]|[^\W_]+)|(\S))")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -497,40 +513,35 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0
     for match in _TOKEN.finditer(text):
-        newline, word, other = match.groups()
-        start = match.start(match.lastindex)
-        col = start - line_start + 1
-        if newline:
+        group = match.lastindex
+        start = match.start(group)
+        if group == 1:
             line += 1
             line_start = start + 1
-        elif other:
-            if other not in _SYMBOLS:
-                raise ParseError(f"unexpected character {other!r}", line, col)
-            tokens.append(_Token(other, other, line, col))
+            continue
+        word = match[group]
+        if group == 2:
+            kind = "NUM"
+        elif group == 3 and word[0].isalpha():
+            kind = "NAME"  # a name starts with a letter
+        elif word in _SYMBOLS:
+            kind = word
         else:
-            # a word is a number (its leading digits), then a name, which
-            # must start with a letter and takes the rest of the word
-            if word.isdigit():
-                k = len(word)
-            elif word[0].isalpha():
-                k = 0
-            else:
-                k = next(i for i, ch in enumerate(word) if not ch.isdigit())
-            if k:
-                tokens.append(_Token("NUM", word[:k], line, col))
-            if k < len(word):
-                if not word[k].isalpha():
-                    raise ParseError(f"unexpected character {word[k]!r}", line, col + k)
-                tokens.append(_Token("NAME", word[k:], line, col + k))
+            raise ParseError(f"unexpected character {word[0]!r}", line, start - line_start + 1)
+        tokens.append(_Token(kind, word, line, start - line_start + 1))
     tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
 class _Parser:
+    """Recursive descent.  A single term is a (monomial, coefficient) pair; a
+    Polynomial is built for a parenthesised sum and a product with one."""
+
     def __init__(self, tokens: list[_Token], cfg: SystemConfig):
         self.tokens = tokens
         self.pos = 0
         self.cfg = cfg
+        self.units = _units(cfg.m)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -546,6 +557,11 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return self.next()
 
+    def bound(self, terms: int, what: str, op: _Token) -> None:
+        if terms > MAX_PARSED_TERMS:
+            message = f"{what} may have {terms} terms, over the limit {MAX_PARSED_TERMS}"
+            raise ParseError(message, op.line, op.col)
+
     def parse_expression(self) -> Polynomial:
         sign = 1
         if self.peek().kind == "-":
@@ -555,76 +571,77 @@ class _Parser:
             self.next()
         # one dict for the whole sum: adding Polynomials term by term would
         # copy the sum so far for every term
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         while True:
-            for mono, c in self.parse_term().terms.items():
+            term = self.parse_term()
+            for mono, c in term.terms.items() if type(term) is Polynomial else (term,):
                 terms[mono] = terms.get(mono, 0) + (c if sign > 0 else -c)
             if self.peek().kind not in ("+", "-"):
-                return Polynomial(self.cfg, terms)
+                return Polynomial(self.cfg, {mono: Fraction(c) for mono, c in terms.items()})
             sign = 1 if self.next().kind == "+" else -1
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self):
         result = self.parse_factor()
         while self.peek().kind == "*":
-            self.next()
+            op = self.next()
             factor = self.parse_factor()
-            if len(result.terms) == 1 and len(factor.terms) == 1:
+            if type(result) is tuple is type(factor):
                 # two single terms: one monomial sum and one coefficient product
-                ((m1, c1),) = result.terms.items()
-                ((m2, c2),) = factor.terms.items()
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                result = Polynomial(self.cfg, {mono: c1 * c2})
+                result = tuple(map(add, result[0], factor[0])), result[1] * factor[1]
             else:
-                result = result * factor
+                a, b = (x if type(x) is Polynomial else Polynomial(self.cfg, dict([x]))
+                        for x in (result, factor))
+                self.bound(len(a.terms) * len(b.terms), "product", op)
+                result = a * b
         return result
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self):
         base = self.parse_base()
-        if self.peek().kind == "^":
-            self.next()
-            tok = self.expect("NUM")
-            base = base ** int(tok.text)
-        return base
+        if self.peek().kind != "^":
+            return base
+        op = self.next()
+        e = int(self.expect("NUM").text)
+        if type(base) is tuple:
+            return tuple(x * e for x in base[0]), base[1] ** e
+        self.bound(comb(len(base.terms) + e - 1, e), "power", op)
+        return base**e
 
-    def parse_base(self) -> Polynomial:
-        tok = self.peek()
+    def parse_base(self):
+        tok = self.next()
         if tok.kind == "NUM":
+            if self.peek().kind != "/":
+                return self.units[""], int(tok.text)
             self.next()
-            num = int(tok.text)
-            if self.peek().kind == "/":
-                self.next()
-                den_tok = self.expect("NUM")
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.line, den_tok.col)
-                return Polynomial.constant(Fraction(num, den), self.cfg)
-            return Polynomial.constant(num, self.cfg)
+            den_tok = self.expect("NUM")
+            if int(den_tok.text) == 0:
+                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+            return self.units[""], Fraction(int(tok.text), int(den_tok.text))
         if tok.kind == "(":
-            self.next()
             inner = self.parse_expression()
             self.expect(")")
-            return inner
+            return inner if len(inner.terms) > 1 else next(iter(inner.terms.items()), (self.units[""], 0))
         if tok.kind == "NAME":
-            self.next()
             return self.parse_variable(tok)
         raise ParseError(f"expected a number, variable or '(', found {tok.text or 'end of input'!r}", tok.line, tok.col)
 
-    def parse_variable(self, tok: _Token) -> Polynomial:
+    def parse_variable(self, tok: _Token) -> tuple[Monomial, int]:
         name = tok.text
+        if name in self.units:
+            return self.units[name], 1
         if name == "g":
             self.expect("[")
-            u = int(self.expect("NUM").text)
+            u = self.expect("NUM").text
             self.expect(",")
-            v = int(self.expect("NUM").text)
+            v = self.expect("NUM").text
             self.expect("]")
-            if v % 2 == 0 or not 0 <= u < v or v > self.cfg.m:
-                raise ParseError(
-                    f"g[{u},{v}] is out of range for m={self.cfg.m}", tok.line, tok.col
-                )
-            return Polynomial.variable(f"g[{u},{v}]", self.cfg)
-        if name in ("z", "E2", "E4", "E6"):
-            return Polynomial.variable(name, self.cfg)
-        raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
+        elif name.startswith("g["):
+            u, v = name[2:-1].split(",")
+        else:
+            raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
+        name = f"g[{int(u)},{int(v)}]"
+        if name not in self.units:
+            raise ParseError(f"{name} is out of range for m={self.cfg.m}", tok.line, tok.col)
+        return self.units[name], 1
 
 
 def parse(text: str, cfg: SystemConfig) -> Polynomial:

@@ -81,6 +81,9 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        return TruncatedSeries, (self.coeffs,)
+
     @property
     def precision(self) -> int:
         return len(self.coeffs) - 1

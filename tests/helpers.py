@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from ramlab import ring
 from ramlab._linalg import RowReducer
+from ramlab.arith import fraction_str
 from ramlab.forms import FunctionTuple, InternalConsistencyError, function_tuple
 from ramlab.multlab import ExperimentRow, operational_exponent, paper_exponent
 from ramlab.ring import Polynomial, SystemConfig, evaluate, monomial_series, velocity
@@ -73,6 +74,44 @@ def random_two_term_polynomial(cfg: SystemConfig, rng: random.Random) -> Polynom
             )
 
 
+def coprime_denominators(count: int, digits: int = 100) -> list[int]:
+    """count pairwise-coprime integers of `digits` digits: (count + i)*M + 1
+    for i < count, with M a multiple of lcm(1..count-1).  A common prime
+    factor of two of them divides their difference (i - j)*M, hence M, yet
+    each is 1 mod M."""
+    low = 10 ** (digits - 1)
+    step = lcm(*range(1, count))
+    mult = step * -(-low // (count * step))
+    dens = [(count + i) * mult + 1 for i in range(count)]
+    if not all(len(str(d)) == digits for d in dens):
+        raise ValueError("too many denominators for that many digits")
+    return dens
+
+
+def oracle_corpus(cfg: SystemConfig, rng: random.Random) -> list[Polynomial]:
+    """Seeded polynomials for the ring's fast paths: small denominators,
+    pairwise-coprime 100-digit denominators, integers only (powers of Delta),
+    a negative leading term, unit and constant terms, and sums that cancel
+    to zero (in the corpus, in its products and in its derivatives)."""
+    e2, e4, e6 = (Polynomial.variable(name, cfg) for name in ("E2", "E4", "E6"))
+    delta = e4**3 - e6**2
+    corpus = [random_polynomial(cfg, rng, max_total_deg=3, max_terms=8) for _ in range(3)]
+    for dens in (coprime_denominators(12), coprime_denominators(12)[::-1]):
+        terms = {}
+        for den in dens:
+            mono = random_monomial(cfg, rng, 4)
+            terms[mono] = Fraction(rng.randrange(-10**100, 10**100), den)
+        corpus.append(Polynomial(cfg, terms))
+    corpus += [delta, delta**2 * Polynomial.variable("z", cfg), delta**4]
+    lead = random_polynomial(cfg, rng, max_total_deg=4, max_terms=6)
+    if lead.terms[max(lead.terms, key=ring.monomial_key)] > 0:
+        lead = -lead
+    corpus.append(lead)
+    corpus += [e4 * e6 - e2 + 1, -e6 + Fraction(1, 2), Polynomial.constant(-1, cfg)]
+    corpus += [(e2 + e4) * (e2 - e4) - e2**2 + e4**2, e2 - e4, e2 + e4]
+    return corpus
+
+
 def random_series(
     rng: random.Random,
     precision: int,
@@ -124,17 +163,23 @@ def naive_derive(p: Polynomial) -> Polynomial:
     return result
 
 
+def leading_term(p: Polynomial):
+    """The graded-lex greatest monomial of p and its coefficient."""
+    mono = max(p.terms, key=ring.monomial_key)
+    return mono, p.terms[mono]
+
+
 def naive_exact_divide(p: Polynomial, q: Polynomial):
     """Slow oracle for Polynomial.exact_divide: one immutable remainder per step."""
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return Polynomial.zero(p.config)
-    q_mono, q_coeff = q.leading_term()
+    q_mono, q_coeff = leading_term(q)
     quotient: dict = {}
     rem = p
     while not rem.is_zero():
-        r_mono, r_coeff = rem.leading_term()
+        r_mono, r_coeff = leading_term(rem)
         diff = tuple(a - b for a, b in zip(r_mono, q_mono))
         if any(e < 0 for e in diff):
             return None
@@ -177,9 +222,26 @@ class ScanToken:
     col: int
 
 
+def _spaceless_g_end(text: str, i: int):
+    """The end of g[u,v] written without whitespace from i, with decimal u and
+    v, or None."""
+    if not text.startswith("g[", i):
+        return None
+    j = i + 2
+    for stop in ",]":
+        k = j
+        while k < len(text) and text[k].isdecimal():
+            k += 1
+        if k == j or k == len(text) or text[k] != stop:
+            return None
+        j = k + 1
+    return j
+
+
 def char_scan_tokenize(text: str) -> list[ScanToken]:
     """Slow oracle for ring._tokenize: one character at a time, classified by
-    str.isspace, isdigit, isalpha and isalnum."""
+    str.isspace, isdecimal, isalpha and isalnum.  A name that starts as
+    g[u,v] without whitespace is that one token."""
     tokens: list[ScanToken] = []
     line, col = 1, 1
     i = 0
@@ -194,18 +256,20 @@ def char_scan_tokenize(text: str) -> list[ScanToken]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(ScanToken("NUM", text[i:j], line, col))
             col += j - i
             i = j
             continue
         if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
+            j = _spaceless_g_end(text, i)
+            if j is None:
+                j = i
+                while j < len(text) and text[j].isalnum():
+                    j += 1
             tokens.append(ScanToken("NAME", text[i:j], line, col))
             col += j - i
             i = j
@@ -220,9 +284,31 @@ def char_scan_tokenize(text: str) -> list[ScanToken]:
     return tokens
 
 
-class LeftFoldParser(ring._Parser):
-    """Oracle for the parser's sums and products: one immutable Polynomial
-    sum per term and one Polynomial product per factor."""
+class LeftFoldParser:
+    """Oracle for ring's parser: the recursive descent with one immutable
+    Polynomial sum per term, one Polynomial product per factor and one
+    Polynomial power per exponent, and the same errors at the same tokens."""
+
+    def __init__(self, tokens, cfg: SystemConfig):
+        self.tokens = tokens
+        self.pos = 0
+        self.cfg = cfg
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ring.ParseError(
+                f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col
+            )
+        return self.next()
 
     def parse_expression(self) -> Polynomial:
         sign = 1
@@ -245,13 +331,113 @@ class LeftFoldParser(ring._Parser):
             result = result * self.parse_factor()
         return result
 
+    def parse_factor(self) -> Polynomial:
+        base = self.parse_base()
+        if self.peek().kind == "^":
+            self.next()
+            base = base ** int(self.expect("NUM").text)
+        return base
+
+    def parse_base(self) -> Polynomial:
+        tok = self.peek()
+        if tok.kind == "NUM":
+            self.next()
+            num = int(tok.text)
+            if self.peek().kind == "/":
+                self.next()
+                den_tok = self.expect("NUM")
+                den = int(den_tok.text)
+                if den == 0:
+                    raise ring.ParseError("zero denominator", den_tok.line, den_tok.col)
+                return Polynomial.constant(Fraction(num, den), self.cfg)
+            return Polynomial.constant(num, self.cfg)
+        if tok.kind == "(":
+            self.next()
+            inner = self.parse_expression()
+            self.expect(")")
+            return inner
+        if tok.kind == "NAME":
+            self.next()
+            return self.parse_variable(tok)
+        raise ring.ParseError(
+            f"expected a number, variable or '(', found {tok.text or 'end of input'!r}",
+            tok.line,
+            tok.col,
+        )
+
+    def parse_variable(self, tok) -> Polynomial:
+        name = tok.text
+        if name == "g":
+            self.expect("[")
+            u = int(self.expect("NUM").text)
+            self.expect(",")
+            v = int(self.expect("NUM").text)
+            self.expect("]")
+        elif name.startswith("g["):
+            # g[u,v] written without whitespace is one token
+            u, v = (int(x) for x in name[2:-1].split(","))
+        elif name in ("z", "E2", "E4", "E6"):
+            return Polynomial.variable(name, self.cfg)
+        else:
+            raise ring.ParseError(f"unknown variable {name!r}", tok.line, tok.col)
+        if v % 2 == 0 or not 0 <= u < v or v > self.cfg.m:
+            raise ring.ParseError(
+                f"g[{u},{v}] is out of range for m={self.cfg.m}", tok.line, tok.col
+            )
+        return Polynomial.variable(f"g[{u},{v}]", self.cfg)
+
 
 def left_fold_parse(text: str, cfg: SystemConfig) -> Polynomial:
+    """Oracle for ring.parse on char_scan_tokenize's tokens."""
     parser = LeftFoldParser(char_scan_tokenize(text), cfg)
     poly = parser.parse_expression()
-    if parser.peek().kind != "EOF":
-        raise ValueError("trailing input")
+    tok = parser.peek()
+    if tok.kind != "EOF":
+        raise ring.ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
     return poly
+
+
+def naive_poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Slow oracle for Polynomial.__mul__: one Fraction sum per contribution."""
+    terms: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+    return Polynomial(p.config, terms)
+
+
+def naive_format(p: Polynomial) -> str:
+    """Slow oracle for ring.format_polynomial: the magnitude as abs() of the
+    Fraction, printed by arith.fraction_str."""
+    if p.is_zero():
+        return "0"
+    pieces: list[str] = []
+    for idx, mono in enumerate(sorted(p.terms, key=ring.monomial_key, reverse=True)):
+        c = p.terms[mono]
+        factors = [
+            name if e == 1 else f"{name}^{e}" for name, e in zip(p.config.names, mono) if e
+        ]
+        mag = abs(c)
+        if not factors:
+            body = fraction_str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([fraction_str(mag)] + factors)
+        if idx == 0:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"{' + ' if c > 0 else ' - '}{body}")
+    return "".join(pieces)
+
+
+def ak_evaluate(ak, e4: TruncatedSeries, e6: TruncatedSeries) -> TruncatedSeries:
+    """A_k(E4, E6) as a series: the sum of c * E4^a * E6^b over its terms."""
+    total = TruncatedSeries.zero(min(e4.precision, e6.precision))
+    for (a, b), c in ak.coefficients.items():
+        total = total + (e4**a * e6**b).scale(c)
+    return total
 
 
 def count_series_products(monkeypatch) -> list[int]:

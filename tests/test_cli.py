@@ -212,6 +212,24 @@ def test_parse_error_exit_2(capsys):
     assert "unknown variable" in err
 
 
+@pytest.mark.parametrize(
+    "text, col", [("E2^\u00b2", 4), ("3\u00b2", 2), ("g[\u00b2,3]", 3)]
+)
+def test_non_decimal_digit_is_a_syntax_error(capsys, text, col):
+    code, out, err = invoke(capsys, "deriv", "--poly", text, "--m", "3")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: polynomial syntax error: unexpected character '\u00b2' "
+        f"(line 1, column {col})\n"
+    )
+
+
+def test_oversized_power_is_refused_before_it_runs(capsys):
+    code, out, err = invoke(capsys, "deriv", "--poly", "(z+E2+E4+E6)^200", "--m", "1")
+    assert code == 2 and out == ""
+    assert "polynomial syntax error: power may have 1373701 terms" in err
+
+
 def test_usage_error_exit_2(capsys):
     assert run(["no-such-subcommand"]) == 2
     capsys.readouterr()

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import sigma
+from helpers import ak_evaluate, sigma
 from ramlab.arith import bernoulli
 from ramlab.forms import (
     ak_polynomial,
@@ -80,7 +80,7 @@ def test_ak_reproduces_eisenstein():
     e4 = eisenstein(2, 30)
     e6 = eisenstein(3, 30)
     for k in range(2, 13):
-        combo = ak_polynomial(k, 30).evaluate(e4, e6)
+        combo = ak_evaluate(ak_polynomial(k, 30), e4, e6)
         assert combo == eisenstein(k, 30)
 
 

@@ -1,6 +1,8 @@
 import importlib.util
 import random
+import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,12 +15,16 @@ from helpers import (
     naive_derive,
     naive_evaluate,
     naive_exact_divide,
+    naive_format,
+    naive_poly_mul,
+    oracle_corpus,
     random_coefficient,
     random_monomial,
     random_polynomial,
 )
 from ramlab.forms import discriminant_series, function_tuple
 from ramlab.ring import (
+    MAX_PARSED_TERMS,
     ParseError,
     Polynomial,
     SystemConfig,
@@ -471,9 +477,9 @@ def test_tokenize_matches_char_scan_on_symbolic_inputs():
 # whitespace (tab, carriage return, vertical tab, form feed, \x1c, \x1f,
 # NEL, no-break, line separator, ideographic), characters no token takes,
 # and letters and digits beyond ASCII: é and a CJK letter, superscript two
-# (a digit, not decimal), one half and Roman twelve (numeric, neither digit
-# nor letter), and the decimal digits Arabic-Indic three, fullwidth one and
-# double-struck one
+# (a digit but not decimal, so no token takes it), one half and Roman twelve
+# (numeric, neither digit nor letter), and the decimal digits Arabic-Indic
+# three, fullwidth one and double-struck one, which numbers take
 ODD_CHARACTERS = (
     "\t\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"
     "_$@.=;"
@@ -485,6 +491,8 @@ def test_tokenize_matches_char_scan_on_malformed_text():
     texts = [
         "", "   ", "\n\n", "z\n", "E4 ", "2E4", "E4 2", "z\t+\tE4",
         "E2\n  + 3/4*E4\r\n- g[0,1]\n  *z", "z + ", "z ** 2",
+        "E2^\u00b2", "3\u00b2", "g[\u00b2,3]",
+        "g[1,3]", "g [1,3]", "g[1, 3]", "g[1,3", "g[\u0661,3]", "g[5,3]", "2g[1,3]^2",
     ]
     for ch in ODD_CHARACTERS:
         texts += [ch, f"E4{ch}2", f"2{ch}E4", f"z +\n {ch}E6", f"12{ch}", f"E{ch}", f"{ch}{ch}z"]
@@ -529,3 +537,109 @@ def test_parse_format_round_trip():
             again = parse(text, cfg)
             assert again == p
             assert format_polynomial(again) == text
+
+
+CORPUS_CONFIGS = (CFG1, CFG3, SystemConfig(5))
+
+
+def _corpora():
+    return [(cfg, oracle_corpus(cfg, random.Random(400 + cfg.m))) for cfg in CORPUS_CONFIGS]
+
+
+def test_products_match_naive_oracle():
+    zero_products = 0
+    for cfg, corpus in _corpora():
+        for p in corpus:
+            for q in corpus:
+                got = p * q
+                assert got == naive_poly_mul(p, q)
+                assert all(type(c) is Fraction and c for c in got.terms.values())
+                zero_products += got.is_zero()
+    assert zero_products > 0
+
+
+def test_derive_and_format_match_naive_oracles_on_corpus():
+    for cfg, corpus in _corpora():
+        for p in corpus:
+            dp = derive(p)
+            assert dp == naive_derive(p)
+            assert all(type(c) is Fraction and c for c in dp.terms.values())
+            for poly in (p, dp, p * p):
+                assert format_polynomial(poly) == naive_format(poly)
+
+
+def test_parse_matches_left_fold_on_corpus():
+    for cfg, corpus in _corpora():
+        texts = [format_polynomial(p) for p in corpus]
+        for p, text in zip(corpus, texts):
+            assert parse(text, cfg) == left_fold_parse(text, cfg) == p
+        # parenthesised sums in products and powers, and single terms in parentheses
+        for a, b in zip(texts, texts[1:] + texts[:1]):
+            for text in (f"({a})^2*({b})", f"-({a})*(E2)^3*2/3*({b})^0", f"(({a}))*(z)*({b})"):
+                got = parse(text, cfg)
+                assert got == left_fold_parse(text, cfg)
+                assert all(type(c) is Fraction for c in got.terms.values())
+
+
+MALFORMED = [
+    "", "z +", "(E2", "E2)", "(E2)(E4)", "E2 E4", "g[1,3]g[0,1]", "g", "g[", "g[1", "g[1,",
+    "g[1,3", "g [1, 3]]", "g[5,3]", "g [5, 3]", "g[0,2]", "g[\u0661,5]", "g[01,3] + g[1,03]",
+    "1/0*E2", "3/ 0", "E2^", "E2^E4", "E2^-1", "E7", "e2", "2E", "*", ",", "/2", "z^2^3",
+    "(z+E2)^2 *", "E2^\u00b2", "3\u00b2", "g[\u00b2,3]", "z\n + (E4\n", "g[1,3]^2 - g 3",
+]
+
+
+def _outcome(parse_fn, text, cfg):
+    try:
+        return parse_fn(text, cfg)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+def test_parse_errors_match_left_fold_oracle():
+    errors = 0
+    for text in MALFORMED:
+        got = _outcome(parse, text, CFG3)
+        assert got == _outcome(left_fold_parse, text, CFG3), repr(text)
+        errors += type(got) is tuple
+    # all but the leading-zero g[u,v], which parses
+    assert errors == len(MALFORMED) - 1
+
+
+def test_spaceless_g_is_one_token_and_spaced_g_keeps_its_tokens():
+    assert [t.text for t in _tokenize("g[1,3]^2")] == ["g[1,3]", "^", "2", ""]
+    assert [t.text for t in _tokenize("g [1,3]")] == ["g", "[", "1", ",", "3", "]", ""]
+    g13 = Polynomial.variable("g[1,3]", CFG3)
+    for text in ("g[1,3]", "g [1,3]", "g[1, 3]", "g[01,3]", "g[\u0661,3]"):
+        assert parse(text, CFG3) == g13
+
+
+@pytest.mark.parametrize("text", ["E2^\u00b2", "3\u00b2", "g[\u00b2,3]"])
+def test_non_decimal_digit_is_a_positioned_parse_error(text):
+    with pytest.raises(ParseError, match="unexpected character '\u00b2'") as exc:
+        parse(text, CFG3)
+    assert (exc.value.line, exc.value.col) == (1, text.index("\u00b2") + 1)
+
+
+def test_parser_bounds_products_and_powers_before_running():
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse("(z+E2+E4+E6)^200", CFG1)
+    assert time.perf_counter() - start < 1
+    assert "power may have 1373701 terms" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (1, 13)
+    # 455 terms times 455 terms, refused at the product's operator
+    with pytest.raises(ParseError, match="product may have 207025 terms") as exc:
+        parse("(z+E2+E4+E6)^12\n * (z+E2+E4+E6)^12", CFG1)
+    assert (exc.value.line, exc.value.col) == (2, 2)
+    # the bound is the count of monomials, which a power of a sum attains
+    assert len(parse("(z+E2+E4+E6)^12", CFG1).terms) == 455
+    assert comb(4 + 40 - 1, 40) <= MAX_PARSED_TERMS < comb(4 + 200 - 1, 200)
+    # single terms are never bounded
+    assert parse("E2^1000000*2^10", CFG1) == Polynomial.from_monomial((0, 1000000, 0, 0, 0), CFG1, 1024)
+
+
+def test_benchmark_inputs_parse_within_the_bound():
+    # every seed has the same shapes; seed 1's texts are parsed above
+    for case in _symbolic_inputs(90017):
+        assert not parse(case["argv"][2], SystemConfig(case["m"])).is_zero()

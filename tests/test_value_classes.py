@@ -2,6 +2,8 @@
 position, by keyword and with defaults, field-wise equality and hashing,
 immutability, repr, and the validation of SystemConfig and DegreeBudget."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -204,3 +206,16 @@ def test_function_tuple_cache_is_outside_equality_hash_and_repr():
         FunctionTuple(3, 6, tup.series, tup.names, {})
     with pytest.raises(TypeError):
         FunctionTuple(3, 6, tup.series, tup.names, monomial_cache={})
+
+
+def test_polynomials_series_and_verdicts_copy_and_pickle():
+    from ramlab.ring import parse
+    from ramlab.stability import principal_stability
+
+    delta = parse("E4^3 - 1/3*E6^2 + g[0,1]", CFG)
+    verdict = principal_stability(parse("z*(E4^3 - E6^2)", CFG))
+    assert verdict.stable and not verdict.cofactor.is_zero()
+    for value in (E2, delta, Z, function_tuple(1, 4).series[2], verdict):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+            assert repr(twin) == repr(value)
