@@ -30,6 +30,7 @@ __all__ = [
     "pack",
     "unpack",
     "positive_power",
+    "power_work",
     "y_pairs",
     "variable_names",
     "fraction_str",
@@ -176,6 +177,23 @@ def positive_power(base, e: int):
         if not e:
             return result
         base = base * base
+
+
+def power_work(size, e: int) -> int:
+    """The sum of size(i) * size(j) over the products base**i * base**j
+    that positive_power(base, e) makes, for e >= 1: its work when each
+    product costs |X|*|Y| and size(j) is the size of base**j."""
+    work, result, power = 0, 0, 1
+    while True:
+        if e & 1:
+            if result:
+                work += size(result) * size(power)
+            result += power
+        e >>= 1
+        if not e:
+            return work
+        work += size(power) ** 2
+        power *= 2
 
 
 def y_pairs(m: int) -> list[tuple[int, int]]:

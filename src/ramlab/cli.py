@@ -131,29 +131,13 @@ def _experiment_rows(rows, summary) -> dict:
 
 
 def _rows_to_csv(rows) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["m", "d0", "d", "T", "n_star", "ord", "ratio_num", "ratio_den", "flag"]
-    )
+    # every field is an integer or an order such as ">=5", so none needs quoting
+    lines = ["m,d0,d,T,n_star,ord,ratio_num,ratio_den,flag"]
     for r in rows:
-        writer.writerow(
-            [
-                r.m,
-                r.d0,
-                r.d,
-                r.T,
-                r.n_star,
-                str(r.measured_ord),
-                r.ratio.numerator,
-                r.ratio.denominator,
-                int(r.precision_limited),
-            ]
-        )
-    return buf.getvalue()
+        fields = (r.m, r.d0, r.d, r.T, r.n_star, r.measured_ord,
+                  r.ratio.numerator, r.ratio.denominator, int(r.precision_limited))
+        lines.append(",".join(map(str, fields)))
+    return "\n".join(lines) + "\n"
 
 
 def _render_text(record: dict) -> str:
@@ -337,7 +321,8 @@ def _dispatch(args) -> tuple[dict, int, Optional[list]]:
             "prec": args.prec,
         }
         rows, summary = experiment_grid(args.m, budgets, args.prec)
-        record["payload"] = _experiment_rows(rows, summary)
+        if args.format != "csv":
+            record["payload"] = _experiment_rows(rows, summary)
         if summary.flagged and args.strict:
             code = EXIT_FAIL
 
@@ -368,6 +353,9 @@ def _run(argv: Optional[list[str]]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
+    if args.format == "csv" and args.subcommand != "auxsearch":
+        print("error: csv output is only available for auxsearch", file=sys.stderr)
+        return EXIT_USAGE
     try:
         record, code, rows = _dispatch(args)
     except CliError as exc:
@@ -380,9 +368,6 @@ def _run(argv: Optional[list[str]]) -> int:
     if args.format == "json":
         output = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
-        if rows is None:
-            print("error: csv output is only available for auxsearch", file=sys.stderr)
-            return EXIT_USAGE
         output = _rows_to_csv(rows)
     else:
         output = _render_text(record)

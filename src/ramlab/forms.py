@@ -65,7 +65,7 @@ def discriminant_series(precision: int) -> TruncatedSeries:
 
 def theta_series(precision: int) -> TruncatedSeries:
     """z * (E4^3 - E6^2)."""
-    return TruncatedSeries.z(precision) * discriminant_series(precision)
+    return discriminant_series(precision).shift(1)
 
 
 class AkPolynomial(Record):

@@ -21,7 +21,7 @@ from typing import Optional
 
 from ._linalg import rank_profile_mod_p, solve_lifted
 from .arith import Record
-from .forms import InternalConsistencyError, function_tuple
+from .forms import InternalConsistencyError, function_tuple, theta_series
 from .ring import Monomial, Polynomial, SystemConfig, evaluate, monomial_key, monomial_series
 from .series import Order
 
@@ -88,12 +88,10 @@ class GridSummary(Record):
 
 
 def compute_k0(m: int, precision: int) -> Order:
-    """ord of Theta = z*(X2^3 - X3^2) evaluated at the function tuple."""
-    cfg = SystemConfig(m)
-    x2 = Polynomial.variable("E4", cfg)
-    x3 = Polynomial.variable("E6", cfg)
-    theta = Polynomial.variable("z", cfg) * (x2**3 - x3**2)
-    order = evaluate(theta, function_tuple(m, precision)).order()
+    """ord of Theta = z*(X2^3 - X3^2) evaluated at the function tuple; only
+    z, E4 and E6 occur in it, so m is only validated."""
+    SystemConfig(m)
+    order = theta_series(precision).order()
     if not order.is_finite:
         raise PrecisionError(
             f"Theta evaluation vanishes through precision {precision}; raise it"
@@ -127,6 +125,11 @@ def expected_basis_size(budget: DegreeBudget, cfg: SystemConfig) -> int:
 # 61-bit primes for the rank profile, tried in order until the witness
 # certifies the cutoff; 2**61 - 1 is a Mersenne prime
 PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+# The largest basis size T a cell may have.  Lifting the witness costs about
+# T**3 times the squared entry bits, which grow with T; the T=240 cell
+# (m=3, d0=1, d=3) takes about two minutes.
+MAX_BASIS_SIZE = 240
 
 # Adaptive precision starts this many coefficients past the basis size T.
 # Every cell measured so far has n* = T - 1, which needs rows 0..T-1.
@@ -239,8 +242,19 @@ def _search(
 def experiment_grid(
     m: int, budgets: list[DegreeBudget], precision: Optional[int] = None
 ) -> tuple[list[ExperimentRow], GridSummary]:
-    """Run the search over a grid of budgets; deterministic row order."""
+    """Run the search over a grid of budgets; deterministic row order.
+
+    Every cell's basis size is checked against MAX_BASIS_SIZE before the
+    first search runs.
+    """
     cfg = SystemConfig(m)
+    for b in budgets:
+        T = expected_basis_size(b, cfg)
+        if T > MAX_BASIS_SIZE:
+            raise ValueError(
+                f"the cell m={m}, d0={b.d0}, d={b.d} has T={T} basis monomials, "
+                f"over the limit {MAX_BASIS_SIZE}"
+            )
     rows = [max_vanishing_search(b, cfg, precision) for b in budgets]
     max_ratio = max((row.ratio for row in rows), default=Fraction(0))
     max_ratio_paper = max((row.ratio_paper for row in rows), default=Fraction(0))

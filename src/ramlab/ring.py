@@ -19,7 +19,7 @@ from math import comb, lcm
 from operator import add
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from .arith import Record, bernoulli, integer_numerators, positive_power
+from .arith import Record, bernoulli, integer_numerators, positive_power, power_work
 from .arith import variable_names, y_pairs
 
 if TYPE_CHECKING:
@@ -498,6 +498,10 @@ class _Token:
 _SYMBOLS = set("+-*^()[],/")
 
 MAX_PARSED_TERMS = 100_000  # the most terms a parsed product or power may have
+MAX_POWER_PRODUCTS = 2_500_000  # the most term products a parsed power may make
+# the most bits, e * (ceil(log2 |n|) + ceil(log2 d)), that a single term's
+# coefficient n/d raised to the power e may have
+MAX_POWER_BITS = 200_000
 
 # After a run of whitespace other than a newline: a newline, a run of decimal
 # digits, g[u,v] written without whitespace, a run of letters and digits, or
@@ -557,10 +561,10 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return self.next()
 
-    def bound(self, terms: int, what: str, op: _Token) -> None:
-        if terms > MAX_PARSED_TERMS:
-            message = f"{what} may have {terms} terms, over the limit {MAX_PARSED_TERMS}"
-            raise ParseError(message, op.line, op.col)
+    def bound(self, size: int, limit: int, message: str, op: _Token) -> None:
+        """Refuse at op a result that may pass limit; message shows size at {}."""
+        if size > limit:
+            raise ParseError(f"{message.format(size)}, over the limit {limit}", op.line, op.col)
 
     def parse_expression(self) -> Polynomial:
         sign = 1
@@ -591,7 +595,7 @@ class _Parser:
             else:
                 a, b = (x if type(x) is Polynomial else Polynomial(self.cfg, dict([x]))
                         for x in (result, factor))
-                self.bound(len(a.terms) * len(b.terms), "product", op)
+                self.bound(len(a.terms) * len(b.terms), MAX_PARSED_TERMS, "product may have {} terms", op)
                 result = a * b
         return result
 
@@ -602,8 +606,15 @@ class _Parser:
         op = self.next()
         e = int(self.expect("NUM").text)
         if type(base) is tuple:
-            return tuple(x * e for x in base[0]), base[1] ** e
-        self.bound(comb(len(base.terms) + e - 1, e), "power", op)
+            # |k|**e <= 2**(e * ceil(log2 |k|)) for k the numerator or denominator
+            c = base[1]
+            bits = e * ((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length())
+            self.bound(bits, MAX_POWER_BITS, "coefficient power may have {} bits", op)
+            return tuple(x * e for x in base[0]), c**e
+        t = len(base.terms)
+        self.bound(comb(t + e - 1, e), MAX_PARSED_TERMS, "power may have {} terms", op)
+        work = power_work(lambda j: comb(t + j - 1, j), e)
+        self.bound(work, MAX_POWER_PRODUCTS, "power may make {} term products", op)
         return base**e
 
     def parse_base(self):

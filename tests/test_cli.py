@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -298,3 +299,56 @@ def test_auxsearch_negative_prec_is_rejected(capsys):
     assert out == ""
     assert "--prec: must be at least 0, got -1" in err
     assert "constant term" not in err
+
+
+@pytest.mark.parametrize("m, grid", sorted(SEARCH_GRID_CSV))
+def test_csv_auxsearch_builds_no_json_or_text_payload(capsys, monkeypatch, m, grid):
+    from ramlab import ring
+
+    def refuse(*args):
+        raise AssertionError("CSV output built the JSON/text payload")
+
+    monkeypatch.setattr(cli, "_experiment_rows", refuse)
+    monkeypatch.setattr(ring, "format_polynomial", refuse)
+    code, out, _ = invoke(capsys, "--format", "csv", "auxsearch", "--m", m, "--grid", grid)
+    assert code == 0
+    assert out == SEARCH_GRID_CSV[m, grid]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("k0", "--m", "1", "--prec", "0"),  # would fail with exit 1 inside k0
+        ("k0", "--m", "2", "--prec", "10"),  # would fail with exit 2 inside k0
+        ("verify-system", "--m", "3", "--prec", "30"),
+        ("deriv", "--poly", "E2", "--m", "1"),
+    ],
+)
+def test_csv_is_refused_before_the_command_runs(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_dispatch", lambda args: pytest.fail("the command ran"))
+    code, out, err = invoke(capsys, "--format", "csv", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: csv output is only available for auxsearch\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("deriv", "--poly", "3^10000000*E2", "--m", "1"),
+         "coefficient power may have 20000000 bits, over the limit 200000"),
+        (("deriv", "--poly", "(z+E2+E4+E6)^80", "--m", "1"),
+         "power may make 90224497 term products, over the limit 2500000"),
+        (("stable", "--poly", "(z+1)^99999", "--m", "1"),
+         "power may make 3746805621 term products, over the limit 2500000"),
+        (("auxsearch", "--m", "7", "--d0", "1", "--d", "3"),
+         "the cell m=7, d0=1, d=3 has T=3080 basis monomials, over the limit 240"),
+        (("auxsearch", "--m", "7", "--grid", "1:3"),
+         "the cell m=7, d0=0, d=3 has T=1540 basis monomials, over the limit 240"),
+    ],
+)
+def test_oversized_requests_exit_2_at_once_stating_the_bound(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert message in err

@@ -204,3 +204,9 @@ def test_verify_system_checks_the_velocities_of_d(monkeypatch, name, equation):
     assert [(eq.name, eq.first_mismatch) for eq in report.equations if not eq.ok] == [
         (equation, 1)
     ]
+
+
+@pytest.mark.parametrize("precision", [0, 1, 300])
+def test_theta_is_delta_shifted_by_one(precision):
+    # a shift, not a series product: the same series as z times Delta
+    assert theta_series(precision) == TruncatedSeries.z(precision) * discriminant_series(precision)

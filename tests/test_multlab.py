@@ -298,3 +298,53 @@ def test_search_primes_are_distinct_61_bit_primes():
         assert p.bit_length() == 61
         # Fermat's test to six bases; a typo in a constant would fail it
         assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7, 11, 13))
+
+
+def test_compute_k0_builds_no_function_tuple(monkeypatch):
+    from ramlab import forms
+
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return function_tuple(*args)
+
+    monkeypatch.setattr(multlab, "function_tuple", recording)
+    monkeypatch.setattr(forms, "function_tuple", recording)
+    assert compute_k0(15, 200) == Order.finite(2)
+    assert calls == []
+    with pytest.raises(ValueError, match="m must be a positive odd integer"):
+        compute_k0(2, 10)
+
+
+@pytest.mark.parametrize("m", range(1, 16, 2))
+def test_compute_k0_is_the_order_of_theta(m):
+    from ramlab.forms import theta_series
+
+    for precision in (0, 1, 2, 10, 200):
+        order = theta_series(precision).order()
+        if order.is_finite:
+            assert compute_k0(m, precision) == order
+        else:
+            with pytest.raises(PrecisionError):
+                compute_k0(m, precision)
+
+
+def test_grid_refuses_an_oversized_basis_before_any_cell_runs(monkeypatch):
+    from ramlab.multlab import MAX_BASIS_SIZE, expected_basis_size
+
+    ran = []
+    monkeypatch.setattr(multlab, "max_vanishing_search", lambda *args: ran.append(args))
+    # the small cells come first in the grid; none of them may run
+    budgets = [DegreeBudget(d0, d) for d0 in (0, 1) for d in range(4)]
+    with pytest.raises(ValueError) as exc:
+        experiment_grid(7, budgets)
+    assert str(exc.value) == (
+        f"the cell m=7, d0=0, d=3 has T=1540 basis monomials, over the limit {MAX_BASIS_SIZE}"
+    )
+    assert ran == []
+    # the largest cell the witness path has finished stays within the cap
+    assert expected_basis_size(DegreeBudget(1, 3), CFG3) == 240 <= MAX_BASIS_SIZE
+    monkeypatch.undo()
+    rows, _ = experiment_grid(3, [DegreeBudget(1, 3)], precision=0)
+    assert rows[0].T == 240

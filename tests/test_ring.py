@@ -643,3 +643,87 @@ def test_benchmark_inputs_parse_within_the_bound():
     # every seed has the same shapes; seed 1's texts are parsed above
     for case in _symbolic_inputs(90017):
         assert not parse(case["argv"][2], SystemConfig(case["m"])).is_zero()
+
+
+def test_parser_bounds_a_single_terms_coefficient_power():
+    from ramlab.ring import MAX_POWER_BITS
+
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse("3^10000000*E2", CFG1)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == (
+        "coefficient power may have 20000000 bits, over the limit 200000 (line 1, column 2)"
+    )
+    # 3**e and 1/3**e count 2 bits a factor: up to the limit they parse
+    assert MAX_POWER_BITS == 200_000
+    assert parse("1/3^100000*E2", CFG1) == Polynomial.from_monomial((0, 1, 0, 0, 0), CFG1, Fraction(1, 3**100000))
+    with pytest.raises(ParseError, match="may have 200002 bits"):
+        parse("1/3^100001*E2", CFG1)
+    # a unit coefficient never grows
+    assert parse("(-1)^99999999999*E2", CFG1) == -parse("E2", CFG1)
+    # the count bounds the bits of the numerator and of the denominator
+    for n in range(1, 40):
+        for d in range(1, 12):
+            for e in range(1, 9):
+                c = Fraction(n, d)
+                bits = e * ((c.numerator - 1).bit_length() + (c.denominator - 1).bit_length())
+                assert (c**e).numerator.bit_length() + (c**e).denominator.bit_length() <= bits + 2
+
+
+def test_parser_bounds_a_powers_term_products_before_running():
+    from ramlab.ring import MAX_POWER_PRODUCTS
+
+    for text, products, col in [("(z+E2+E4+E6)^80", 90224497, 13), ("(z+1)^99999", 3746805621, 6)]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse(text, CFG1)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == (
+            f"power may make {products} term products, over the limit "
+            f"{MAX_POWER_PRODUCTS} (line 1, column {col})"
+        )
+    # the term bound runs first: (z+1)^99999 has exactly 100,000 terms
+    assert comb(2 + 99999 - 1, 99999) == MAX_PARSED_TERMS
+    # 2,047,452 term products
+    assert len(parse("(z+E2+E4+E6)^40", CFG1).terms) == comb(4 + 40 - 1, 40)
+
+
+def test_power_work_counts_the_products_positive_power_makes():
+    from ramlab.arith import positive_power, power_work
+
+    class Power:
+        """base**j, recording the exponents of each product."""
+
+        def __init__(self, j, log):
+            self.j, self.log = j, log
+
+        def __mul__(self, other):
+            self.log.append((self.j, other.j))
+            return Power(self.j + other.j, self.log)
+
+    for t in range(1, 6):
+        size = lambda j: comb(t + j - 1, j)  # noqa: E731
+        for e in range(1, 200):
+            log = []
+            assert positive_power(Power(1, log), e).j == e
+            assert power_work(size, e) == sum(size(i) * size(j) for i, j in log)
+
+
+def test_power_work_is_the_term_products_of_a_power_of_a_sum(monkeypatch):
+    # a power of a sum of distinct variables attains C(t+j-1, j) terms
+    from ramlab.arith import power_work
+
+    counted = []
+    real = Polynomial.__mul__
+
+    def counting(a, b):
+        counted.append(len(a.terms) * len(b.terms))
+        return real(a, b)
+
+    base = parse("z+E2+E4+E6", CFG1)
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    for e in (1, 2, 3, 7, 12):
+        counted.clear()
+        base**e
+        assert sum(counted) == power_work(lambda j: comb(4 + j - 1, j), e)

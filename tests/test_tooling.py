@@ -169,3 +169,19 @@ def test_package_names_resolve_on_first_use():
     assert (Order, TruncatedSeries) == (series.Order, series.TruncatedSeries)
     with pytest.raises(AttributeError):
         ramlab.no_such_name
+
+
+def test_csv_auxsearch_does_not_load_the_csv_module():
+    code = run_cli("--format", "csv", "auxsearch", "--m", "1", "--d0", "1", "--d", "1")
+    assert "csv" not in modules_after(code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("k0", "--m", "1", "--prec", "10"), ("verify-system", "--m", "3", "--prec", "30")],
+    ids=["k0", "verify-system"],
+)
+def test_refused_csv_loads_no_layer(argv):
+    argv = ["--format", "csv", *argv]
+    code = f"from ramlab.cli import run\nif run({argv!r}) != 2:\n    sys.exit(1)"
+    assert loaded_after(code) == ["ramlab", "ramlab.cli"]
