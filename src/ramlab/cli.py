@@ -307,6 +307,8 @@ def _dispatch(args) -> tuple[dict, int, Optional[list]]:
         record["payload"] = {"ord": order.value}
 
     elif args.subcommand == "auxsearch":
+        if args.grid is not None and (args.d0 is not None or args.d is not None):
+            raise CliError("auxsearch takes either --d0 and --d, or --grid, not both")
         from .multlab import DegreeBudget, experiment_grid
 
         if args.grid is not None:
@@ -373,8 +375,12 @@ def _run(argv: Optional[list[str]]) -> int:
         output = _render_text(record)
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(output)
     return code

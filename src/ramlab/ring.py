@@ -1,12 +1,12 @@
 """Sparse multivariate polynomials over exact rationals in the variables
 z, X1, X2, X3 (printed as z, E2, E4, E6) and Y_{u,v} (printed g[u,v]),
-with the derivation D, the two weight gradings, exact division, evaluation
-at the function tuple, and a text parser/printer.
+with the derivation D, exact division, evaluation at the function tuple,
+and a text parser/printer.
 
 Loading this module loads only `arith`.  The q-series layers (`series`,
 `forms`) are imported inside the functions that use them: `evaluate`,
 `monomial_series`, and D's closing velocity for v >= 7, which needs A_k.
-So parsing, D, exact division and printing never load them.
+So parsing, exact division, printing and D below m = 7 never load them.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ class SystemConfig(Record):
             return self.names.index(name)
         except ValueError:
             raise KeyError(f"unknown variable {name!r} for m={self.m}") from None
-
-    def phi_weights(self) -> tuple[int, ...]:
-        """z -> 0, X1 -> 1, X2 -> 2, X3 -> 3, every Y -> 2m+2."""
-        return (0, 1, 2, 3) + tuple(2 * self.m + 2 for _ in y_pairs(self.m))
-
-    def phi2_weights(self) -> tuple[int, ...]:
-        """z -> 0, X1 -> 1, X2 -> 2, X3 -> 3, Y_{u,v} -> 4(u-v)."""
-        return (0, 1, 2, 3) + tuple(4 * (u - v) for u, v in y_pairs(self.m))
 
 
 _names = lru_cache(maxsize=None)(variable_names)
@@ -194,50 +186,6 @@ class Polynomial:
         if e == 0:
             return Polynomial.constant(1, self.config)
         return positive_power(self, e)
-
-    # -- degrees and weights ------------------------------------------
-
-    def deg_x0(self) -> int:
-        """Degree in z; -1 for the zero polynomial."""
-        return max((m[0] for m in self.terms), default=-1)
-
-    def deg_eg(self) -> int:
-        """Total degree in all variables but z; -1 for zero."""
-        return max((sum(m[1:]) for m in self.terms), default=-1)
-
-    def total_deg(self) -> int:
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def _weigh(self, weights: tuple[int, ...], mono: Monomial) -> int:
-        return sum(w * e for w, e in zip(weights, mono))
-
-    def phi(self) -> int:
-        if self.is_zero():
-            raise ValueError("phi of the zero polynomial is undefined")
-        w = self.config.phi_weights()
-        return max(self._weigh(w, m) for m in self.terms)
-
-    def phi2(self) -> int:
-        if self.is_zero():
-            raise ValueError("phi2 of the zero polynomial is undefined")
-        w = self.config.phi2_weights()
-        return max(self._weigh(w, m) for m in self.terms)
-
-    def weight_part(self, which: str = "min", weighting: str = "phi") -> "Polynomial":
-        """Sub-polynomial of terms attaining the extreme weight."""
-        if self.is_zero():
-            raise ValueError("weight_part of the zero polynomial is undefined")
-        if weighting not in ("phi", "phi2"):
-            raise ValueError("weighting must be 'phi' or 'phi2'")
-        if which not in ("min", "max"):
-            raise ValueError("which must be 'min' or 'max'")
-        w = self.config.phi_weights() if weighting == "phi" else self.config.phi2_weights()
-        values = {m: self._weigh(w, m) for m in self.terms}
-        extreme = min(values.values()) if which == "min" else max(values.values())
-        return Polynomial(
-            self.config,
-            {m: c for m, c in self.terms.items() if values[m] == extreme},
-        )
 
     # -- division -----------------------------------------------------
 

@@ -15,13 +15,12 @@ integers over the product of the two denominators.  No floating point.
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .arith import Record, integer_numerators, pack, positive_power, slot_bytes, unpack
 
-__all__ = ["Order", "TruncatedSeries", "NumericValue"]
+__all__ = ["Order", "TruncatedSeries"]
 
 Scalar = Union[int, Fraction]
 
@@ -47,13 +46,6 @@ class Order(Record):
 
     def __str__(self) -> str:
         return str(self.value) if self.is_finite else f">={self.value}"
-
-
-class NumericValue(Record):
-    """Decimal rendering of a truncated evaluation, with a honesty note."""
-
-    text: str
-    note: str
 
 
 class TruncatedSeries:
@@ -109,11 +101,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.precision:
             raise IndexError(f"coefficient {n} outside stored precision {self.precision}")
         return self.coeffs[n]
-
-    def truncate(self, precision: int) -> "TruncatedSeries":
-        if precision > self.precision:
-            raise ValueError("cannot extend a truncation")
-        return TruncatedSeries._of(self.coeffs[: precision + 1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
@@ -174,31 +161,6 @@ class TruncatedSeries:
             if c != 0:
                 return Order.finite(n)
         return Order.at_least(self.precision + 1)
-
-    def numeric_eval(self, x: Scalar, digits: int) -> NumericValue:
-        """Evaluate the stored truncation at x exactly, render to `digits`.
-
-        This is a probe, not an approximation with error bound: the tail of
-        the true function beyond the truncation is simply absent.
-        """
-        x = Fraction(x)
-        if abs(x) >= 1:
-            raise ValueError("|x| must be < 1")
-        if digits < 1:
-            raise ValueError("digits must be positive")
-        value = Fraction(0)
-        xp = Fraction(1)
-        for c in self.coeffs:
-            value += c * xp
-            xp *= x
-        with localcontext() as ctx:
-            ctx.prec = digits
-            rendered = Decimal(value.numerator) / Decimal(value.denominator)
-        return NumericValue(
-            text=str(rendered),
-            note=f"partial sum of the stored truncation (degree {self.precision}); "
-            "no tail bound",
-        )
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])

@@ -9,10 +9,10 @@ from math import comb, lcm
 
 from ramlab import ring
 from ramlab._linalg import RowReducer
-from ramlab.arith import fraction_str
+from ramlab.arith import fraction_str, y_pairs
 from ramlab.forms import FunctionTuple, InternalConsistencyError, function_tuple
 from ramlab.multlab import ExperimentRow, operational_exponent, paper_exponent
-from ramlab.ring import Polynomial, SystemConfig, evaluate, monomial_series, velocity
+from ramlab.ring import Polynomial, SystemConfig, derive, evaluate, monomial_series, velocity
 from ramlab.series import TruncatedSeries
 
 
@@ -438,6 +438,39 @@ def ak_evaluate(ak, e4: TruncatedSeries, e6: TruncatedSeries) -> TruncatedSeries
     for (a, b), c in ak.coefficients.items():
         total = total + (e4**a * e6**b).scale(c)
     return total
+
+
+def phi_weights(cfg: SystemConfig) -> tuple[int, ...]:
+    """z -> 0, X1 -> 1, X2 -> 2, X3 -> 3, every Y -> 2m+2."""
+    return (0, 1, 2, 3) + tuple(2 * cfg.m + 2 for _ in y_pairs(cfg.m))
+
+
+def phi2_weights(cfg: SystemConfig) -> tuple[int, ...]:
+    """z -> 0, X1 -> 1, X2 -> 2, X3 -> 3, Y_{u,v} -> 4(u-v)."""
+    return (0, 1, 2, 3) + tuple(4 * (u - v) for u, v in y_pairs(cfg.m))
+
+
+def phi(p: Polynomial) -> int:
+    """The largest phi weight of a term of p."""
+    if p.is_zero():
+        raise ValueError("phi of the zero polynomial is undefined")
+    w = phi_weights(p.config)
+    return max(sum(x * e for x, e in zip(w, mono)) for mono in p.terms)
+
+
+def power_identity(a: int, b: int) -> bool:
+    """Check D(Delta^a * z^b) = (a*X1 + b) * Delta^a * z^b exactly, for m = 1."""
+    if a < 0 or b < 0:
+        raise ValueError("exponents must be nonnegative")
+    cfg = SystemConfig(1)
+    x2 = Polynomial.variable("E4", cfg)
+    x3 = Polynomial.variable("E6", cfg)
+    z = Polynomial.variable("z", cfg)
+    delta = x2**3 - x3**2
+    q = delta**a * z**b
+    x1 = Polynomial.variable("E2", cfg)
+    expected = (x1.scale(a) + Polynomial.constant(b, cfg)) * q
+    return derive(q) == expected
 
 
 def count_series_products(monkeypatch) -> list[int]:

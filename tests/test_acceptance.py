@@ -7,7 +7,15 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import ak_evaluate, random_monomial, random_polynomial, random_two_term_polynomial
+from helpers import (
+    ak_evaluate,
+    phi,
+    phi2_weights,
+    power_identity,
+    random_monomial,
+    random_polynomial,
+    random_two_term_polynomial,
+)
 from ramlab.arith import bernoulli
 from ramlab.forms import ak_polynomial, eisenstein, function_tuple, verify_system
 from ramlab.multlab import DegreeBudget, compute_k0, experiment_grid
@@ -21,7 +29,7 @@ from ramlab.ring import (
     velocity,
 )
 from ramlab.series import Order
-from ramlab.stability import power_identity, principal_stability
+from ramlab.stability import principal_stability
 
 
 def report(n, text):
@@ -117,8 +125,8 @@ def test_criterion_6_weight_laws():
         q = random_polynomial(cfg, rng)
         dp = derive(p)
         if not dp.is_zero():
-            assert dp.phi() <= p.phi() + 1
-        assert (p * q).phi() == p.phi() + q.phi()
+            assert phi(dp) <= phi(p) + 1
+        assert phi(p * q) == phi(p) + phi(q)
     # phi2 strict increase of every D_v contribution on random monomials
     checked = 0
     while checked < 50:
@@ -127,7 +135,7 @@ def test_criterion_6_weight_laws():
         if not any(mono):
             continue
         checked += 1
-        w2 = cfg.phi2_weights()
+        w2 = phi2_weights(cfg)
         base = sum(w * e for w, e in zip(w2, mono))
         for i, e in enumerate(mono):
             if e == 0 or cfg.names[i] == "z":

@@ -257,6 +257,26 @@ def test_out_file(tmp_path, capsys):
     assert data["payload"]["coefficients"] == ["0", "1728", "-41472"]
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_out_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "dump.json"
+    code, out, err = invoke(capsys, "--out", str(target), "series", "--which", "E4", "--prec", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("budget", [("--d0", "1", "--d", "1"), ("--d0", "1"), ("--d", "1")])
+def test_auxsearch_refuses_a_grid_with_a_single_budget(capsys, monkeypatch, budget):
+    from ramlab import multlab
+
+    monkeypatch.setattr(multlab, "experiment_grid", lambda *a: pytest.fail("the search ran"))
+    code, out, err = invoke(capsys, "auxsearch", "--m", "1", *budget, "--grid", "1:1")
+    assert (code, out) == (2, "")
+    assert err == "error: auxsearch takes either --d0 and --d, or --grid, not both\n"
+
+
 def test_strict_flag_on_unresolved_ord(capsys):
     # zero polynomial never happens, but a deep vanishing probe can exceed prec
     code, out, _ = invoke(

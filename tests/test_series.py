@@ -174,28 +174,6 @@ def test_shift_is_product_with_z_power():
         s.shift(-1)
 
 
-def test_numeric_eval():
-    val = TruncatedSeries([1, 1]).numeric_eval(Fraction(1, 2), 10)
-    assert val.text == "1.5"
-    assert TruncatedSeries.zero(5).numeric_eval(Fraction(1, 3), 8).text == "0"
-    with pytest.raises(ValueError):
-        TruncatedSeries([1, 1]).numeric_eval(Fraction(3, 2), 5)
-
-
-def test_numeric_eval_matches_independent_summation():
-    # same truncation summed by hand at x ~ e^{-2pi} ~ 1/535
-    s = eisenstein(3, 40)
-    x = Fraction(1, 535)
-    expected = sum(c * x**n for n, c in enumerate(s.coeffs))
-    got = s.numeric_eval(x, 30)
-    from decimal import Decimal, localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = 30
-        want = Decimal(expected.numerator) / Decimal(expected.denominator)
-    assert got.text == str(want)
-
-
 @given(a=series_strategy, b=series_strategy)
 @settings(max_examples=60, deadline=None)
 def test_leibniz_rule(a, b):
@@ -256,7 +234,6 @@ def test_every_operation_stores_a_tuple_of_fractions():
         a.shift(0),
         a.shift(4),
         a.delta(),
-        a.truncate(5),
         a**3,
         evaluate(poly.scale(Fraction(5, 6)), tup),
         TruncatedSeries([1, Fraction(1, 2), 0]),

@@ -1,12 +1,11 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from helpers import random_two_term_polynomial
+from helpers import phi, power_identity, random_two_term_polynomial
 from ramlab.forms import function_tuple
 from ramlab.ring import Polynomial, SystemConfig, evaluate, format_polynomial
-from ramlab.stability import cofactor_profile, power_identity, principal_stability
+from ramlab.stability import principal_stability
 
 CFG = SystemConfig(1)
 Z = Polynomial.variable("z", CFG)
@@ -52,7 +51,7 @@ def test_cofactor_phi_bound():
             verdict = principal_stability(q)
             assert verdict.stable
             if not verdict.cofactor.is_zero():
-                assert verdict.cofactor.phi() <= 1
+                assert phi(verdict.cofactor) <= 1
 
 
 def test_power_cofactor_linear_form_and_order():
@@ -65,19 +64,6 @@ def test_power_cofactor_linear_form_and_order():
             assert verdict.cofactor == expected
             order = evaluate(q, tup).order()
             assert order.is_finite and order.value == a + b
-
-
-def test_cofactor_profiles():
-    p = cofactor_profile(DELTA)
-    assert p.linear_form == (Fraction(1), Fraction(0))
-    assert p.min_weight_part_z_degree == 0
-    p = cofactor_profile(Z)
-    assert p.linear_form == (Fraction(0), Fraction(1))
-    assert p.min_weight_part_z_degree == 1
-    p = cofactor_profile(THETA)
-    assert p.linear_form == (Fraction(1), Fraction(1))
-    with pytest.raises(ValueError):
-        cofactor_profile(X2)
 
 
 def test_random_two_term_smoke():

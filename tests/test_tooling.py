@@ -118,6 +118,11 @@ COMMANDS = {
         ("from ramlab import Polynomial", ["ramlab", "ramlab.arith", "ramlab.ring"]),
         (COMMANDS["deriv"], ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.ring"]),
         (
+            run_cli("deriv", "--poly", "E2", "--m", "7"),
+            ["ramlab", "ramlab._linalg", "ramlab.arith", "ramlab.cli", "ramlab.forms",
+             "ramlab.ring", "ramlab.series"],
+        ),
+        (
             COMMANDS["stable"],
             ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.ring", "ramlab.stability"],
         ),
@@ -141,13 +146,14 @@ COMMANDS = {
              "ramlab.multlab", "ramlab.ring", "ramlab.series"],
         ),
     ],
-    ids=["import-ramlab", "import-cli", "import-polynomial", "deriv", "stable", "series",
-         "verify-system", "ak", "auxsearch"],
+    ids=["import-ramlab", "import-cli", "import-polynomial", "deriv", "deriv-m7", "stable",
+         "series", "verify-system", "ak", "auxsearch"],
 )
 def test_each_entry_point_loads_only_the_layers_it_runs(code, expected):
-    # deriv and stable need neither the q-series layers (series, forms) nor
-    # _linalg and multlab; below m=7 no closing velocity needs A_k, so
-    # verify-system, like series, does not load _linalg
+    # deriv and stable never need multlab; below m=7 no closing velocity
+    # needs A_k, so they need neither the q-series layers (series, forms)
+    # nor _linalg, and verify-system, like series, does not load _linalg.
+    # From m=7 on, D's closing velocity for g[6,7] is built from A_4.
     assert loaded_after(code) == expected
 
 
@@ -183,5 +189,21 @@ def test_csv_auxsearch_does_not_load_the_csv_module():
 )
 def test_refused_csv_loads_no_layer(argv):
     argv = ["--format", "csv", *argv]
+    code = f"from ramlab.cli import run\nif run({argv!r}) != 2:\n    sys.exit(1)"
+    assert loaded_after(code) == ["ramlab", "ramlab.cli"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
+def test_every_name_in_all_resolves(path):
+    # a name deleted from a module but left in its __all__ breaks star imports
+    module = "ramlab" if path.stem == "__init__" else f"ramlab.{path.stem}"
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    names = importlib.import_module(module).__all__
+    assert names and [name for name in names if name not in namespace] == []
+
+
+def test_refused_auxsearch_budget_loads_no_layer():
+    argv = ["auxsearch", "--m", "1", "--d0", "1", "--d", "1", "--grid", "1:1"]
     code = f"from ramlab.cli import run\nif run({argv!r}) != 2:\n    sys.exit(1)"
     assert loaded_after(code) == ["ramlab", "ramlab.cli"]

@@ -1,4 +1,4 @@
-"""The twelve immutable value classes of the layers: construction by
+"""The ten immutable value classes of the layers: construction by
 position, by keyword and with defaults, field-wise equality and hashing,
 immutability, repr, and the validation of SystemConfig and DegreeBudget."""
 
@@ -11,8 +11,8 @@ import pytest
 from ramlab.forms import AkPolynomial, EquationCheck, FunctionTuple, SystemReport, function_tuple
 from ramlab.multlab import DegreeBudget, ExperimentRow, GridSummary
 from ramlab.ring import Polynomial, SystemConfig, monomial_series
-from ramlab.series import NumericValue, Order, TruncatedSeries
-from ramlab.stability import CofactorProfile, StabilityVerdict
+from ramlab.series import Order, TruncatedSeries
+from ramlab.stability import StabilityVerdict
 
 CFG = SystemConfig(1)
 E2 = Polynomial.variable("E2", CFG)
@@ -23,14 +23,7 @@ OK = EquationCheck("b", True)
 CASES = [
     (SystemConfig, ("m",), (1,), (3,)),
     (StabilityVerdict, ("stable", "cofactor"), (True, E2), (False, None)),
-    (
-        CofactorProfile,
-        ("phi_of_cofactor", "z_degree_of_cofactor", "linear_form", "min_weight_part_z_degree"),
-        (1, 0, (Fraction(1), Fraction(-2, 3)), 0),
-        (None, 2, None, 1),
-    ),
     (Order, ("is_finite", "value"), (True, 3), (False, 4)),
-    (NumericValue, ("text", "note"), ("0.5", "note"), ("0.25", "other")),
     (
         AkPolynomial,
         ("k", "coefficients"),
@@ -138,14 +131,9 @@ def test_reprs():
         "StabilityVerdict(stable=True, cofactor=Polynomial('E2', m=1))"
     )
     assert repr(StabilityVerdict(False)) == "StabilityVerdict(stable=False, cofactor=None)"
-    assert repr(CofactorProfile(1, 0, (Fraction(1), Fraction(-2, 3)), 0)) == (
-        "CofactorProfile(phi_of_cofactor=1, z_degree_of_cofactor=0, "
-        "linear_form=(Fraction(1, 1), Fraction(-2, 3)), min_weight_part_z_degree=0)"
-    )
     assert repr(Order(True, 3)) == "Order(is_finite=True, value=3)"
     assert repr(Order.at_least(4)) == "Order(is_finite=False, value=4)"
     assert (str(Order.finite(3)), str(Order.at_least(4))) == ("3", ">=4")
-    assert repr(NumericValue("0.5", "note")) == "NumericValue(text='0.5', note='note')"
     assert repr(AkPolynomial(4, {(2, 0): Fraction(1)})) == (
         "AkPolynomial(k=4, coefficients={(2, 0): Fraction(1, 1)})"
     )
@@ -163,13 +151,13 @@ def test_reprs():
         "equations=(EquationCheck(name='b', ok=True, first_mismatch=None),), errata=())"
     )
     assert repr(DegreeBudget(0, 1)) == "DegreeBudget(d0=0, d=1)"
-    assert repr(ExperimentRow(*CASES[10][2])) == (
+    assert repr(ExperimentRow(*CASES[8][2])) == (
         "ExperimentRow(m=1, d0=0, d=1, T=4, n_star=3, "
         "measured_ord=Order(is_finite=True, value=3), ratio=Fraction(3, 4), "
         "ratio_paper=Fraction(3, 2), witness=Polynomial('E2', m=1), precision=8, "
         "precision_limited=False)"
     )
-    assert repr(GridSummary(*CASES[11][2])) == (
+    assert repr(GridSummary(*CASES[9][2])) == (
         "GridSummary(m=1, exponent_operational=4, exponent_paper=3, max_ratio=Fraction(3, 4), "
         "max_ratio_paper=Fraction(3, 2), flagged=(DegreeBudget(d0=0, d=1),))"
     )
