@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Optional, Sequence
 
 from .arith import InternalConsistencyError, integer_numerators, pack, slot_bytes, unpack
 
@@ -63,7 +62,7 @@ def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
 
 def rank_profile_mod_p(
     rows: Iterable[Sequence[Fraction]], target: int, p: int
-) -> tuple[Optional[int], list[int], list[list[int]]]:
+) -> tuple[int | None, list[int], list[list[int]]]:
     """Reduce rational rows over GF(p), in order, until the rank would hit target.
 
     Returns (index of the first row that would bring the rank to target, or
@@ -154,7 +153,7 @@ def _inverse_columns(matrix: list[list[int]], p: int) -> list[list[int]]:
     return [[values[j] % p for j in order] for values in (unpack(row, n, nbytes) for row in rows)]
 
 
-def _reconstruct(residue: int, modulus: int, bound: int) -> Optional[tuple[int, int]]:
+def _reconstruct(residue: int, modulus: int, bound: int) -> tuple[int, int] | None:
     """(n, d) with n = d * residue mod modulus, |n| <= bound, 0 < d <= bound.
 
     Wang's half extended Euclid, which finds such a pair whenever one exists;
@@ -174,7 +173,7 @@ def _reconstruct(residue: int, modulus: int, bound: int) -> Optional[tuple[int, 
 
 def _rational_vector(
     residues: list[int], modulus: int, bound: int
-) -> Optional[tuple[list[int], int]]:
+) -> tuple[list[int], int] | None:
     """(numerators, d) with numerators / d = residues mod modulus, or None.
 
     One denominator is shared: each coordinate is first multiplied by the

@@ -1,0 +1,231 @@
+"""Tokenizer and recursive-descent parser for polynomial text.
+
+`ring.parse` imports this module when it first runs, so a command that
+never parses (auxsearch, verify-system, k0, ...) never compiles it.  Work is
+bounded before it runs: each bound below refuses, at the operator, a result
+that may pass it.
+"""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+from math import comb
+from operator import add
+
+from .arith import power_work
+from .ring import ParseError, Polynomial, _units
+
+__all__ = [
+    "MAX_PARSED_TERMS",
+    "MAX_POWER_PRODUCTS",
+    "MAX_POWER_BITS",
+    "MAX_PARSED_BITS",
+    "parse_polynomial",
+]
+
+MAX_PARSED_TERMS = 100_000  # the most terms a parsed product or power may have
+MAX_POWER_PRODUCTS = 2_500_000  # the most term products a parsed power may make
+# the most bits, e * (ceil(log2 |n|) + ceil(log2 d)), that a single term's
+# coefficient n/d raised to the power e may have
+MAX_POWER_BITS = 200_000
+# the most bits, numerators and denominators together, that the coefficients
+# of a parsed product or power of a sum may have in all (see _weight)
+MAX_PARSED_BITS = 2_000_000
+
+
+class _Token:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # NUM, NAME, EOF, or a literal symbol
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+_SYMBOLS = set("+-*^()[],/")
+
+# After a run of whitespace other than a newline: a newline, a run of decimal
+# digits, g[u,v] written without whitespace, a run of letters and digits, or
+# any other single character that is not whitespace.  For str patterns \s is
+# exactly str.isspace, \d exactly str.isdecimal and [^\W_] exactly
+# str.isalnum, non-ASCII characters included, so the matches split the text
+# where a scan with those methods would.  Trailing whitespace matches nothing.
+_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|(\d+)|(g\[\d+,\d+\]|[^\W_]+)|(\S))")
+
+
+def _tokenize(text: str) -> list[_Token]:
+    """Tokens with 1-based line and column; a column counts characters."""
+    tokens: list[_Token] = []
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        start = match.start(group)
+        if group == 1:
+            line += 1
+            line_start = start + 1
+            continue
+        word = match[group]
+        if group == 2:
+            kind = "NUM"
+        elif group == 3 and word[0].isalpha():
+            kind = "NAME"  # a name starts with a letter
+        elif word in _SYMBOLS:
+            kind = word
+        else:
+            raise ParseError(f"unexpected character {word[0]!r}", line, start - line_start + 1)
+        tokens.append(_Token(kind, word, line, start - line_start + 1))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def _weight(p: Polynomial) -> int:
+    """The sum over p's coefficients n/d of ceil(log2 |n|) + 2*ceil(log2 d).
+
+    A product's weight is at most the sum of its factors' weights.  A sum of
+    j fractions has at most the sum of their weights plus ceil(log2 j) <= j-1
+    bits, numerator and denominator together.  So the coefficients of a
+    product or power of sums have at most the weights of all the term
+    products it forms, plus one bit per term product, in all.
+    """
+    return sum((abs(c.numerator) - 1).bit_length() + 2 * (c.denominator - 1).bit_length()
+               for c in p.terms.values())
+
+
+class _Parser:
+    """Recursive descent.  A single term is a (monomial, coefficient) pair; a
+    Polynomial is built for a parenthesised sum and a product with one."""
+
+    def __init__(self, tokens: list[_Token], cfg: SystemConfig):
+        self.tokens = tokens
+        self.pos = 0
+        self.cfg = cfg
+        self.units = _units(cfg.m)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        return self.next()
+
+    def bound(self, size: int, limit: int, message: str, op: _Token) -> None:
+        """Refuse at op a result that may pass limit; message shows size at {}."""
+        if size > limit:
+            raise ParseError(f"{message.format(size)}, over the limit {limit}", op.line, op.col)
+
+    def parse_expression(self) -> Polynomial:
+        sign = 1
+        if self.peek().kind == "-":
+            self.next()
+            sign = -1
+        elif self.peek().kind == "+":
+            self.next()
+        # one dict for the whole sum: adding Polynomials term by term would
+        # copy the sum so far for every term
+        terms: dict[Monomial, int | Fraction] = {}
+        while True:
+            term = self.parse_term()
+            for mono, c in term.terms.items() if type(term) is Polynomial else (term,):
+                terms[mono] = terms.get(mono, 0) + (c if sign > 0 else -c)
+            if self.peek().kind not in ("+", "-"):
+                return Polynomial(self.cfg, {mono: Fraction(c) for mono, c in terms.items()})
+            sign = 1 if self.next().kind == "+" else -1
+
+    def parse_term(self):
+        result = self.parse_factor()
+        while self.peek().kind == "*":
+            op = self.next()
+            factor = self.parse_factor()
+            if type(result) is tuple is type(factor):
+                # two single terms: one monomial sum and one coefficient product
+                result = tuple(map(add, result[0], factor[0])), result[1] * factor[1]
+            else:
+                a, b = (x if type(x) is Polynomial else Polynomial(self.cfg, dict([x]))
+                        for x in (result, factor))
+                terms = len(a.terms) * len(b.terms)
+                self.bound(terms, MAX_PARSED_TERMS, "product may have {} terms", op)
+                # each term of a meets each term of b once
+                bits = len(b.terms) * _weight(a) + len(a.terms) * _weight(b) + terms
+                self.bound(bits, MAX_PARSED_BITS, "product's coefficients may have {} bits", op)
+                result = a * b
+        return result
+
+    def parse_factor(self):
+        base = self.parse_base()
+        if self.peek().kind != "^":
+            return base
+        op = self.next()
+        e = int(self.expect("NUM").text)
+        if type(base) is tuple:
+            # |k|**e <= 2**(e * ceil(log2 |k|)) for k the numerator or denominator
+            c = base[1]
+            bits = e * ((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length())
+            self.bound(bits, MAX_POWER_BITS, "coefficient power may have {} bits", op)
+            return tuple(x * e for x in base[0]), c**e
+        t = len(base.terms)
+        terms = comb(t + e - 1, e)
+        self.bound(terms, MAX_PARSED_TERMS, "power may have {} terms", op)
+        work = power_work(lambda j: comb(t + j - 1, j), e)
+        self.bound(work, MAX_POWER_PRODUCTS, "power may make {} term products", op)
+        # the term products of base**e are multinomial(k) * prod c_i**k_i over
+        # the `terms` vectors k of t exponents with sum e, multinomial(k) <=
+        # t**e, and by symmetry each k_i sums to terms * e / t over them
+        bits = terms * e // t * _weight(base) + terms * (e * (t - 1).bit_length() + 1)
+        self.bound(bits, MAX_PARSED_BITS, "power's coefficients may have {} bits", op)
+        return base**e
+
+    def parse_base(self):
+        tok = self.next()
+        if tok.kind == "NUM":
+            if self.peek().kind != "/":
+                return self.units[""], int(tok.text)
+            self.next()
+            den_tok = self.expect("NUM")
+            if int(den_tok.text) == 0:
+                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+            return self.units[""], Fraction(int(tok.text), int(den_tok.text))
+        if tok.kind == "(":
+            inner = self.parse_expression()
+            self.expect(")")
+            return inner if len(inner.terms) > 1 else next(iter(inner.terms.items()), (self.units[""], 0))
+        if tok.kind == "NAME":
+            return self.parse_variable(tok)
+        raise ParseError(f"expected a number, variable or '(', found {tok.text or 'end of input'!r}", tok.line, tok.col)
+
+    def parse_variable(self, tok: _Token) -> tuple[Monomial, int]:
+        name = tok.text
+        if name in self.units:
+            return self.units[name], 1
+        if name == "g":
+            self.expect("[")
+            u = self.expect("NUM").text
+            self.expect(",")
+            v = self.expect("NUM").text
+            self.expect("]")
+        elif name.startswith("g["):
+            u, v = name[2:-1].split(",")
+        else:
+            raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
+        name = f"g[{int(u)},{int(v)}]"
+        if name not in self.units:
+            raise ParseError(f"{name} is out of range for m={self.cfg.m}", tok.line, tok.col)
+        return self.units[name], 1
+
+
+def parse_polynomial(text: str, cfg: SystemConfig) -> Polynomial:
+    """The whole text as one polynomial over cfg; see `ring.parse`."""
+    parser = _Parser(_tokenize(text), cfg)
+    poly = parser.parse_expression()
+    tok = parser.peek()
+    if tok.kind != "EOF":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    return poly

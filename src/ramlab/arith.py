@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from typing import Sequence
 
 __all__ = [
     "InternalConsistencyError",

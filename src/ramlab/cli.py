@@ -10,15 +10,12 @@ the layers it runs, so a process starts with only those.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
+import stat
 import sys
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    from .forms import SystemReport
-    from .multlab import DegreeBudget
-    from .series import TruncatedSeries
 
 __all__ = ["main", "run"]
 
@@ -161,34 +158,29 @@ def _precision(minimum: int):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # global options, also accepted after the subcommand; the subcommand copies
-    # use SUPPRESS defaults so they never clobber a value given up front
-    def add_common(target, suppress):
-        d = argparse.SUPPRESS if suppress else None
-        target.add_argument(
-            "--format",
-            choices=["json", "csv", "text"],
-            default=argparse.SUPPRESS if suppress else "text",
-        )
-        target.add_argument("--out", metavar="FILE", default=d)
-        target.add_argument(
-            "--strict",
-            action="store_true",
-            default=argparse.SUPPRESS if suppress else False,
-            help="exit 1 on verification failure or precision-limited results",
-        )
+    # global options, also accepted after the subcommand: one set of actions
+    # shared by the top-level parser and every subcommand.  Their SUPPRESS
+    # defaults never clobber a value given up front; _run supplies the real
+    # defaults in the namespace it parses into
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["json", "csv", "text"], default=argparse.SUPPRESS)
+    common.add_argument("--out", metavar="FILE", default=argparse.SUPPRESS)
+    common.add_argument(
+        "--strict",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="exit 1 on verification failure or precision-limited results",
+    )
 
     parser = argparse.ArgumentParser(
         prog="ramlab",
         description="Exact computations around the extended Ramanujan system.",
+        parents=[common],
     )
-    add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        add_common(p, suppress=True)
-        return p
+        return sub.add_parser(name, parents=[common], **kwargs)
 
     p = add_parser("series", help="dump a series' exact coefficients")
     p.add_argument("--which", required=True, help="E2k, g[u,v], Delta or Theta")
@@ -230,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> tuple[dict, int, Optional[list]]:
+def _dispatch(args) -> tuple[dict, int, list | None]:
     """Returns (record, exit_code, search rows or None); CSV renders the rows.
 
     Each branch imports the layers it runs, and only those.
@@ -331,7 +323,7 @@ def _dispatch(args) -> tuple[dict, int, Optional[list]]:
     return record, code, rows
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     """Run one command line; returns the exit code.
 
     Coefficients may pass the 4,300 digits that Python (3.11+, and security
@@ -348,15 +340,32 @@ def run(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(saved)
 
 
-def _run(argv: Optional[list[str]]) -> int:
+def _unwritable(path: str) -> str | None:
+    """Why open(path, "w") would fail, where that shows without creating the
+    file: path names a directory, or its parent is missing or not a
+    directory.  Any other failure is reported when the output is written."""
+    if path.endswith(os.sep) or os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    try:
+        parent = os.stat(os.path.dirname(path) or ".")
+    except OSError as exc:
+        return exc.strerror
+    return None if stat.S_ISDIR(parent.st_mode) else os.strerror(errno.ENOTDIR)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(format="text", out=None, strict=False))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     if args.format == "csv" and args.subcommand != "auxsearch":
         print("error: csv output is only available for auxsearch", file=sys.stderr)
+        return EXIT_USAGE
+    reason = args.out and _unwritable(args.out)
+    if reason:
+        print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
     try:
         record, code, rows = _dispatch(args)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from ._linalg import rank_profile_mod_p, solve_lifted
 from .arith import Record
@@ -137,7 +136,7 @@ PRECISION_SLACK = 5
 
 
 def max_vanishing_search(
-    budget: DegreeBudget, cfg: SystemConfig, precision: Optional[int] = None
+    budget: DegreeBudget, cfg: SystemConfig, precision: int | None = None
 ) -> ExperimentRow:
     """Find the highest-vanishing combination of the budgeted monomials.
 
@@ -240,7 +239,7 @@ def _search(
 
 
 def experiment_grid(
-    m: int, budgets: list[DegreeBudget], precision: Optional[int] = None
+    m: int, budgets: list[DegreeBudget], precision: int | None = None
 ) -> tuple[list[ExperimentRow], GridSummary]:
     """Run the search over a grid of budgets; deterministic row order.
 

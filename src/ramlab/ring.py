@@ -7,24 +7,19 @@ Loading this module loads only `arith`.  The q-series layers (`series`,
 `forms`) are imported inside the functions that use them: `evaluate`,
 `monomial_series`, and D's closing velocity for v >= 7, which needs A_k.
 So parsing, exact division, printing and D below m = 7 never load them.
+Likewise `parse` loads the parser, `_parse`, only when it runs.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb, lcm
+from math import lcm
 from operator import add
-from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from .arith import Record, bernoulli, integer_numerators, positive_power, power_work
+from .arith import Record, bernoulli, integer_numerators, positive_power
 from .arith import variable_names, y_pairs
-
-if TYPE_CHECKING:
-    from .forms import FunctionTuple
-    from .series import TruncatedSeries
 
 __all__ = [
     "SystemConfig",
@@ -38,7 +33,6 @@ __all__ = [
     "ParseError",
 ]
 
-Scalar = Union[int, Fraction]
 Monomial = tuple[int, ...]  # exponents aligned with SystemConfig.names
 
 
@@ -105,7 +99,7 @@ class Polynomial:
         return cls(config, {})
 
     @classmethod
-    def constant(cls, c: Scalar, config: SystemConfig) -> "Polynomial":
+    def constant(cls, c: int | Fraction, config: SystemConfig) -> "Polynomial":
         return cls(config, {(0,) * config.nvars: Fraction(c)})
 
     @classmethod
@@ -113,12 +107,6 @@ class Polynomial:
         mono = [0] * config.nvars
         mono[config.index(name)] = 1
         return cls(config, {tuple(mono): Fraction(1)})
-
-    @classmethod
-    def from_monomial(
-        cls, mono: Monomial, config: SystemConfig, coeff: Scalar = 1
-    ) -> "Polynomial":
-        return cls(config, {tuple(mono): Fraction(coeff)})
 
     # -- basic structure ----------------------------------------------
 
@@ -166,7 +154,7 @@ class Polynomial:
     def __rsub__(self, other):
         return (-self) + other
 
-    def scale(self, c: Scalar) -> "Polynomial":
+    def scale(self, c: int | Fraction) -> "Polynomial":
         c = Fraction(c)
         return Polynomial(self.config, {m: c * x for m, x in self.terms.items()})
 
@@ -189,7 +177,7 @@ class Polynomial:
 
     # -- division -----------------------------------------------------
 
-    def exact_divide(self, q: "Polynomial") -> Optional["Polynomial"]:
+    def exact_divide(self, q: "Polynomial") -> Polynomial | None:
         """self / q when the division is exact, else None.
 
         The remainder is one dict updated in place; its leading monomial
@@ -433,181 +421,12 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # NUM, NAME, EOF, or a literal symbol
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-_SYMBOLS = set("+-*^()[],/")
-
-MAX_PARSED_TERMS = 100_000  # the most terms a parsed product or power may have
-MAX_POWER_PRODUCTS = 2_500_000  # the most term products a parsed power may make
-# the most bits, e * (ceil(log2 |n|) + ceil(log2 d)), that a single term's
-# coefficient n/d raised to the power e may have
-MAX_POWER_BITS = 200_000
-
-# After a run of whitespace other than a newline: a newline, a run of decimal
-# digits, g[u,v] written without whitespace, a run of letters and digits, or
-# any other single character that is not whitespace.  For str patterns \s is
-# exactly str.isspace, \d exactly str.isdecimal and [^\W_] exactly
-# str.isalnum, non-ASCII characters included, so the matches split the text
-# where a scan with those methods would.  Trailing whitespace matches nothing.
-_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|(\d+)|(g\[\d+,\d+\]|[^\W_]+)|(\S))")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """Tokens with 1-based line and column; a column counts characters."""
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(text):
-        group = match.lastindex
-        start = match.start(group)
-        if group == 1:
-            line += 1
-            line_start = start + 1
-            continue
-        word = match[group]
-        if group == 2:
-            kind = "NUM"
-        elif group == 3 and word[0].isalpha():
-            kind = "NAME"  # a name starts with a letter
-        elif word in _SYMBOLS:
-            kind = word
-        else:
-            raise ParseError(f"unexpected character {word[0]!r}", line, start - line_start + 1)
-        tokens.append(_Token(kind, word, line, start - line_start + 1))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent.  A single term is a (monomial, coefficient) pair; a
-    Polynomial is built for a parenthesised sum and a product with one."""
-
-    def __init__(self, tokens: list[_Token], cfg: SystemConfig):
-        self.tokens = tokens
-        self.pos = 0
-        self.cfg = cfg
-        self.units = _units(cfg.m)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.next()
-
-    def bound(self, size: int, limit: int, message: str, op: _Token) -> None:
-        """Refuse at op a result that may pass limit; message shows size at {}."""
-        if size > limit:
-            raise ParseError(f"{message.format(size)}, over the limit {limit}", op.line, op.col)
-
-    def parse_expression(self) -> Polynomial:
-        sign = 1
-        if self.peek().kind == "-":
-            self.next()
-            sign = -1
-        elif self.peek().kind == "+":
-            self.next()
-        # one dict for the whole sum: adding Polynomials term by term would
-        # copy the sum so far for every term
-        terms: dict[Monomial, Scalar] = {}
-        while True:
-            term = self.parse_term()
-            for mono, c in term.terms.items() if type(term) is Polynomial else (term,):
-                terms[mono] = terms.get(mono, 0) + (c if sign > 0 else -c)
-            if self.peek().kind not in ("+", "-"):
-                return Polynomial(self.cfg, {mono: Fraction(c) for mono, c in terms.items()})
-            sign = 1 if self.next().kind == "+" else -1
-
-    def parse_term(self):
-        result = self.parse_factor()
-        while self.peek().kind == "*":
-            op = self.next()
-            factor = self.parse_factor()
-            if type(result) is tuple is type(factor):
-                # two single terms: one monomial sum and one coefficient product
-                result = tuple(map(add, result[0], factor[0])), result[1] * factor[1]
-            else:
-                a, b = (x if type(x) is Polynomial else Polynomial(self.cfg, dict([x]))
-                        for x in (result, factor))
-                self.bound(len(a.terms) * len(b.terms), MAX_PARSED_TERMS, "product may have {} terms", op)
-                result = a * b
-        return result
-
-    def parse_factor(self):
-        base = self.parse_base()
-        if self.peek().kind != "^":
-            return base
-        op = self.next()
-        e = int(self.expect("NUM").text)
-        if type(base) is tuple:
-            # |k|**e <= 2**(e * ceil(log2 |k|)) for k the numerator or denominator
-            c = base[1]
-            bits = e * ((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length())
-            self.bound(bits, MAX_POWER_BITS, "coefficient power may have {} bits", op)
-            return tuple(x * e for x in base[0]), c**e
-        t = len(base.terms)
-        self.bound(comb(t + e - 1, e), MAX_PARSED_TERMS, "power may have {} terms", op)
-        work = power_work(lambda j: comb(t + j - 1, j), e)
-        self.bound(work, MAX_POWER_PRODUCTS, "power may make {} term products", op)
-        return base**e
-
-    def parse_base(self):
-        tok = self.next()
-        if tok.kind == "NUM":
-            if self.peek().kind != "/":
-                return self.units[""], int(tok.text)
-            self.next()
-            den_tok = self.expect("NUM")
-            if int(den_tok.text) == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
-            return self.units[""], Fraction(int(tok.text), int(den_tok.text))
-        if tok.kind == "(":
-            inner = self.parse_expression()
-            self.expect(")")
-            return inner if len(inner.terms) > 1 else next(iter(inner.terms.items()), (self.units[""], 0))
-        if tok.kind == "NAME":
-            return self.parse_variable(tok)
-        raise ParseError(f"expected a number, variable or '(', found {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-    def parse_variable(self, tok: _Token) -> tuple[Monomial, int]:
-        name = tok.text
-        if name in self.units:
-            return self.units[name], 1
-        if name == "g":
-            self.expect("[")
-            u = self.expect("NUM").text
-            self.expect(",")
-            v = self.expect("NUM").text
-            self.expect("]")
-        elif name.startswith("g["):
-            u, v = name[2:-1].split(",")
-        else:
-            raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
-        name = f"g[{int(u)},{int(v)}]"
-        if name not in self.units:
-            raise ParseError(f"{name} is out of range for m={self.cfg.m}", tok.line, tok.col)
-        return self.units[name], 1
-
-
 def parse(text: str, cfg: SystemConfig) -> Polynomial:
-    """Parse polynomial text over the given configuration."""
-    parser = _Parser(_tokenize(text), cfg)
-    poly = parser.parse_expression()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return poly
+    """Parse polynomial text over the given configuration.
+
+    The tokenizer and parser are in `_parse`, loaded on the first call, so a
+    process that never parses does not compile them.
+    """
+    from ._parse import parse_polynomial
+
+    return parse_polynomial(text, cfg)

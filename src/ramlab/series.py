@@ -16,13 +16,10 @@ integers over the product of the two denominators.  No floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .arith import Record, integer_numerators, pack, positive_power, slot_bytes, unpack
 
 __all__ = ["Order", "TruncatedSeries"]
-
-Scalar = Union[int, Fraction]
 
 
 class Order(Record):
@@ -53,7 +50,7 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar]):
+    def __init__(self, coeffs: Iterable[int | Fraction]):
         cs = tuple(Fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("a series stores at least the constant term")
@@ -85,7 +82,7 @@ class TruncatedSeries:
         return cls([Fraction(0)] * (precision + 1))
 
     @classmethod
-    def constant(cls, c: Scalar, precision: int) -> "TruncatedSeries":
+    def constant(cls, c: int | Fraction, precision: int) -> "TruncatedSeries":
         coeffs = [Fraction(0)] * (precision + 1)
         coeffs[0] = Fraction(c)
         return cls(coeffs)
@@ -117,7 +114,7 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._of(tuple(-c for c in self.coeffs))
 
-    def scale(self, c: Scalar) -> "TruncatedSeries":
+    def scale(self, c: int | Fraction) -> "TruncatedSeries":
         c = Fraction(c)
         return TruncatedSeries._of(tuple(c * x for x in self.coeffs))
 

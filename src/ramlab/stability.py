@@ -6,8 +6,6 @@ DQ = Q*B is then constrained to the linear form a*X1 + b with integer a, b.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .arith import Record
 from .ring import Polynomial, derive
 
@@ -16,7 +14,7 @@ __all__ = ["StabilityVerdict", "principal_stability"]
 
 class StabilityVerdict(Record):
     stable: bool
-    cofactor: Optional[Polynomial] = None
+    cofactor: Polynomial | None = None
 
 
 def principal_stability(q: Polynomial) -> StabilityVerdict:

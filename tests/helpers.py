@@ -34,6 +34,11 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def from_monomial(mono, cfg: SystemConfig, coeff=1) -> Polynomial:
+    """The polynomial coeff * mono."""
+    return Polynomial(cfg, {tuple(mono): Fraction(coeff)})
+
+
 def random_monomial(cfg: SystemConfig, rng: random.Random, max_total_deg: int = 3):
     mono = [0] * cfg.nvars
     for _ in range(rng.randint(0, max_total_deg)):
@@ -158,7 +163,7 @@ def naive_derive(p: Polynomial) -> Polynomial:
                 continue
             lowered = list(mono)
             lowered[i] -= 1
-            partial = Polynomial.from_monomial(tuple(lowered), cfg, c * e)
+            partial = from_monomial(tuple(lowered), cfg, c * e)
             result = result + partial * velocity(cfg.names[i], cfg)
     return result
 
@@ -185,7 +190,7 @@ def naive_exact_divide(p: Polynomial, q: Polynomial):
             return None
         c = r_coeff / q_coeff
         quotient[diff] = quotient.get(diff, Fraction(0)) + c
-        rem = rem - q * Polynomial.from_monomial(diff, p.config, c)
+        rem = rem - q * from_monomial(diff, p.config, c)
     return Polynomial(p.config, quotient)
 
 
@@ -239,7 +244,7 @@ def _spaceless_g_end(text: str, i: int):
 
 
 def char_scan_tokenize(text: str) -> list[ScanToken]:
-    """Slow oracle for ring._tokenize: one character at a time, classified by
+    """Slow oracle for _parse._tokenize: one character at a time, classified by
     str.isspace, isdecimal, isalpha and isalnum.  A name that starts as
     g[u,v] without whitespace is that one token."""
     tokens: list[ScanToken] = []

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from helpers import (
     ak_evaluate,
+    from_monomial,
     phi,
     phi2_weights,
     power_identity,
@@ -142,7 +143,7 @@ def test_criterion_6_weight_laws():
                 continue
             lowered = list(mono)
             lowered[i] -= 1
-            part = Polynomial.from_monomial(tuple(lowered), cfg, e) * velocity(
+            part = from_monomial(tuple(lowered), cfg, e) * velocity(
                 cfg.names[i], cfg
             )
             for term_mono, _ in part:

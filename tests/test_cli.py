@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import sys
 import time
 
@@ -267,6 +269,34 @@ def test_out_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize(
+    "target, reason",
+    [
+        (".", errno.EISDIR),
+        ("missing/dump.json", errno.ENOENT),
+        ("missing/", errno.EISDIR),
+        ("a-file/dump.json", errno.ENOTDIR),
+        ("a-file/", errno.EISDIR),
+    ],
+    ids=["directory", "missing-parent", "missing-directory", "file-parent", "file-as-directory"],
+)
+def test_unwritable_out_is_refused_before_the_command_runs(
+    tmp_path, capsys, monkeypatch, target, reason
+):
+    # the reason is the one open(target, "w") gives, and nothing is created
+    monkeypatch.setattr(cli, "_dispatch", lambda args: pytest.fail("the command ran"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("kept")
+    code, out, err = invoke(capsys, "--out", target, "verify-system", "--m", "7", "--prec", "3000")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: {os.strerror(reason)}\n"
+    with pytest.raises(OSError) as exc:
+        open(target, "w")
+    assert exc.value.errno == reason
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+    assert (tmp_path / "a-file").read_text() == "kept"
+
+
 @pytest.mark.parametrize("budget", [("--d0", "1", "--d", "1"), ("--d0", "1"), ("--d", "1")])
 def test_auxsearch_refuses_a_grid_with_a_single_budget(capsys, monkeypatch, budget):
     from ramlab import multlab
@@ -364,6 +394,10 @@ def test_csv_is_refused_before_the_command_runs(capsys, monkeypatch, argv):
          "the cell m=7, d0=1, d=3 has T=3080 basis monomials, over the limit 240"),
         (("auxsearch", "--m", "7", "--grid", "1:3"),
          "the cell m=7, d0=0, d=3 has T=1540 basis monomials, over the limit 240"),
+        (("deriv", "--poly", "(3^99999*E2+1)^8", "--m", "1"),
+         "power's coefficients may have 5705901 bits, over the limit 2000000"),
+        (("deriv", "--poly", "(z+1)^2577", "--m", "1"),
+         "power's coefficients may have 6646084 bits, over the limit 2000000"),
     ],
 )
 def test_oversized_requests_exit_2_at_once_stating_the_bound(capsys, argv, message):

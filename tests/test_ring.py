@@ -11,6 +11,7 @@ from helpers import (
     char_scan_tokenize,
     count_series_products,
     fraction_sum_evaluate,
+    from_monomial,
     left_fold_parse,
     naive_derive,
     naive_evaluate,
@@ -24,13 +25,12 @@ from helpers import (
     random_monomial,
     random_polynomial,
 )
+from ramlab._parse import MAX_PARSED_TERMS, _tokenize
 from ramlab.forms import discriminant_series, function_tuple
 from ramlab.ring import (
-    MAX_PARSED_TERMS,
     ParseError,
     Polynomial,
     SystemConfig,
-    _tokenize,
     derive,
     evaluate,
     format_polynomial,
@@ -234,7 +234,7 @@ def test_phi2_strict_increase_off_the_euler_term():
                 name = cfg.names[i]
                 lowered = list(mono)
                 lowered[i] -= 1
-                part = Polynomial.from_monomial(tuple(lowered), cfg, e) * velocity(
+                part = from_monomial(tuple(lowered), cfg, e) * velocity(
                     name, cfg
                 )
                 for term_mono, _ in part:
@@ -328,7 +328,7 @@ def test_pow_squares_no_more_than_needed(monkeypatch):
 
 def test_evaluate_builds_pure_powers_by_squaring(monkeypatch):
     tup = function_tuple(1, 20)
-    e4_60 = Polynomial.from_monomial((0, 0, 60, 0, 0), CFG1)
+    e4_60 = from_monomial((0, 0, 60, 0, 0), CFG1)
     count = count_series_products(monkeypatch)
     evaluate(e4_60, tup)
     assert count[0] <= 12
@@ -347,7 +347,7 @@ def test_a_generator_is_its_own_series(monkeypatch):
     for i in range(1, CFG3.nvars):
         mono = tuple(int(j == i) for j in range(CFG3.nvars))
         assert monomial_series(mono, tup) is tup.series[i]
-        assert evaluate(Polynomial.from_monomial(mono, CFG3), tup) is tup.series[i]
+        assert evaluate(from_monomial(mono, CFG3), tup) is tup.series[i]
     assert count[0] == 0
 
 
@@ -616,7 +616,7 @@ def test_parser_bounds_products_and_powers_before_running():
     assert len(parse("(z+E2+E4+E6)^12", CFG1).terms) == 455
     assert comb(4 + 40 - 1, 40) <= MAX_PARSED_TERMS < comb(4 + 200 - 1, 200)
     # single terms are never bounded
-    assert parse("E2^1000000*2^10", CFG1) == Polynomial.from_monomial((0, 1000000, 0, 0, 0), CFG1, 1024)
+    assert parse("E2^1000000*2^10", CFG1) == from_monomial((0, 1000000, 0, 0, 0), CFG1, 1024)
 
 
 def test_benchmark_inputs_parse_within_the_bound():
@@ -626,7 +626,7 @@ def test_benchmark_inputs_parse_within_the_bound():
 
 
 def test_parser_bounds_a_single_terms_coefficient_power():
-    from ramlab.ring import MAX_POWER_BITS
+    from ramlab._parse import MAX_POWER_BITS
 
     start = time.perf_counter()
     with pytest.raises(ParseError) as exc:
@@ -637,7 +637,7 @@ def test_parser_bounds_a_single_terms_coefficient_power():
     )
     # 3**e and 1/3**e count 2 bits a factor: up to the limit they parse
     assert MAX_POWER_BITS == 200_000
-    assert parse("1/3^100000*E2", CFG1) == Polynomial.from_monomial((0, 1, 0, 0, 0), CFG1, Fraction(1, 3**100000))
+    assert parse("1/3^100000*E2", CFG1) == from_monomial((0, 1, 0, 0, 0), CFG1, Fraction(1, 3**100000))
     with pytest.raises(ParseError, match="may have 200002 bits"):
         parse("1/3^100001*E2", CFG1)
     # a unit coefficient never grows
@@ -652,7 +652,7 @@ def test_parser_bounds_a_single_terms_coefficient_power():
 
 
 def test_parser_bounds_a_powers_term_products_before_running():
-    from ramlab.ring import MAX_POWER_PRODUCTS
+    from ramlab._parse import MAX_POWER_PRODUCTS
 
     for text, products, col in [("(z+E2+E4+E6)^80", 90224497, 13), ("(z+1)^99999", 3746805621, 6)]:
         start = time.perf_counter()
@@ -667,6 +667,64 @@ def test_parser_bounds_a_powers_term_products_before_running():
     assert comb(2 + 99999 - 1, 99999) == MAX_PARSED_TERMS
     # 2,047,452 term products
     assert len(parse("(z+E2+E4+E6)^40", CFG1).terms) == comb(4 + 40 - 1, 40)
+
+
+def test_parser_bounds_the_bits_of_products_and_powers_of_sums():
+    from ramlab._parse import MAX_PARSED_BITS
+
+    factors = [f"(3^99999*{x}+1)" for x in ("E2", "E4", "E6", "z")]
+    big = "*".join(factors)
+    for text, message, col in [
+        ("(3^99999*E2+1)^8", "power's coefficients may have 5705901 bits", 15),
+        ("(z+1)^2577", "power's coefficients may have 6646084 bits", 6),
+        ("(z+1)^1414", "power's coefficients may have 2002225 bits", 6),
+        (big, "product's coefficients may have 5071854 bits", 45),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse(text, CFG1)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == f"{message}, over the limit {MAX_PARSED_BITS} (line 1, column {col})"
+    assert MAX_PARSED_BITS == 2_000_000
+    # 1414**2 bits: up to the limit powers of sums parse
+    assert len(parse("(z+1)^1413", CFG1).terms) == 1414
+    assert len(parse("*".join(factors[:3]), CFG1).terms) == 8
+
+
+def _coefficient_bits(p):
+    return sum((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
+               for c in p.terms.values())
+
+
+def test_parsed_bits_bound_the_coefficients_bits(monkeypatch):
+    # with the limit below every product and power of sums, the refusal
+    # states the bound, which must hold for the result: small random sums
+    # and the corpus's sums with pairwise-coprime 100-digit denominators
+    from ramlab import _parse
+
+    rng = random.Random(12)
+    cases = []
+    for _ in range(60):
+        a, b = (format_polynomial(random_polynomial(CFG3, rng, max_total_deg=2, max_terms=5))
+                for _ in range(2))
+        cases += [(f"({a})^{rng.randint(0, 6)}", CFG3), (f"({a})*({b})", CFG3)]
+    for cfg, corpus in _corpora():
+        texts = [format_polynomial(p) for p in corpus if len(p.terms) > 1]
+        cases += [(f"({a})^2", cfg) for a in texts]
+        cases += [(f"({a})*({b})", cfg) for a, b in zip(texts, texts[1:])]
+    checked = 0
+    for text, cfg in cases:
+        bits = sum((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
+                   for c in parse(text, cfg).terms.values())
+        monkeypatch.setattr(_parse, "MAX_PARSED_BITS", -1)
+        try:
+            parse(text, cfg)
+        except ParseError as exc:
+            stated = int(str(exc).split(" may have ")[1].split()[0])
+            assert bits <= stated, text
+            checked += 1
+        monkeypatch.undo()
+    assert checked > 100
 
 
 def test_power_work_counts_the_products_positive_power_makes():

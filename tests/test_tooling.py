@@ -58,6 +58,24 @@ def test_source_builds_no_code_at_run_time():
     assert found == []
 
 
+def test_no_module_imports_typing():
+    # annotations are never evaluated (from __future__ import annotations),
+    # and importing typing costs every process several milliseconds.  Checked
+    # in the source, because some hosts' site hooks load typing anyway
+    def offends(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "typing" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "typing"
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if offends(node)
+    ]
+    assert found == []
+
+
 def test_trace_shim_targets_resolve():
     # the benchmark's traced runs wrap these names; a rename must not
     # silently leave a span unwrapped.  Importing the shim installs nothing.
@@ -78,6 +96,33 @@ def test_trace_shim_targets_resolve():
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("deriv", "--poly", "E2*g[1,3]^2 - 1/2*z*E6", "--m", "3"),
+        ("stable", "--poly", "(E4^3 - E6^2)^2*g[0,3]", "--m", "3"),
+        ("ord", "--poly", "z*(E4^3-E6^2)", "--m", "1", "--prec", "10"),
+    ],
+    ids=["deriv", "stable", "ord"],
+)
+def test_commands_parse_through_ring_parse(monkeypatch, capsys, argv):
+    # the trace shim's ring.parse span must hold all of parsing, although
+    # the parser itself lives in another module
+    from ramlab import cli, ring
+
+    calls = []
+    real = ring.parse
+
+    def recorder(text, cfg):
+        calls.append((text, cfg.m))
+        return real(text, cfg)
+
+    monkeypatch.setattr(ring, "parse", recorder)
+    assert cli.run(list(argv)) == 0
+    assert calls == [(argv[2], int(argv[4]))]
+    capsys.readouterr()
 
 
 def modules_after(code: str) -> list[str]:
@@ -116,15 +161,19 @@ COMMANDS = {
         ("import ramlab", ["ramlab"]),
         ("import ramlab.cli", ["ramlab", "ramlab.cli"]),
         ("from ramlab import Polynomial", ["ramlab", "ramlab.arith", "ramlab.ring"]),
-        (COMMANDS["deriv"], ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.ring"]),
+        (
+            COMMANDS["deriv"],
+            ["ramlab", "ramlab._parse", "ramlab.arith", "ramlab.cli", "ramlab.ring"],
+        ),
         (
             run_cli("deriv", "--poly", "E2", "--m", "7"),
-            ["ramlab", "ramlab._linalg", "ramlab.arith", "ramlab.cli", "ramlab.forms",
-             "ramlab.ring", "ramlab.series"],
+            ["ramlab", "ramlab._linalg", "ramlab._parse", "ramlab.arith", "ramlab.cli",
+             "ramlab.forms", "ramlab.ring", "ramlab.series"],
         ),
         (
             COMMANDS["stable"],
-            ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.ring", "ramlab.stability"],
+            ["ramlab", "ramlab._parse", "ramlab.arith", "ramlab.cli", "ramlab.ring",
+             "ramlab.stability"],
         ),
         (
             COMMANDS["series"],
@@ -153,7 +202,8 @@ def test_each_entry_point_loads_only_the_layers_it_runs(code, expected):
     # deriv and stable never need multlab; below m=7 no closing velocity
     # needs A_k, so they need neither the q-series layers (series, forms)
     # nor _linalg, and verify-system, like series, does not load _linalg.
-    # From m=7 on, D's closing velocity for g[6,7] is built from A_4.
+    # From m=7 on, D's closing velocity for g[6,7] is built from A_4.  Only
+    # the commands that parse load the parser, _parse.
     assert loaded_after(code) == expected
 
 
