@@ -2,9 +2,10 @@
 reduction polynomials A_k, and the whole-system verifier.
 
 The system is defined once, as D's velocity table in `ring`; `verify_system`
-checks that table by the chain rule on the generators.  Loading this module
-loads `arith` and `series`; `verify_system` imports `ring`, and
-`ak_polynomial` imports `_linalg`.
+checks that table by the chain rule on the generators.  A_k is computed
+once too, by `ring.eisenstein_polynomial`; `ak_polynomial` reads it and
+checks it against the q-expansions.  Loading this module loads `arith` and
+`series`; `verify_system` and `ak_polynomial` import `ring`.
 """
 
 from __future__ import annotations
@@ -78,45 +79,22 @@ class AkPolynomial(Record):
     coefficients: dict[tuple[int, int], Fraction]
 
 
-def _weight_pairs(k: int) -> list[tuple[int, int]]:
-    """All (a, b) with 2a + 3b = k, b ascending."""
-    pairs = []
-    for b in range(k // 3 + 1):
-        rem = k - 3 * b
-        if rem >= 0 and rem % 2 == 0:
-            pairs.append((rem // 2, b))
-    return pairs
-
-
 def ak_polynomial(k: int, precision: int = 60) -> AkPolynomial:
-    """Solve for E_{2k} as a combination of E4^a E6^b with 2a + 3b = k.
-
-    The exact linear system matches the first (basis size) q-coefficients;
-    the result is then re-verified on all coefficients up to `precision`.
-    """
-    from ._linalg import solve_square
-
+    """`ring.eisenstein_polynomial(k)` as a combination of E4^a E6^b with
+    2a + 3b = k, checked on the q-expansions' coefficients through `precision`."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    pairs = _weight_pairs(k)
-    s = len(pairs)
-    work_prec = max(precision, s - 1)
-    e4 = eisenstein(2, work_prec)
-    e6 = eisenstein(3, work_prec)
-    target = eisenstein(k, work_prec)
-    products = [e4**a * e6**b for a, b in pairs]
-    matrix = [[products[j].coefficient(n) for j in range(s)] for n in range(s)]
-    rhs = [target.coefficient(n) for n in range(s)]
-    solution = solve_square(matrix, rhs)
-    combo = TruncatedSeries.zero(work_prec)
-    for c, prod in zip(solution, products):
-        combo = combo + prod.scale(c)
+    from .ring import eisenstein_polynomial
+
+    # an m = 1 exponent tuple is (z, E2, E4, E6, g[0,1])
+    coeffs = {(a, b): c for (_, _, a, b, _), c in eisenstein_polynomial(k)}
+    e4, e6, target = (eisenstein(j, precision) for j in (2, 3, k))
+    combo = TruncatedSeries.zero(precision)
+    for (a, b), c in coeffs.items():
+        combo = combo + (e4**a * e6**b).scale(c)
     for n in range(precision + 1):
         if combo.coefficient(n) != target.coefficient(n):
-            raise InternalConsistencyError(
-                f"A_{k} verification failed at coefficient {n}"
-            )
-    coeffs = {p: c for p, c in zip(pairs, solution) if c != 0}
+            raise InternalConsistencyError(f"A_{k} verification failed at coefficient {n}")
     return AkPolynomial(k=k, coefficients=coeffs)
 
 

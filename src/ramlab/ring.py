@@ -4,10 +4,9 @@ with the derivation D, exact division, evaluation at the function tuple,
 and a text parser/printer.
 
 Loading this module loads only `arith`.  The q-series layers (`series`,
-`forms`) are imported inside the functions that use them: `evaluate`,
-`monomial_series`, and D's closing velocity for v >= 7, which needs A_k.
-So parsing, exact division, printing and D below m = 7 never load them.
-Likewise `parse` loads the parser, `_parse`, only when it runs.
+`forms`) are imported only inside `evaluate` and `monomial_series`: D writes
+E_{2k} in E4 and E6 itself, by `eisenstein_polynomial`.  Likewise `parse`
+loads the parser, `_parse`, only when it runs.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import factorial, lcm
 from operator import add
 
 from .arith import Record, bernoulli, integer_numerators, positive_power
@@ -26,6 +25,7 @@ __all__ = [
     "Polynomial",
     "derive",
     "velocity",
+    "eisenstein_polynomial",
     "evaluate",
     "monomial_series",
     "parse",
@@ -253,14 +253,38 @@ def _products(pairs) -> dict[Monomial, Fraction]:
 # -- the derivation D ---------------------------------------------------
 
 
-def _ak_as_polynomial(k: int, cfg: SystemConfig) -> Polynomial:
-    """A_k(E4, E6): each E4^a*E6^b is the monomial with exponents (0, 0, a, b, 0, ...)."""
-    from .forms import ak_polynomial
+# F_k = (2k-1) c_k E_{2k} (see eisenstein_polynomial) as (den, [(i, j), n, 1]
+# per term): the sum of n/den F_2^i F_3^j.  Append-only, grown on demand.
+_WEIERSTRASS: list[tuple[int, list]] = [(1, [])] * 2 + [(1, [((1, 0), 1, 1)]), (1, [((0, 1), 1, 1)])]
 
-    pad = (0,) * (cfg.nvars - 4)
-    return Polynomial(
-        cfg, {(0, 0, a, b) + pad: c for (a, b), c in ak_polynomial(k).coefficients.items()}
-    )
+
+def eisenstein_polynomial(k: int) -> Polynomial:
+    """E_{2k} in the ring of m = 1: the variable E2, E4 or E6 for k <= 3, else
+    a polynomial in E4 and E6 (Serre, A Course in Arithmetic, ch. VII).
+
+    The Weierstrass function P(w) = w^-2 + sum_{n>=2} (2n-1) G_{2n} w^(2n-2)
+    solves P'' = 6 P^2 - 30 G_4.  For k >= 4 its w^(2k-4) coefficients give
+    (2k-1)(2k-2)(2k-3) G_{2k} = 12 (2k-1) G_{2k} + 6 S, with S the sum over
+    a = 2..k-2 of (2a-1)(2k-2a-1) G_{2a} G_{2k-2a}: (2k+1)(k-3)(2k-1) G_{2k} = 3 S.
+    With c_k = (-1)^(k+1) B_{2k}/(2k)!, G_{2k} = 2 zeta(2k) E_{2k} = c_k (2 pi)^(2k)
+    E_{2k}, and the powers of 2 pi cancel: (2k+1)(k-3)(2k-1) c_k E_{2k} =
+    3 sum_{a=2}^{k-2} (2a-1)(2k-2a-1) c_a c_{k-a} E_{2a} E_{2k-2a}; E8 = E4^2.
+    So F_k = (2k-1) c_k E_{2k} has (2k+1)(k-3) F_k = 3 sum F_a F_{k-a}, run in
+    integers over one denominator per k, in F_2 = 3 c_2 E4 and F_3 = 5 c_3 E6.
+    """
+    cfg = SystemConfig(1)
+    if k <= 3:
+        return Polynomial.variable(f"E{2 * k}", cfg)
+    while len(_WEIERSTRASS) <= k:
+        j = len(_WEIERSTRASS)
+        # the pairs a <= j-a, each twice in the sum unless a = j-a
+        halves = [(*_WEIERSTRASS[a], *_WEIERSTRASS[j - a], 2 - (2 * a == j)) for a in range(2, j // 2 + 1)]
+        den = lcm(*(da * db for da, _, db, _, _ in halves))
+        pairs = (([(e, 3 * twice * (den // (da * db)) * n, 1) for e, n, _ in fa], fb) for da, fa, db, fb, twice in halves)
+        _WEIERSTRASS.append((den * (2 * j + 1) * (j - 3), [(e, c.numerator, 1) for e, c in _products(pairs).items()]))
+    w2, w3, wk = ((2 * a - 1) * (-1) ** (a + 1) * bernoulli(2 * a) / factorial(2 * a) for a in (2, 3, k))
+    den, terms = _WEIERSTRASS[k]
+    return Polynomial(cfg, {(0, 0, i, j, 0): n * w2**i * w3**j / (den * wk) for (i, j), n, _ in terms})
 
 
 @lru_cache(maxsize=None)
@@ -272,24 +296,21 @@ def _velocities(m: int) -> tuple[Polynomial, ...]:
     x1 = Polynomial.variable("E2", cfg)
     x2 = Polynomial.variable("E4", cfg)
     x3 = Polynomial.variable("E6", cfg)
-    one = Polynomial.constant(1, cfg)
     vels = [
         z,
         (x1 * x1 - x2).scale(Fraction(1, 12)),
         (x1 * x2 - x3).scale(Fraction(1, 3)),
         (x1 * x3 - x2 * x2).scale(Fraction(1, 2)),
     ]
+    pad = (0,) * (cfg.nvars - 4)
     for u, v in y_pairs(m):
         if u < v - 1:
             vels.append(Polynomial.variable(f"g[{u + 1},{v}]", cfg))
         else:
-            # closing coefficient (B_{v+1}/(2v+2)) * (1 - E_{v+1}) with the
-            # weight-(v+1) Eisenstein series written in the ring variables
-            if v <= 5:
-                ehat = Polynomial.variable(f"E{v + 1}", cfg)
-            else:
-                ehat = _ak_as_polynomial((v + 1) // 2, cfg)
-            vels.append((one - ehat).scale(bernoulli(v + 1) / (2 * v + 2)))
+            # closing coefficient (B_{v+1}/(2v+2)) * (1 - E_{v+1}), built for m = 1,
+            # whose z, E2, E4, E6 lead every m's variables, and padded with zeros
+            closing = (1 - eisenstein_polynomial((v + 1) // 2)).scale(bernoulli(v + 1) / (2 * v + 2))
+            vels.append(Polynomial(cfg, {mono[:4] + pad: c for mono, c in closing}))
     return tuple(vels)
 
 
