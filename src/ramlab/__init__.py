@@ -4,17 +4,18 @@ Subpackages:
   arith      Bernoulli numbers, divisor sums, shared exact helpers
   series     truncated power series over rationals, Euler operator, ord
   forms      E_{2k}, g_{u,v}, Delta, Theta, A_k reductions, chain-rule check of D
-  ring       sparse polynomial ring, derivation D, parser/printer
+  ring       sparse polynomial ring, D, E_{2k} in E4 and E6, parser/printer
   stability  principal D-stability (does Q divide DQ?)
   multlab    auxiliary-polynomial vanishing experiments
   cli        command-line front end
 
 Layering and start-up: `import ramlab` loads no layer.  The four names
 below resolve on first use (PEP 562), `ring` loads only `arith` until it
-evaluates at the function tuple or builds D for m >= 7, and the CLI imports
-each layer in the subcommand that runs it.  So `ramlab deriv` and `ramlab
-stable` never load `multlab`, nor below m = 7 the q-series layers or
-`_linalg`, and a command's process start does not compile them.
+evaluates at the function tuple, and the CLI imports each layer in the
+subcommand that runs it.  So `ramlab deriv` and `ramlab stable` load only
+`arith`, `ring` and `_parse` at every m, and a command's process start does
+not compile the others.  Only `multlab` loads `_linalg`, and no command
+calls its `solve_square` or `RowReducer`.
 """
 
 __all__ = ["Order", "TruncatedSeries", "Polynomial", "SystemConfig"]

@@ -27,6 +27,10 @@ nonzero coordinate 1) is the one a reduced row echelon form gives.
 `solve_square` is a kernel vector of `[A | b]`, which gives an exact
 verdict on singular systems.  Deterministic by construction; desk-scale
 matrices only.
+
+Only `multlab` imports this module, and the search calls only
+`rank_profile_mod_p` and `solve_lifted`.  No command calls `solve_square` or
+`RowReducer`; the tests and the benchmark's trace shim still use them.
 """
 
 from __future__ import annotations

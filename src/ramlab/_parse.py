@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add
 
 from .arith import power_work
@@ -26,8 +26,9 @@ __all__ = [
 
 MAX_PARSED_TERMS = 100_000  # the most terms a parsed product or power may have
 MAX_POWER_PRODUCTS = 2_500_000  # the most term products a parsed power may make
-# the most bits, e * (ceil(log2 |n|) + ceil(log2 d)), that a single term's
-# coefficient n/d raised to the power e may have
+# the most bits, ceil(log2 |n|) + ceil(log2 d), that a coefficient n/d of a
+# power may have: e * (ceil(log2 |n|) + ceil(log2 d)) for a single term's
+# coefficient n/d to the power e, e * _height(p) for a sum p to the power e
 MAX_POWER_BITS = 200_000
 # the most bits, numerators and denominators together, that the coefficients
 # of a parsed product or power of a sum may have in all (see _weight)
@@ -91,6 +92,21 @@ def _weight(p: Polynomial) -> int:
     """
     return sum((abs(c.numerator) - 1).bit_length() + 2 * (c.denominator - 1).bit_length()
                for c in p.terms.values())
+
+
+def _height(p: Polynomial) -> int:
+    """ceil(log2 L) + ceil(log2 D), where D is the lcm of p's denominators and
+    L the sum of |c| * D over p's coefficients c.
+
+    p = N/D with N integral, so p**e = N**e / D**e.  Each coefficient of N**e
+    is at most L**e in absolute value, because the coefficients of
+    (sum |N_i| x_i)**e bound those of N**e term by term and sum to L**e.  In
+    lowest terms a coefficient n/d of p**e has |n| <= L**e and d <= D**e, so
+    ceil(log2 |n|) + ceil(log2 d) <= e * _height(p).
+    """
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    total = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
+    return (total - 1).bit_length() + (den - 1).bit_length()
 
 
 class _Parser:
@@ -181,6 +197,8 @@ class _Parser:
         # t**e, and by symmetry each k_i sums to terms * e / t over them
         bits = terms * e // t * _weight(base) + terms * (e * (t - 1).bit_length() + 1)
         self.bound(bits, MAX_PARSED_BITS, "power's coefficients may have {} bits", op)
+        # printing a coefficient takes time quadratic in its digits
+        self.bound(e * _height(base), MAX_POWER_BITS, "power's largest coefficient may have {} bits", op)
         return base**e
 
     def parse_base(self):

@@ -1,9 +1,9 @@
 """Exact integer/rational helpers: Bernoulli numbers, divisor sums, the
 scaling of a rational vector to integers, Kronecker packing, square-and-
-multiply, the names and index pairs of the system's variables, the exact
-text of a rational, the error raised when a self-check fails, and the base
-of the immutable value classes.  Every other module may import this one; it
-imports no other ramlab module.
+multiply, the domain of m, the names and index pairs of the system's
+variables, the exact text of a rational, the error raised when a self-check
+fails, and the base of the immutable value classes.  Every other module may
+import this one; it imports no other ramlab module.
 
 A vector of integers is packed into one integer, value i in slot i, each
 slot a whole number of bytes (Kronecker substitution).  A sum of multiples
@@ -30,6 +30,8 @@ __all__ = [
     "unpack",
     "positive_power",
     "power_work",
+    "MAX_M",
+    "check_m",
     "y_pairs",
     "variable_names",
     "fraction_str",
@@ -193,6 +195,21 @@ def power_work(size, e: int) -> int:
             return work
         work += size(power) ** 2
         power *= 2
+
+
+# The largest m.  There are 4 + ((m+1)/2)^2 variables, 10,004 at m = 199, and
+# D holds an exponent tuple of that length per variable, so its memory grows
+# as m^4: `ramlab deriv --poly E2 --m 199` takes 22 s and 1.6 GB (2 vCPUs).
+# A minute's work, near m = 255, would need about 4.4 GB.
+MAX_M = 199
+
+
+def check_m(m: int) -> None:
+    """Refuse m unless it is a positive odd integer no larger than MAX_M."""
+    if m < 1 or m % 2 == 0:
+        raise ValueError("m must be a positive odd integer")
+    if m > MAX_M:
+        raise ValueError(f"m={m} is over the limit {MAX_M}")
 
 
 def y_pairs(m: int) -> list[tuple[int, int]]:

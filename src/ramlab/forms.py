@@ -3,17 +3,19 @@ reduction polynomials A_k, and the whole-system verifier.
 
 The system is defined once, as D's velocity table in `ring`; `verify_system`
 checks that table by the chain rule on the generators.  A_k is computed
-once too, by `ring.eisenstein_polynomial`; `ak_polynomial` reads it and
-checks it against the q-expansions.  Loading this module loads `arith` and
-`series`; `verify_system` and `ak_polynomial` import `ring`.
+once too, by the Weierstrass recurrence in `ring.eisenstein_polynomial`;
+`ak_polynomial` reads it and checks it against the q-expansions, and solves
+no linear system, so no command calls `_linalg.solve_square` or
+`RowReducer`.  Loading this module loads `arith` and `series`;
+`verify_system` and `ak_polynomial` import `ring`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import InternalConsistencyError, Record, bernoulli, sigma_table, variable_names
-from .arith import y_pairs
+from .arith import InternalConsistencyError, Record, bernoulli, check_m, sigma_table
+from .arith import variable_names, y_pairs
 from .series import TruncatedSeries
 
 __all__ = [
@@ -113,8 +115,7 @@ class FunctionTuple(Record):
 
 
 def function_tuple(m: int, precision: int) -> FunctionTuple:
-    if m < 1 or m % 2 == 0:
-        raise ValueError("m must be a positive odd integer")
+    check_m(m)
     series = [TruncatedSeries.z(precision)]
     series += [eisenstein(k, precision) for k in (1, 2, 3)]
     series += [g_series(u, v, precision) for u, v in y_pairs(m)]

@@ -3,10 +3,12 @@ z, X1, X2, X3 (printed as z, E2, E4, E6) and Y_{u,v} (printed g[u,v]),
 with the derivation D, exact division, evaluation at the function tuple,
 and a text parser/printer.
 
-Loading this module loads only `arith`.  The q-series layers (`series`,
-`forms`) are imported only inside `evaluate` and `monomial_series`: D writes
-E_{2k} in E4 and E6 itself, by `eisenstein_polynomial`.  Likewise `parse`
-loads the parser, `_parse`, only when it runs.
+Loading this module loads only `arith`.  The q-series layer `series` is
+imported only inside `evaluate` and `monomial_series`, and no function here
+imports `forms`: D writes E_{2k} in E4 and E6 itself, by
+`eisenstein_polynomial`, with no linear solve, so no command calls
+`_linalg.solve_square` or `RowReducer`.  Likewise `parse` loads the parser,
+`_parse`, only when it runs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 from operator import add
 
-from .arith import Record, bernoulli, integer_numerators, positive_power
+from .arith import Record, bernoulli, check_m, integer_numerators, positive_power
 from .arith import variable_names, y_pairs
 
 __all__ = [
@@ -42,8 +44,7 @@ class SystemConfig(Record):
     m: int
 
     def __post_init__(self):
-        if self.m < 1 or self.m % 2 == 0:
-            raise ValueError("m must be a positive odd integer")
+        check_m(self.m)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -265,9 +266,10 @@ def eisenstein_polynomial(k: int) -> Polynomial:
     The Weierstrass function P(w) = w^-2 + sum_{n>=2} (2n-1) G_{2n} w^(2n-2)
     solves P'' = 6 P^2 - 30 G_4.  For k >= 4 its w^(2k-4) coefficients give
     (2k-1)(2k-2)(2k-3) G_{2k} = 12 (2k-1) G_{2k} + 6 S, with S the sum over
-    a = 2..k-2 of (2a-1)(2k-2a-1) G_{2a} G_{2k-2a}: (2k+1)(k-3)(2k-1) G_{2k} = 3 S.
-    With c_k = (-1)^(k+1) B_{2k}/(2k)!, G_{2k} = 2 zeta(2k) E_{2k} = c_k (2 pi)^(2k)
-    E_{2k}, and the powers of 2 pi cancel: (2k+1)(k-3)(2k-1) c_k E_{2k} =
+    a = 2..k-2 of (2a-1)(2k-2a-1) G_{2a} G_{2k-2a}, and (2k-2)(2k-3) - 12 =
+    2 (2k+1)(k-3), so (2k+1)(k-3)(2k-1) G_{2k} = 3 S.  With c_k = (-1)^(k+1)
+    B_{2k}/(2k)!, G_{2k} = 2 zeta(2k) E_{2k} = c_k (2 pi)^(2k) E_{2k}, and the
+    powers of 2 pi cancel: (2k+1)(k-3)(2k-1) c_k E_{2k} =
     3 sum_{a=2}^{k-2} (2a-1)(2k-2a-1) c_a c_{k-a} E_{2a} E_{2k-2a}; E8 = E4^2.
     So F_k = (2k-1) c_k E_{2k} has (2k+1)(k-3) F_k = 3 sum F_a F_{k-a}, run in
     integers over one denominator per k, in F_2 = 3 c_2 E4 and F_3 = 5 c_3 E6.
@@ -280,8 +282,10 @@ def eisenstein_polynomial(k: int) -> Polynomial:
         # the pairs a <= j-a, each twice in the sum unless a = j-a
         halves = [(*_WEIERSTRASS[a], *_WEIERSTRASS[j - a], 2 - (2 * a == j)) for a in range(2, j // 2 + 1)]
         den = lcm(*(da * db for da, _, db, _, _ in halves))
-        pairs = (([(e, 3 * twice * (den // (da * db)) * n, 1) for e, n, _ in fa], fb) for da, fa, db, fb, twice in halves)
-        _WEIERSTRASS.append((den * (2 * j + 1) * (j - 3), [(e, c.numerator, 1) for e, c in _products(pairs).items()]))
+        pairs = (([(e, 3 * twice * (den // (da * db)) * n, 1) for e, n, _ in fa], fb)
+                 for da, fa, db, fb, twice in halves)
+        terms = [(e, c.numerator, 1) for e, c in _products(pairs).items()]
+        _WEIERSTRASS.append((den * (2 * j + 1) * (j - 3), terms))
     w2, w3, wk = ((2 * a - 1) * (-1) ** (a + 1) * bernoulli(2 * a) / factorial(2 * a) for a in (2, 3, k))
     den, terms = _WEIERSTRASS[k]
     return Polynomial(cfg, {(0, 0, i, j, 0): n * w2**i * w3**j / (den * wk) for (i, j), n, _ in terms})

@@ -10,7 +10,7 @@ from math import comb, lcm
 from ramlab import ring
 from ramlab._linalg import RowReducer
 from ramlab.arith import fraction_str, y_pairs
-from ramlab.forms import FunctionTuple, InternalConsistencyError, function_tuple
+from ramlab.forms import FunctionTuple, InternalConsistencyError, eisenstein, function_tuple
 from ramlab.multlab import ExperimentRow, operational_exponent, paper_exponent
 from ramlab.ring import Polynomial, SystemConfig, derive, evaluate, monomial_series, velocity
 from ramlab.series import TruncatedSeries
@@ -508,6 +508,19 @@ def gauss_jordan_solve(matrix, rhs):
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
+
+
+def ak_by_linear_solve(k: int) -> dict[tuple[int, int], Fraction]:
+    """Slow oracle for ring.eisenstein_polynomial: E_{2k} as the combination
+    of the s products E4^a * E6^b with 2a + 3b = k that matches E_{2k} on its
+    first s q-coefficients, by Gauss-Jordan over Fraction."""
+    pairs = [((k - 3 * b) // 2, b) for b in range(k // 3 + 1) if (k - 3 * b) % 2 == 0]
+    s = len(pairs)
+    e4, e6, target = (eisenstein(j, s - 1) for j in (2, 3, k))
+    products = [e4**a * e6**b for a, b in pairs]
+    matrix = [[product.coefficient(n) for product in products] for n in range(s)]
+    solution = gauss_jordan_solve(matrix, [target.coefficient(n) for n in range(s)])
+    return {pair: c for pair, c in zip(pairs, solution) if c != 0}
 
 
 def inverse_mod_p(matrix, p):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import binomial, sigma
-from ramlab.arith import bernoulli, sigma_table
+from ramlab.arith import MAX_M, bernoulli, check_m, sigma_table
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -88,3 +88,15 @@ def test_binomial():
     for n in range(1, 20):
         for k in range(1, n + 1):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+def test_check_m_states_the_domain_and_its_limit():
+    # every m a test or the benchmark uses (up to 25) is inside the limit
+    for m in (1, 3, 25, MAX_M):
+        check_m(m)
+    for m in (0, -1, 2, 4, MAX_M + 1):
+        with pytest.raises(ValueError, match="^m must be a positive odd integer$"):
+            check_m(m)
+    for m in (MAX_M + 2, 401):
+        with pytest.raises(ValueError, match=f"^m={m} is over the limit {MAX_M}$"):
+            check_m(m)

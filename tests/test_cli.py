@@ -398,6 +398,9 @@ def test_csv_is_refused_before_the_command_runs(capsys, monkeypatch, argv):
          "power's coefficients may have 5705901 bits, over the limit 2000000"),
         (("deriv", "--poly", "(z+1)^2577", "--m", "1"),
          "power's coefficients may have 6646084 bits, over the limit 2000000"),
+        (("deriv", "--poly", "(3^35000*E2+1)^8", "--m", "1"),
+         "power's largest coefficient may have 443792 bits, over the limit 200000"),
+        (("deriv", "--poly", "E2", "--m", "401"), "m=401 is over the limit 199"),
     ],
 )
 def test_oversized_requests_exit_2_at_once_stating_the_bound(capsys, argv, message):
@@ -406,3 +409,32 @@ def test_oversized_requests_exit_2_at_once_stating_the_bound(capsys, argv, messa
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("deriv", "--poly", "E2"),
+        ("stable", "--poly", "z"),
+        ("ord", "--poly", "z", "--prec", "3"),
+        ("verify-system", "--prec", "2"),
+        ("k0", "--prec", "3"),
+        ("auxsearch", "--d0", "0", "--d", "0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_refuses_the_same_m_before_building_its_variables(capsys, monkeypatch, argv):
+    from ramlab import forms, multlab, ring
+    from ramlab.arith import MAX_M
+
+    def refuse(*args):
+        raise AssertionError("function_tuple ran")
+
+    monkeypatch.setattr(forms, "function_tuple", refuse)
+    monkeypatch.setattr(multlab, "function_tuple", refuse)
+    built = ring._units.cache_info().misses, ring._velocities.cache_info().misses
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv, "--m", str(MAX_M + 2))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: m={MAX_M + 2} is over the limit {MAX_M}\n")
+    assert (ring._units.cache_info().misses, ring._velocities.cache_info().misses) == built

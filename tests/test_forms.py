@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ak_evaluate, sigma
-from ramlab.arith import bernoulli
+from helpers import ak_by_linear_solve, ak_evaluate, sigma
+from ramlab.arith import MAX_M, bernoulli
 from ramlab.forms import (
     ak_polynomial,
     discriminant_series,
@@ -84,6 +84,24 @@ def test_ak_reproduces_eisenstein():
         assert combo == eisenstein(k, 30)
 
 
+@pytest.mark.parametrize("k", range(2, 41))
+def test_ak_matches_the_linear_solve_oracle(k):
+    # the Weierstrass recurrence in the ring against the q-series solve
+    assert ak_polynomial(k, 0).coefficients == ak_by_linear_solve(k)
+
+
+def test_ak_rejects_k_below_2_before_the_recurrence_runs(monkeypatch):
+    from ramlab import ring
+
+    def refuse(k):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(ring, "eisenstein_polynomial", refuse)
+    for k in (1, 0, -3):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            ak_polynomial(k)
+
+
 def test_discriminant_and_theta():
     d = discriminant_series(6)
     assert d.coefficient(1) == 1728
@@ -101,6 +119,8 @@ def test_function_tuple_shape():
         function_tuple(2, 10)
     with pytest.raises(ValueError):
         function_tuple(-1, 10)
+    with pytest.raises(ValueError, match=f"m={MAX_M + 2} is over the limit {MAX_M}"):
+        function_tuple(MAX_M + 2, 10)
 
 
 def test_function_tuple_constant_terms_and_order():
@@ -182,6 +202,14 @@ def test_verify_system_labels_and_verdicts_are_pinned(m, precision):
     assert [(eq.name, eq.ok, eq.first_mismatch) for eq in report.errata] == [
         (name, *literal) for name in ERRATA_M13[: (m - 1) // 2]
     ]
+
+
+@pytest.mark.parametrize("m", [15, 19, 25])
+def test_verify_system_passes_past_m13(m):
+    # the closing velocities of m = 15..25 write E_16 .. E_26 by the
+    # Weierstrass recurrence
+    report = verify_system(m, 30)
+    assert report.ok, [eq for eq in report.equations if not eq.ok]
 
 
 @pytest.mark.parametrize(

@@ -727,6 +727,45 @@ def test_parsed_bits_bound_the_coefficients_bits(monkeypatch):
     assert checked > 100
 
 
+def _largest_coefficient_bits(p):
+    return max((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
+               for c in p.terms.values())
+
+
+def test_height_bounds_the_largest_coefficient_of_a_power():
+    # e * _height(base) bounds every coefficient of base**e: small random
+    # sums, and the corpus's sums with pairwise-coprime 100-digit denominators
+    from ramlab._parse import _height
+
+    rng = random.Random(13)
+    cases = [(random_polynomial(CFG3, rng, max_total_deg=2, max_terms=5), rng.randint(1, 6))
+             for _ in range(80)]
+    for cfg, corpus in _corpora():
+        cases += [(p, e) for p in corpus for e in (2, 3)]
+    cases = [(base, e) for base, e in cases if len(base.terms) > 1]
+    for base, e in cases:
+        power = base**e
+        assert power.is_zero() or _largest_coefficient_bits(power) <= e * _height(base)
+    assert len(cases) > 100
+    # one denominator and a binomial: 8 * ceil(log2(3^15000 + 1)) bounds 3^120000
+    big = parse("3^15000*E2+1", CFG1)
+    assert (_height(big), _largest_coefficient_bits(big**8)) == (23775, 190196)
+
+
+def test_parser_bounds_the_largest_coefficient_of_a_power_of_sums():
+    from ramlab._parse import MAX_POWER_BITS
+
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse("(3^35000*E2+1)^8", CFG1)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == (
+        "power's largest coefficient may have 443792 bits, over the limit "
+        f"{MAX_POWER_BITS} (line 1, column 15)"
+    )
+    assert len(parse("(3^15000*E2+1)^8", CFG1).terms) == 9
+
+
 def test_power_work_counts_the_products_positive_power_makes():
     from ramlab.arith import positive_power, power_work
 

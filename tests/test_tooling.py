@@ -76,6 +76,33 @@ def test_no_module_imports_typing():
     assert found == []
 
 
+def imported_layers(path: Path) -> set[str]:
+    """The ramlab modules a source file imports anywhere, inside functions too."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("ramlab.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "ramlab":
+                    continue
+                module = module.partition(".")[2]
+            # "from . import ring" names the module; "from .ring import x" a member
+            found |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+    return found
+
+
+def test_only_multlab_imports_linalg_and_ring_imports_no_upper_layer():
+    # the ring states D and E_{2k} by itself; checked in the source, because a
+    # lazy import that no test command reaches would not show in sys.modules
+    imports = {path.stem: imported_layers(path) for path in SOURCES}
+    assert imports["ring"] & {"forms", "multlab", "_linalg"} == set()
+    assert [name for name, layers in imports.items() if "_linalg" in layers] == ["multlab"]
+    # the walk sees imports inside functions, in both relative forms
+    assert {"ring", "series"} <= imports["forms"] and "_parse" in imports["ring"]
+
+
 def test_trace_shim_targets_resolve():
     # the benchmark's traced runs wrap these names; a rename must not
     # silently leave a span unwrapped.  Importing the shim installs nothing.
