@@ -5,17 +5,23 @@ square solve by p-adic lifting, and fraction-free elimination over Z.
 the rows one at a time over GF(p).  Its rank can only be lower than the rank
 over Q, since a minor that is nonzero mod p is nonzero.
 
-`solve_lifted` solves a square integer system that is nonsingular mod p by
-Dixon's p-adic lifting (Numer. Math. 1982): one inverse mod p, then one
-digit of the p-adic solution per step, and rational reconstruction (Wang's
-half extended Euclid) over a common denominator.  It tries to stop at each
-check, where the digits lifted since the last one join the solution by
-binary splitting, and a reconstructed vector is accepted only if it passes
-the exact test M x = d b.  At the Hadamard bound the reconstruction is
-unique, so failing there is an internal inconsistency.  The matrix-vector
-products of the lifting are integer combinations of the matrix columns,
-each packed into one integer with whole-byte slots (Kronecker substitution,
-as in `TruncatedSeries.__mul__`).
+`solve_lifted_scaled` solves a square integer system that is nonsingular
+mod p by Dixon's p-adic lifting (Numer. Math. 1982): one inverse mod p, then
+one digit of the p-adic solution per step, and rational reconstruction
+(Wang's half extended Euclid, run by Lehmer's algorithm on long moduli) over
+a common denominator.  It tries to stop at each check, where the digits
+lifted since the last one join the solution by binary splitting, and a
+reconstructed vector is accepted only if it passes the exact test
+M x = d b.  At the Hadamard bound the reconstruction is unique, so failing
+there is an internal inconsistency.
+
+The matrix-vector products are integer combinations of packed vectors:
+each vector is one integer with whole-byte slots (Kronecker substitution,
+as in `TruncatedSeries.__mul__`).  Vectors mod p have nonnegative slots, so
+they pack with one join and read back slot by slot, with no signs to carry;
+the lifting's residue is read mod p after adding a multiple of p that makes
+its slots nonnegative.  The rows of M are packed in bands, each at the
+width of its own entries.
 
 `RowReducer` keeps an integer echelon basis, one row at a time, with
 Bareiss' integer-preserving step (Bareiss, Math. Comp. 1968): every stored
@@ -29,7 +35,7 @@ verdict on singular systems.  Deterministic by construction; desk-scale
 matrices only.
 
 Only `multlab` imports this module, and the search calls only
-`rank_profile_mod_p` and `solve_lifted`.  No command calls `solve_square` or
+`rank_profile_mod_p` and `solve_lifted_scaled`.  No command calls `solve_square` or
 `RowReducer`; the tests and the benchmark's trace shim still use them.
 """
 
@@ -37,13 +43,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
-from .arith import InternalConsistencyError, integer_numerators, pack, slot_bytes, unpack
+from .arith import InternalConsistencyError, integer_numerators, pack, slot_bytes
 
 __all__ = [
     "InternalConsistencyError",
     "solve_square",
-    "solve_lifted",
+    "solve_lifted_scaled",
     "rank_profile_mod_p",
     "RowReducer",
 ]
@@ -73,80 +80,85 @@ def rank_profile_mod_p(
     None if no row does; the pivot column of each kept row; the kept rows,
     scaled to integers).  A kept row is one that raised the rank mod p; its
     pivot is its first nonzero column after reduction.
+
+    Rows mod p are packed with nonnegative slots, and an elimination adds
+    (p - f) times a monic row whose entries are below p, so slots only grow,
+    by less than p*p per step, and are reduced mod p only when they are read.
     """
     if target < 1:
         raise ValueError("target rank must be positive")
-    basis: list[tuple[int, int]] = []  # (pivot, packed monic reduced row)
+    pivots: list[int] = []
+    basis: list[tuple[int, int]] = []  # (bit offset of the pivot slot, packed monic row)
     kept: list[list[int]] = []
     # a row takes fewer than `target` eliminations, each adding < p*p to a slot
     nbytes = slot_bytes(target * p * p)
+    mask = (1 << 8 * nbytes) - 1
     for index, row in enumerate(rows):
         _, ints = integer_numerators(row)
-        x = pack([a % p for a in ints], nbytes)
-        for col, b in basis:
-            x = _eliminate(x, b, col, nbytes, p)
-        x = [u % p for u in unpack(x, len(ints), nbytes)]
+        x = _pack_residues([a % p for a in ints], nbytes)
+        for shift, b in basis:
+            f = (x >> shift & mask) % p
+            if f:
+                x += (p - f) * b
+        x = _residues(x, len(ints), nbytes, p)
         pivot = next((c for c, u in enumerate(x) if u), None)
         if pivot is None:
             continue
         if len(basis) + 1 == target:
-            return index, [col for col, _ in basis], kept
+            return index, pivots, kept
         inv = pow(x[pivot], -1, p)
-        basis.append((pivot, pack([u * inv % p for u in x], nbytes)))
+        pivots.append(pivot)
+        basis.append((8 * nbytes * pivot, _pack_residues([u * inv % p for u in x], nbytes)))
         kept.append(ints)
-    return None, [col for col, _ in basis], kept
+    return None, pivots, kept
 
 
-def _slot(packed: int, i: int, nbytes: int) -> int:
-    """Slot i of a packed integer whose slots are all nonnegative."""
-    return packed >> 8 * nbytes * i & (1 << 8 * nbytes) - 1
+def _pack_residues(values: list[int], nbytes: int) -> int:
+    """pack() for values in [0, 256**nbytes): one join, no sign to split off."""
+    return int.from_bytes(b"".join([x.to_bytes(nbytes, "little") for x in values]), "little")
 
 
-def _eliminate(x: int, pivot_row: int, col: int, nbytes: int, p: int) -> int:
-    """x with slot col made 0 mod p by a multiple of a pivot row that is 1 there.
-
-    Rows mod p are packed with nonnegative slots, and an elimination adds
-    (p - f) times a row whose entries are below p, so slots only grow, by
-    less than p*p per step, and are reduced mod p only when they are read.
-    """
-    f = _slot(x, col, nbytes) % p
-    return x + (p - f) * pivot_row if f else x
+def _residues(packed: int, n: int, nbytes: int, p: int) -> list[int]:
+    """The n slots of a packed integer with nonnegative slots, each mod p."""
+    raw = packed.to_bytes(nbytes * n, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") % p for i in range(0, len(raw), nbytes)]
 
 
-def _combine(columns: list[int], weights: Sequence[int]) -> int:
+def _combine(columns: list[int], weights: list[int]) -> int:
     """sum(w * column) of packed columns: a matrix-vector product, packed."""
-    return sum(w * column for column, w in zip(columns, weights) if w)
+    return sum(map(mul, columns, weights))
 
 
 def _inverse_columns(matrix: list[list[int]], p: int) -> list[list[int]]:
     """The columns of the inverse of a square integer matrix mod p.
 
     Gauss-Jordan in place on the packed rows of M^T (row i of the inverse of
-    M^T is column i of the inverse of M), n slots a row.  Each pivot column
-    turns into the column of the inverse that the identity would have held:
-    the pivot row's slot is set to 1 before the row is scaled by 1/a, and
-    every other row's slot is taken out before (p - f) times the pivot row
-    is added, so that it becomes -f/a.  The row swaps permute the columns
-    of the result, which are put back at the end.
+    M^T is column i of the inverse of M), n nonnegative slots a row.  Each
+    pivot column turns into the column of the inverse that the identity
+    would have held: the pivot row's slot is set to 1 before the row is
+    scaled by 1/a, and every other row's slot is taken out before (p - f)
+    times the pivot row is added, so that it becomes -f/a.  The row swaps
+    permute the columns of the result, which are put back at the end.
     """
     n = len(matrix)
     # a row takes at most n eliminations before its slots are read for the last time
     nbytes = slot_bytes(n * p * p)
-    rows = [pack([a % p for a in col], nbytes) for col in zip(*matrix)]
+    mask = (1 << 8 * nbytes) - 1
+    rows = [_pack_residues([a % p for a in col], nbytes) for col in zip(*matrix)]
     swaps = []
     for col in range(n):
-        piv = next((r for r in range(col, n) if _slot(rows[r], col, nbytes) % p), None)
+        shift = 8 * nbytes * col
+        piv = next((r for r in range(col, n) if (rows[r] >> shift & mask) % p), None)
         if piv is None:
             raise ValueError("singular matrix modulo p")
         swaps.append(piv)
         rows[col], rows[piv] = rows[piv], rows[col]
-        values = [u % p for u in unpack(rows[col], n, nbytes)]
+        values = _residues(rows[col], n, nbytes, p)
         inv = pow(values[col], -1, p)
         values[col] = 1
-        rows[col] = pivot_row = pack([u * inv % p for u in values], nbytes)
-        shift = 8 * nbytes * col
+        rows[col] = pivot_row = _pack_residues([u * inv % p for u in values], nbytes)
         for r in range(n):
-            raw = _slot(rows[r], col, nbytes)
+            raw = rows[r] >> shift & mask
             f = raw % p
             if f and r != col:
                 rows[r] += (p - f) * pivot_row - (raw << shift)
@@ -154,7 +166,15 @@ def _inverse_columns(matrix: list[list[int]], p: int) -> list[list[int]]:
     order = list(range(n))
     for col, piv in reversed(list(enumerate(swaps))):
         order[col], order[piv] = order[piv], order[col]
-    return [[values[j] % p for j in order] for values in (unpack(row, n, nbytes) for row in rows)]
+    return [[values[j] for j in order] for values in (_residues(row, n, nbytes, p) for row in rows)]
+
+
+# Lehmer's steps in _reconstruct: the leading bits they work on, how far
+# above the bound they stop, and the modulus length below which plain
+# Euclid is faster (about 2,000 bits for 61-bit primes)
+LEHMER_WORD = 62
+LEHMER_MARGIN = 128
+LEHMER_MIN_BITS = 2048
 
 
 def _reconstruct(residue: int, modulus: int, bound: int) -> tuple[int, int] | None:
@@ -163,9 +183,42 @@ def _reconstruct(residue: int, modulus: int, bound: int) -> tuple[int, int] | No
     Wang's half extended Euclid, which finds such a pair whenever one exists;
     None if it finds none.  With 2*bound**2 < modulus, every such pair has
     the same value n/d.
+
+    On a long modulus the remainders are first brought down by Lehmer's
+    algorithm (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L): Euclid runs on the
+    leading LEHMER_WORD bits of (r0, r1), a quotient is taken only when both
+    ends of the interval that the leading bits leave give it, and the 2x2
+    matrix of the quotients taken is applied to (r0, r1) and (t0, t1) at
+    once.  So the pairs it reaches are some of the pairs Euclid reaches, and
+    the stop must not be passed: Lehmer's steps end once r1 is within
+    LEHMER_MARGIN bits of bound, and a batch that would bring r1 to bound or
+    below is dropped, so that the plain steps find the first r1 <= bound.
     """
     r0, r1 = modulus, residue % modulus
     t0, t1 = 0, 1
+    if modulus.bit_length() > LEHMER_MIN_BITS:
+        stop = bound.bit_length() + LEHMER_MARGIN
+        while r1.bit_length() > stop:
+            shift = r0.bit_length() - LEHMER_WORD
+            x, y = r0 >> shift, r1 >> shift
+            a, b, c, d = 1, 0, 0, 1
+            while y + c and y + d:
+                q = (x + a) // (y + c)
+                if q != (x + b) // (y + d):
+                    break
+                a, c = c, a - q * c
+                b, d = d, b - q * d
+                x, y = y, x - q * y
+            if not b:  # not one quotient is certain: one full step
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+                continue
+            r2 = c * r0 + d * r1
+            if r2 <= bound:
+                break
+            r0, r1 = a * r0 + b * r1, r2
+            t0, t1 = a * t0 + b * t1, c * t0 + d * t1
     while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
@@ -182,13 +235,24 @@ def _rational_vector(
 
     One denominator is shared: each coordinate is first multiplied by the
     denominator found so far, and is reconstructed only if that product is
-    not already a small integer.
+    not already a small integer.  The products are reduced by Barrett's
+    method: once a denominator is found, one reciprocal of the modulus
+    turns each long division into two products.
     """
     den = 1
     nums: list[int] = []
     half = modulus // 2
+    k = modulus.bit_length()
+    reciprocal = 0  # 4**k // modulus, once it is needed
     for x in residues:
-        y = den * x % modulus
+        # y = den * x mod modulus; x is reduced and den <= bound, so den * x < 4**k
+        y = x
+        if den > 1:
+            reciprocal = reciprocal or (1 << 2 * k) // modulus
+            y = den * x
+            y -= ((y >> k - 1) * reciprocal >> k + 1) * modulus  # leaves y < 3*modulus
+            while y >= modulus:
+                y -= modulus
         if y > half:
             y -= modulus
         if abs(y) <= bound:
@@ -220,27 +284,52 @@ def _fold(digits: list[list[int]], p: int) -> tuple[list[int], int]:
     return [a + low_scale * b for a, b in zip(low, high)], low_scale * high_scale
 
 
-def solve_lifted(matrix: list[list[int]], rhs: list[int], p: int) -> list[Fraction]:
+# solve_lifted_scaled packs the rows of M in bands of about BAND_ROWS
+# consecutive rows, each at the slot width of its own widest entry.  The
+# search's rows widen with the power of z (at T=240, from 1 to 1,700 bits),
+# so banded products read about half the bytes; on a few dozen rows one
+# band is as fast.
+BAND_ROWS = 40
+
+
+def _band(rows: list[list[int]], rhs: list[int], p: int) -> tuple[list[int], int, int, int]:
+    """(packed columns, row count, slot width, bias) of some rows of [M | b].
+
+    |residue| stays <= reach = n*top + |b|, with top the rows' largest entry,
+    and M times a digit vector adds < n*top*p; the residue's slots plus
+    bias, a multiple of p in [reach, reach + p), are nonnegative and fit the
+    same width.
+    """
+    n = len(rows[0])
+    top = max(max(map(abs, row)) for row in rows)
+    reach = n * top + max(map(abs, rhs))
+    width = slot_bytes(max(map(abs, rhs)) + 2 * n * top * p)
+    bias = _pack_residues([-(-reach // p) * p] * len(rows), width)
+    return [pack(col, width) for col in zip(*rows)], len(rows), width, bias
+
+
+def solve_lifted_scaled(matrix: list[list[int]], rhs: list[int], p: int) -> tuple[list[int], int]:
     """Solve M x = b exactly for a square integer M that is nonsingular mod p.
 
+    Returns (numerators, d), with x = numerators / d and d > 0 a common
+    denominator, so that a caller that rescales x makes each Fraction once.
     Raises ValueError if M is singular mod p.
     """
     n = len(matrix)
     if n == 0:
-        return []
+        return [], 1
     inverse = _inverse_columns(matrix, p)
     # Hadamard over the rows of [M | b] bounds |det M| and every Cramer
     # numerator by h with h**2 = h2; a modulus above 2*h2 fixes x uniquely
     h2 = 1
     for row, b in zip(matrix, rhs):
         h2 *= sum(a * a for a in row) + b * b
-    top = max(max(map(abs, row)) for row in matrix)
-    # |residue| stays <= n*top + |b|, and M times a digit vector adds < n*top*p
-    width = slot_bytes(max(map(abs, rhs)) + 2 * n * top * p)
-    cols = [pack(col, width) for col in zip(*matrix)]
+    nbands = max(1, n // BAND_ROWS)
+    cuts = [n * k // nbands for k in range(nbands + 1)]
+    bands = [_band(matrix[lo:hi], rhs[lo:hi], p) for lo, hi in zip(cuts, cuts[1:])]
+    residues = [pack(rhs[lo:hi], width) for lo, hi, (_, _, width, _) in zip(cuts, cuts[1:], bands)]
     inv_width = slot_bytes(n * p * p)
-    inv_cols = [pack(col, inv_width) for col in inverse]
-    residue = pack(rhs, width)
+    inv_cols = [_pack_residues(col, inv_width) for col in inverse]
     solution = [0] * n  # x mod modulus
     modulus = 1
     digits: list[list[int]] = []  # the digits of x past modulus, lowest first
@@ -249,9 +338,14 @@ def solve_lifted(matrix: list[list[int]], rhs: list[int], p: int) -> list[Fracti
     steps = 0
     lifted = 1  # p**steps
     while True:
-        r = [v % p for v in unpack(residue, n, width)]
-        digit = [v % p for v in unpack(_combine(inv_cols, r), n, inv_width)]
-        residue = (residue - _combine(cols, digit)) // p
+        r = []
+        for (_, size, width, bias), residue in zip(bands, residues):
+            r += _residues(residue + bias, size, width, p)
+        digit = _residues(_combine(inv_cols, r), n, inv_width, p)
+        residues = [
+            (residue - _combine(cols, digit)) // p
+            for (cols, *_), residue in zip(bands, residues)
+        ]
         digits.append(digit)
         lifted *= p
         steps += 1
@@ -270,7 +364,7 @@ def solve_lifted(matrix: list[list[int]], rhs: list[int], p: int) -> list[Fracti
                 sum(a * v for a, v in zip(row, nums)) == den * b
                 for row, b in zip(matrix, rhs)
             ):
-                return [Fraction(v, den) for v in nums]
+                return nums, den
         if final:
             raise InternalConsistencyError(
                 "p-adic solution has no rational reconstruction at the Hadamard bound"

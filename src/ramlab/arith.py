@@ -1,9 +1,10 @@
 """Exact integer/rational helpers: Bernoulli numbers, divisor sums, the
 scaling of a rational vector to integers, Kronecker packing, square-and-
 multiply, the domain of m, the names and index pairs of the system's
-variables, the exact text of a rational, the error raised when a self-check
-fails, and the base of the immutable value classes.  Every other module may
-import this one; it imports no other ramlab module.
+variables, the exact text of a rational and of a long integer, the error
+raised when a self-check fails, and the base of the immutable value
+classes.  Every other module may import this one; it imports no other
+ramlab module.
 
 A vector of integers is packed into one integer, value i in slot i, each
 slot a whole number of bytes (Kronecker substitution).  A sum of multiples
@@ -16,6 +17,7 @@ Everything here is exact; no floating point anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, lcm
 
@@ -35,6 +37,7 @@ __all__ = [
     "y_pairs",
     "variable_names",
     "fraction_str",
+    "int_str",
 ]
 
 
@@ -224,4 +227,52 @@ def variable_names(m: int) -> tuple[str, ...]:
 
 def fraction_str(c: Fraction) -> str:
     """c as an integer string, or "p/q" in lowest terms."""
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    n, d = c.numerator, c.denominator
+    return int_str(n) if d == 1 else f"{int_str(n)}/{int_str(d)}"
+
+
+# Integers of up to INT_STR_BITS bits print by str(), which is quadratic in
+# the digits.  Longer ones are split at a power of two, 2**h, the halves are
+# printed the same way as Decimals, and joined by one Decimal product and
+# sum, which libmpdec does in subquadratic time (CPython 3.12's _pylong
+# does the same).  2**h for each h used is kept, exact, across calls.
+INT_STR_BITS = 16384
+_LEAF_BITS = 1024
+_POWERS_OF_TWO: dict = {}
+
+
+def int_str(n: int) -> str:
+    """str(n), in subquadratic time for long n; raises past the interpreter's
+    digit limit exactly when str(n) does."""
+    if n.bit_length() <= INT_STR_BITS:
+        return str(n)
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(_to_decimal(abs(n), n.bit_length(), decimal.Decimal))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if 0 < limit < len(digits):
+        return str(n)  # raises the interpreter's own ValueError
+    return digits if n > 0 else "-" + digits
+
+
+def _to_decimal(x: int, bits: int, dec):
+    """x, with 0 <= x < 2**bits, as a Decimal, by halves at a power of two."""
+    if bits <= _LEAF_BITS:
+        return dec(x)
+    h = 1 << (bits - 1).bit_length() - 1  # the largest power of two below bits
+    high = x >> h
+    low = _to_decimal(x - (high << h), h, dec)
+    return low + _to_decimal(high, bits - h, dec) * _power_of_two(h, dec)
+
+
+def _power_of_two(h: int, dec):
+    """2**h as a Decimal, for h a power of two."""
+    power = _POWERS_OF_TWO.get(h)
+    if power is None:
+        power = dec(1 << h) if h <= _LEAF_BITS else _power_of_two(h >> 1, dec) ** 2
+        _POWERS_OF_TWO[h] = power
+    return power

@@ -8,17 +8,20 @@ The search takes the rank profile of the coefficient matrix modulo a prime
 and recovers the kernel vector exactly by p-adic lifting.  The rank mod p is
 at most the rank over Q, so the cutoff n*_p it finds is at least the true
 n*; a witness polynomial whose exact order of vanishing is n*_p proves
-n* >= n*_p, hence equality.  The witness's order is always computed
-exactly, so this certificate holds whatever the prime; if it fails, the
-next prime is tried.
+n* >= n*_p, hence equality.  The witness's order is known exactly, whatever
+the prime: it is read off the rank when rows 0..T-1 raised it and the
+lifted system was all of rows 0..T-2 (see `_search`), and computed from the
+witness's series otherwise.  If the order and n*_p disagree, the next prime
+is tried.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
-from ._linalg import rank_profile_mod_p, solve_lifted
+from ._linalg import rank_profile_mod_p, solve_lifted_scaled
 from .arith import Record
 from .forms import InternalConsistencyError, function_tuple, theta_series
 from .ring import Monomial, Polynomial, SystemConfig, evaluate, monomial_key, monomial_series
@@ -102,15 +105,13 @@ def monomial_basis(budget: DegreeBudget, cfg: SystemConfig) -> list[Monomial]:
     """All monomials with deg_z <= d0 and total non-z degree <= d, graded-lex."""
     nrest = cfg.nvars - 1
     rest: list[tuple[int, ...]] = []
-
-    def gen(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 0:
-            rest.append(prefix)
-            return
-        for e in range(remaining + 1):
-            gen(prefix + (e,), remaining - e, slots - 1)
-
-    gen((), budget.d, nrest)
+    # a monomial of total degree k in the other variables is a multiset of k of them
+    for k in range(budget.d + 1):
+        for chosen in combinations_with_replacement(range(nrest), k):
+            exps = [0] * nrest
+            for i in chosen:
+                exps[i] += 1
+            rest.append(tuple(exps))
     monos = [(e0,) + r for e0 in range(budget.d0 + 1) for r in rest]
     monos.sort(key=monomial_key)
     return monos
@@ -127,7 +128,7 @@ PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 # The largest basis size T a cell may have.  Lifting the witness costs about
 # T**3 times the squared entry bits, which grow with T; the T=240 cell
-# (m=3, d0=1, d=3) takes about two minutes.
+# (m=3, d0=1, d=3) takes 70-80 s on 2 vCPUs.
 MAX_BASIS_SIZE = 240
 
 # Adaptive precision starts this many coefficients past the basis size T.
@@ -177,16 +178,29 @@ def _kernel_vector(
     pivot_set = set(pivots)
     f = next(c for c in range(T) if c not in pivot_set)
     system = [row for row, col in zip(kept, pivots) if col < f]
-    head = solve_lifted([row[:f] for row in system], [-row[f] for row in system], p)
-    vec = head + [Fraction(1)] + [Fraction(0)] * (T - f - 1)
-    lead = next(x for x in vec if x != 0)
-    return [x / lead for x in vec]
+    nums, den = solve_lifted_scaled([row[:f] for row in system], [-row[f] for row in system], p)
+    # the vector times den, in integers, so each coordinate is one Fraction
+    scaled = nums + [den] + [0] * (T - f - 1)
+    lead = next(v for v in scaled if v)
+    return [Fraction(v, lead) for v in scaled]
 
 
 def _search(
     budget: DegreeBudget, cfg: SystemConfig, basis: list[Monomial], precision: int
 ) -> ExperimentRow:
-    """The search at one fixed precision."""
+    """The search at one fixed precision.
+
+    The witness's order is certified without its series when the cutoff is
+    T-1 and the witness's last coordinate is nonzero.  Then rows 0..T-1
+    each raised the rank mod p, so they are independent mod p, hence over
+    Q.  The last coordinate is nonzero only when the first free column mod
+    p is T-1, so the pivots of rows 0..T-2 are columns 0..T-2, and the
+    square system that `solve_lifted_scaled` checks exactly, M x = d b, is
+    all of rows 0..T-2 on those columns.  The witness is orthogonal to rows
+    0..T-2, so its series vanishes through z^(T-2), and the nonzero witness
+    cannot be orthogonal to row T-1 too, since the T rows are independent:
+    its order is T-1.  Every other case evaluates the witness.
+    """
     T = len(basis)
     tup = function_tuple(cfg.m, precision)
     # basis order is graded, so each column is one product off a cached parent
@@ -201,8 +215,11 @@ def _search(
             cfg,
             {mono: c for mono, c in zip(basis, kernel) if c != 0},
         )
-        # the columns filled the tuple's cache, so this is sum c_j * col_j
-        measured = evaluate(witness, tup).order()
+        if cutoff == T - 1 and kernel[-1]:
+            measured = Order.finite(cutoff)
+        else:
+            # the columns filled the tuple's cache, so this is sum c_j * col_j
+            measured = evaluate(witness, tup).order()
         if cutoff is None:
             if not measured.is_finite:
                 break

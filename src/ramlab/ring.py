@@ -19,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 from operator import add
 
-from .arith import Record, bernoulli, check_m, integer_numerators, positive_power
+from .arith import Record, bernoulli, check_m, int_str, integer_numerators, positive_power
 from .arith import variable_names, y_pairs
 
 __all__ = [
@@ -68,7 +68,7 @@ _names = lru_cache(maxsize=None)(variable_names)
 def _units(m: int) -> dict[str, Monomial]:
     """Each variable's monomial by name, and the monomial 1 under ""."""
     n = len(_names(m))
-    return {"": (0,) * n} | {x: tuple(int(j == i) for j in range(n)) for i, x in enumerate(_names(m))}
+    return {"": (0,) * n} | {x: (0,) * i + (1,) + (0,) * (n - i - 1) for i, x in enumerate(_names(m))}
 
 
 def monomial_key(mono: Monomial) -> tuple:
@@ -426,7 +426,7 @@ def format_polynomial(p: Polynomial) -> str:
         c = p.terms[mono]
         n, d = c.numerator, c.denominator
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
-        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        mag = int_str(abs(n)) if d == 1 else f"{int_str(abs(n))}/{int_str(d)}"
         if mag != "1" or not factors:
             factors.insert(0, mag)
         pieces += (" + " if n > 0 else " - ", "*".join(factors))

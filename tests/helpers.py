@@ -8,8 +8,8 @@ from fractions import Fraction
 from math import comb, lcm
 
 from ramlab import ring
-from ramlab._linalg import RowReducer
-from ramlab.arith import fraction_str, y_pairs
+from ramlab._linalg import RowReducer, solve_lifted_scaled
+from ramlab.arith import y_pairs
 from ramlab.forms import FunctionTuple, InternalConsistencyError, eisenstein, function_tuple
 from ramlab.multlab import ExperimentRow, operational_exponent, paper_exponent
 from ramlab.ring import Polynomial, SystemConfig, derive, evaluate, monomial_series, velocity
@@ -414,7 +414,7 @@ def naive_poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def naive_format(p: Polynomial) -> str:
     """Slow oracle for ring.format_polynomial: the magnitude as abs() of the
-    Fraction, printed by arith.fraction_str."""
+    Fraction, printed by str()."""
     if p.is_zero():
         return "0"
     pieces: list[str] = []
@@ -424,12 +424,13 @@ def naive_format(p: Polynomial) -> str:
             name if e == 1 else f"{name}^{e}" for name, e in zip(p.config.names, mono) if e
         ]
         mag = abs(c)
+        text = str(mag.numerator) if mag.denominator == 1 else str(mag)
         if not factors:
-            body = fraction_str(mag)
+            body = text
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([fraction_str(mag)] + factors)
+            body = "*".join([text] + factors)
         if idx == 0:
             pieces.append(body if c > 0 else f"-{body}")
         else:
@@ -540,6 +541,51 @@ def inverse_mod_p(matrix, p):
                 factor = aug[r][col]
                 aug[r] = [(x - factor * y) % p for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def solve_lifted(matrix, rhs, p) -> list[Fraction]:
+    """The exact solution of M x = b that _linalg.solve_lifted_scaled returns, as Fractions."""
+    nums, den = solve_lifted_scaled(matrix, rhs, p)
+    return [Fraction(v, den) for v in nums]
+
+
+def euclid_reconstruct(residue: int, modulus: int, bound: int):
+    """Oracle for _linalg._reconstruct: Wang's half extended Euclid, one
+    quotient at a time on the full numbers."""
+    r0, r1 = modulus, residue % modulus
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not t1 or abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def recursive_monomial_basis(budget, cfg: SystemConfig) -> list:
+    """Oracle for multlab.monomial_basis: the exponent tuples of the non-z
+    variables built one variable per recursion level, then sorted."""
+    rest = []
+
+    def gen(prefix, remaining, slots):
+        if slots == 0:
+            rest.append(prefix)
+            return
+        for e in range(remaining + 1):
+            gen(prefix + (e,), remaining - e, slots - 1)
+
+    gen((), budget.d, cfg.nvars - 1)
+    monos = [(e0,) + r for e0 in range(budget.d0 + 1) for r in rest]
+    monos.sort(key=ring.monomial_key)
+    return monos
+
+
+def generator_units(m: int) -> dict:
+    """Oracle for ring._units: each unit exponent tuple built slot by slot."""
+    names = SystemConfig(m).names
+    n = len(names)
+    return {"": (0,) * n} | {x: tuple(int(j == i) for j in range(n)) for i, x in enumerate(names)}
 
 
 class FractionRowReducer:

@@ -1,9 +1,12 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from helpers import binomial, sigma
-from ramlab.arith import MAX_M, bernoulli, check_m, sigma_table
+from ramlab import arith
+from ramlab.arith import MAX_M, bernoulli, check_m, fraction_str, int_str, sigma_table
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -100,3 +103,48 @@ def test_check_m_states_the_domain_and_its_limit():
     for m in (MAX_M + 2, 401):
         with pytest.raises(ValueError, match=f"^m={m} is over the limit {MAX_M}$"):
             check_m(m)
+
+
+@pytest.fixture
+def no_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_int_str_equals_str(no_digit_limit):
+    rng = random.Random(73)
+    values = [0, 1, -1, 2**arith.INT_STR_BITS, 2**arith.INT_STR_BITS - 1]
+    for k in (1, 9, 4932, 4933, 5000, 12345, 40000):
+        values += [10**k - 1, 10**k, 10**k + 1]
+    for bits in (64, arith.INT_STR_BITS, arith.INT_STR_BITS + 1, 30000, 100000, 200000):
+        values += [rng.getrandbits(bits) for _ in range(3)]
+    for x in values + [-x for x in values]:
+        assert int_str(x) == str(x)
+    n, d = 3**40000 + 1, 7**20000
+    assert fraction_str(Fraction(-n, d)) == f"-{n}/{d}"
+    assert fraction_str(Fraction(n)) == str(n)
+
+
+def test_int_str_refuses_past_the_digit_limit_as_str_does():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no digit limit")
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (4300, 6000, 30000):
+            sys.set_int_max_str_digits(limit)
+            for x in (10**limit - 1, 10**limit, -(10**limit), 2**100000):
+                try:
+                    expected = str(x)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        int_str(x)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert int_str(x) == expected
+    finally:
+        sys.set_int_max_str_digits(saved)

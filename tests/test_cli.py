@@ -438,3 +438,14 @@ def test_every_command_refuses_the_same_m_before_building_its_variables(capsys, 
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", f"error: m={MAX_M + 2} is over the limit {MAX_M}\n")
     assert (ring._units.cache_info().misses, ring._velocities.cache_info().misses) == built
+
+
+@pytest.mark.parametrize("m", [63, 199])
+def test_auxsearch_runs_past_the_recursion_limit_in_variables(capsys, m):
+    # over 1,000 variables: the basis is enumerated without a frame per variable
+    code, out, err = invoke(
+        capsys, "--format", "json", "auxsearch", "--m", str(m), "--d0", "0", "--d", "0"
+    )
+    assert (code, err) == (0, "")
+    row = json.loads(out)["payload"]["rows"][0]
+    assert (row["T"], row["n_star"], row["witness"]) == (1, 0, "1")

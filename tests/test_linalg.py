@@ -4,13 +4,19 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
-from helpers import FractionRowReducer, gauss_jordan_solve, inverse_mod_p, random_coefficient
+from helpers import (
+    FractionRowReducer,
+    euclid_reconstruct,
+    gauss_jordan_solve,
+    inverse_mod_p,
+    random_coefficient,
+    solve_lifted,
+)
 from ramlab import _linalg
 from ramlab._linalg import (
     InternalConsistencyError,
     RowReducer,
     rank_profile_mod_p,
-    solve_lifted,
     solve_square,
 )
 
@@ -137,6 +143,33 @@ def test_solve_lifted_matches_gauss_jordan():
         solved += 1
         big_denominators += max(x.denominator for x in got).bit_length() > 200
     assert big_denominators > 20
+
+
+@pytest.mark.parametrize("band_rows", [1, 2, 3])
+def test_solve_lifted_in_bands_matches_gauss_jordan(monkeypatch, band_rows):
+    # row i has entries of up to 20*i bits, as the search's rows widen with
+    # the power of z, and consecutive rows are packed in bands of their own width
+    monkeypatch.setattr(_linalg, "BAND_ROWS", band_rows)
+    rng = random.Random(79 + band_rows)
+    solved = 0
+    while solved < 60:
+        n = rng.randint(1, 9)
+        matrix = [[rng.randint(-(2 ** (20 * i + 1)), 2 ** (20 * i + 1)) for _ in range(n)]
+                  for i in range(n)]
+        rhs = [rng.randint(-(2 ** (20 * i)), 2 ** (20 * i)) if rng.random() < 0.8 else 0
+               for i in range(n)]
+        try:
+            expected = gauss_jordan_solve(matrix, rhs)
+        except ValueError:
+            continue
+        p = rng.choice([P61, 101])
+        try:
+            got = solve_lifted(matrix, rhs, p)
+        except ValueError:
+            assert p == 101
+            continue
+        assert got == expected
+        solved += 1
 
 
 @pytest.mark.parametrize("p", [P61, 101, 7])
@@ -291,3 +324,47 @@ def test_reconstruct_matches_brute_force():
             assert got == table.get(x)
             found += got is not None
         assert 0 < found < modulus
+
+
+def _residues_to_reconstruct(rng: random.Random, p: int, modulus: int, bound: int):
+    """A residue of a fraction within the bound, one of a fraction past it,
+    and a uniform residue; the last two usually have no reconstruction."""
+    d = rng.randint(1, bound)
+    while d % p == 0:
+        d = rng.randint(1, bound)
+    near = rng.randint(-bound, bound) * pow(d, -1, modulus) % modulus
+    d = rng.randint(bound + 1, 2 * bound + 1)
+    while d % p == 0:
+        d += 1
+    past = rng.randint(bound, 2 * bound) * pow(d, -1, modulus) % modulus
+    return near, past, rng.randrange(modulus)
+
+
+@pytest.mark.parametrize(
+    "min_bits, margin, largest",
+    [
+        (None, None, {P61: 200, 101: 200, 7: 200}),  # Lehmer from (2^61-1)^34 on
+        (0, None, {P61: 50, 101: 200, 7: 200}),  # Lehmer on short moduli too
+        (None, 0, {P61: 60}),  # Lehmer down to the bound: overshooting batches are dropped
+    ],
+)
+def test_reconstruct_agrees_with_plain_euclid(monkeypatch, min_bits, margin, largest):
+    if min_bits is not None:
+        monkeypatch.setattr(_linalg, "LEHMER_MIN_BITS", min_bits)
+    if margin is not None:
+        monkeypatch.setattr(_linalg, "LEHMER_MARGIN", margin)
+    rng = random.Random(71)
+    found = missed = 0
+    for p, top in largest.items():
+        for k in range(1, top + 1):
+            modulus = p**k
+            bound = isqrt(modulus // 2)
+            residues = _residues_to_reconstruct(rng, p, modulus, bound)
+            if p == P61:  # the oracle is slow on long moduli: one kind per power
+                residues = residues[k % 3 : k % 3 + 1]
+            for residue in residues:
+                expected = euclid_reconstruct(residue, modulus, bound)
+                assert _linalg._reconstruct(residue, modulus, bound) == expected
+                found += expected is not None
+                missed += expected is None
+    assert found > 10 and missed > 10

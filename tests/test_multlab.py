@@ -8,6 +8,7 @@ from helpers import (
     FractionRowReducer,
     count_series_products,
     naive_monomial_series,
+    recursive_monomial_basis,
     reducer_search,
 )
 from ramlab import multlab
@@ -66,6 +67,15 @@ def test_monomial_basis_respects_budget_and_order():
     for mono in basis:
         assert mono[0] <= 2
         assert sum(mono[1:]) <= 3
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_monomial_basis_equals_the_recursive_enumeration(m):
+    cfg = SystemConfig(m)
+    for d0 in range(3):
+        for d in range(4):
+            budget = DegreeBudget(d0, d)
+            assert monomial_basis(budget, cfg) == recursive_monomial_basis(budget, cfg)
 
 
 def test_search_trivial_budgets():
@@ -348,3 +358,54 @@ def test_grid_refuses_an_oversized_basis_before_any_cell_runs(monkeypatch):
     monkeypatch.undo()
     rows, _ = experiment_grid(3, [DegreeBudget(1, 3)], precision=0)
     assert rows[0].T == 240
+
+
+def _record_evaluations(monkeypatch) -> list[Polynomial]:
+    evaluated = []
+    original = multlab.evaluate
+
+    def recording(poly, tup):
+        evaluated.append(poly)
+        return original(poly, tup)
+
+    monkeypatch.setattr(multlab, "evaluate", recording)
+    return evaluated
+
+
+def _grid(d0max, dmax):
+    return [DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1)]
+
+
+@pytest.mark.parametrize(
+    "m, budgets, precision",
+    [(1, _grid(1, 2), None), (3, _grid(1, 1), None), (1, _grid(2, 3), None), RANK_CELL],
+)
+def test_certified_order_is_the_witness_order(monkeypatch, m, budgets, precision):
+    # every cell here has n* = T-1 and a witness using the last basis
+    # monomial, so its order comes from the rank and nothing is evaluated
+    evaluated = _record_evaluations(monkeypatch)
+    cfg = SystemConfig(m)
+    for budget in budgets:
+        row = max_vanishing_search(budget, cfg, precision)
+        assert row.n_star == row.T - 1
+        assert monomial_basis(budget, cfg)[-1] in row.witness.terms
+        assert evaluated == []
+        assert evaluate(row.witness, function_tuple(m, row.precision)).order() == row.measured_ord
+
+
+def test_uncertified_cells_evaluate_the_witness(monkeypatch):
+    evaluated = _record_evaluations(monkeypatch)
+    m, budgets, precision = LIMITED_CELL
+    row = max_vanishing_search(budgets[0], SystemConfig(m), precision)
+    assert row.precision_limited
+    assert evaluated == [row.witness]
+    # a kernel vector whose last coordinate is 0 is evaluated, and found wrong, for every prime
+    evaluated.clear()
+    monkeypatch.setattr(
+        multlab,
+        "_kernel_vector",
+        lambda T, pivots, kept, p: [Fraction(1)] + [Fraction(0)] * (T - 1),
+    )
+    with pytest.raises(InternalConsistencyError, match="disagrees"):
+        max_vanishing_search(DegreeBudget(1, 1), CFG1)
+    assert len(evaluated) == len(multlab.PRIMES)

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -12,6 +13,7 @@ from helpers import (
     count_series_products,
     fraction_sum_evaluate,
     from_monomial,
+    generator_units,
     left_fold_parse,
     naive_derive,
     naive_evaluate,
@@ -25,6 +27,7 @@ from helpers import (
     random_monomial,
     random_polynomial,
 )
+from ramlab import ring
 from ramlab._parse import MAX_PARSED_TERMS, _tokenize
 from ramlab.forms import discriminant_series, function_tuple
 from ramlab.ring import (
@@ -506,6 +509,27 @@ def test_format_canonical():
     assert format_polynomial(theta) == "z*E4^3 - z*E6^2"
     assert format_polynomial(Polynomial.zero(CFG1)) == "0"
     assert format_polynomial(x1.scale(Fraction(-1, 2))) == "-1/2*E2"
+
+
+def test_format_prints_long_coefficients_as_str_does():
+    # coefficients past arith.INT_STR_BITS print by halves in decimal
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = "(3^15000*E2+1)*(3^12001*E4-1/7^9000)*(2^30000*E6+3^20000)"
+        poly = parse(text, CFG1)
+        for p in (poly, derive(poly), poly.scale(Fraction(-1, 3**12000))):
+            assert format_polynomial(p) == naive_format(p)
+        assert parse(format_polynomial(poly), CFG1) == poly
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("m", [1, 3, 25, 61])
+def test_units_equal_the_slot_by_slot_construction(m):
+    assert ring._units(m) == generator_units(m)
 
 
 def test_parse_format_round_trip():
