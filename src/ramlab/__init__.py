@@ -14,8 +14,7 @@ below resolve on first use (PEP 562), `ring` loads only `arith` until it
 evaluates at the function tuple, and the CLI imports each layer in the
 subcommand that runs it.  So `ramlab deriv` and `ramlab stable` load only
 `arith`, `ring` and `_parse` at every m, and a command's process start does
-not compile the others.  Only `multlab` loads `_linalg`, and no command
-calls its `solve_square` or `RowReducer`.
+not compile the others.  Only `multlab` loads `_linalg`.
 """
 
 __all__ = ["Order", "TruncatedSeries", "Polynomial", "SystemConfig"]

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import add
 
-from .arith import power_work
+from .arith import integer_numerators, power_work
 from .ring import ParseError, Polynomial, _units
 
 __all__ = [
@@ -104,9 +104,8 @@ def _height(p: Polynomial) -> int:
     lowest terms a coefficient n/d of p**e has |n| <= L**e and d <= D**e, so
     ceil(log2 |n|) + ceil(log2 d) <= e * _height(p).
     """
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    total = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
-    return (total - 1).bit_length() + (den - 1).bit_length()
+    den, nums = integer_numerators(p.terms.values())
+    return (sum(map(abs, nums)) - 1).bit_length() + (den - 1).bit_length()
 
 
 class _Parser:

@@ -54,11 +54,7 @@ def _resolve_series(which: str, precision: int) -> TruncatedSeries:
         return eisenstein(weight // 2, precision)
     m = re.fullmatch(r"g\[(\d+),(\d+)\]", which)
     if m:
-        u, v = int(m.group(1)), int(m.group(2))
-        try:
-            return g_series(u, v, precision)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        return g_series(int(m.group(1)), int(m.group(2)), precision)
     raise CliError(f"unknown series {which!r}; use E2k, g[u,v], Delta or Theta")
 
 
@@ -289,7 +285,7 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
             record["payload"]["cofactor"] = format_polynomial(verdict.cofactor)
 
     elif args.subcommand == "k0":
-        from .multlab import PrecisionError, compute_k0
+        from .forms import PrecisionError, compute_k0
 
         record["params"] = {"m": args.m, "prec": args.prec}
         try:

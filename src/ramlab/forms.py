@@ -1,13 +1,12 @@
-"""Concrete series of the system: E_{2k}, g_{u,v}, Delta, Theta, the
-reduction polynomials A_k, and the whole-system verifier.
+"""Concrete series of the system: E_{2k}, g_{u,v}, Delta, Theta and its
+order k0, the reduction polynomials A_k, and the whole-system verifier.
 
 The system is defined once, as D's velocity table in `ring`; `verify_system`
 checks that table by the chain rule on the generators.  A_k is computed
 once too, by the Weierstrass recurrence in `ring.eisenstein_polynomial`;
-`ak_polynomial` reads it and checks it against the q-expansions, and solves
-no linear system, so no command calls `_linalg.solve_square` or
-`RowReducer`.  Loading this module loads `arith` and `series`;
-`verify_system` and `ak_polynomial` import `ring`.
+`ak_polynomial` evaluates it at the function tuple with `ring.evaluate` and
+checks it against the q-expansion of E_{2k}.  Loading this module loads
+`arith` and `series`; `verify_system` and `ak_polynomial` import `ring`.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from fractions import Fraction
 
 from .arith import InternalConsistencyError, Record, bernoulli, check_m, sigma_table
 from .arith import variable_names, y_pairs
-from .series import TruncatedSeries
+from .series import Order, TruncatedSeries
 
 __all__ = [
     "eisenstein",
@@ -25,6 +24,8 @@ __all__ = [
     "ak_polynomial",
     "discriminant_series",
     "theta_series",
+    "PrecisionError",
+    "compute_k0",
     "FunctionTuple",
     "function_tuple",
     "EquationCheck",
@@ -71,6 +72,22 @@ def theta_series(precision: int) -> TruncatedSeries:
     return discriminant_series(precision).shift(1)
 
 
+class PrecisionError(Exception):
+    """The requested quantity is not visible at the stored precision."""
+
+
+def compute_k0(m: int, precision: int) -> Order:
+    """ord of Theta = z*(X2^3 - X3^2) evaluated at the function tuple; only
+    z, E4 and E6 occur in it, so m is only validated."""
+    check_m(m)
+    order = theta_series(precision).order()
+    if not order.is_finite:
+        raise PrecisionError(
+            f"Theta evaluation vanishes through precision {precision}; raise it"
+        )
+    return order
+
+
 class AkPolynomial(Record):
     """E_{2k} written as a polynomial in (X2, X3) = (E4, E6).
 
@@ -86,18 +103,15 @@ def ak_polynomial(k: int, precision: int = 60) -> AkPolynomial:
     2a + 3b = k, checked on the q-expansions' coefficients through `precision`."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    from .ring import eisenstein_polynomial
+    from .ring import eisenstein_polynomial, evaluate
 
+    poly = eisenstein_polynomial(k)
+    combo = evaluate(poly, function_tuple(1, precision))
+    check = _compare(f"A_{k}", combo, eisenstein(k, precision), precision)
+    if not check.ok:
+        raise InternalConsistencyError(f"A_{k} verification failed at coefficient {check.first_mismatch}")
     # an m = 1 exponent tuple is (z, E2, E4, E6, g[0,1])
-    coeffs = {(a, b): c for (_, _, a, b, _), c in eisenstein_polynomial(k)}
-    e4, e6, target = (eisenstein(j, precision) for j in (2, 3, k))
-    combo = TruncatedSeries.zero(precision)
-    for (a, b), c in coeffs.items():
-        combo = combo + (e4**a * e6**b).scale(c)
-    for n in range(precision + 1):
-        if combo.coefficient(n) != target.coefficient(n):
-            raise InternalConsistencyError(f"A_{k} verification failed at coefficient {n}")
-    return AkPolynomial(k=k, coefficients=coeffs)
+    return AkPolynomial(k=k, coefficients={(a, b): c for (_, _, a, b, _), c in poly})
 
 
 class FunctionTuple(Record):

@@ -23,7 +23,7 @@ from math import comb
 
 from ._linalg import rank_profile_mod_p, solve_lifted_scaled
 from .arith import Record
-from .forms import InternalConsistencyError, function_tuple, theta_series
+from .forms import InternalConsistencyError, function_tuple
 from .ring import Monomial, Polynomial, SystemConfig, evaluate, monomial_key, monomial_series
 from .series import Order
 
@@ -31,18 +31,12 @@ __all__ = [
     "DegreeBudget",
     "ExperimentRow",
     "GridSummary",
-    "PrecisionError",
     "operational_exponent",
     "paper_exponent",
-    "compute_k0",
     "monomial_basis",
     "max_vanishing_search",
     "experiment_grid",
 ]
-
-
-class PrecisionError(Exception):
-    """The requested quantity is not visible at the stored precision."""
 
 
 class DegreeBudget(Record):
@@ -87,18 +81,6 @@ class GridSummary(Record):
     max_ratio: Fraction
     max_ratio_paper: Fraction
     flagged: tuple[DegreeBudget, ...]
-
-
-def compute_k0(m: int, precision: int) -> Order:
-    """ord of Theta = z*(X2^3 - X3^2) evaluated at the function tuple; only
-    z, E4 and E6 occur in it, so m is only validated."""
-    SystemConfig(m)
-    order = theta_series(precision).order()
-    if not order.is_finite:
-        raise PrecisionError(
-            f"Theta evaluation vanishes through precision {precision}; raise it"
-        )
-    return order
 
 
 def monomial_basis(budget: DegreeBudget, cfg: SystemConfig) -> list[Monomial]:

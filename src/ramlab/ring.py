@@ -6,9 +6,8 @@ and a text parser/printer.
 Loading this module loads only `arith`.  The q-series layer `series` is
 imported only inside `evaluate` and `monomial_series`, and no function here
 imports `forms`: D writes E_{2k} in E4 and E6 itself, by
-`eisenstein_polynomial`, with no linear solve, so no command calls
-`_linalg.solve_square` or `RowReducer`.  Likewise `parse` loads the parser,
-`_parse`, only when it runs.
+`eisenstein_polynomial`, with no linear solve.  Likewise `parse` loads the
+parser, `_parse`, only when it runs.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 from operator import add
 
-from .arith import Record, bernoulli, check_m, int_str, integer_numerators, positive_power
+from .arith import Record, bernoulli, check_m, fraction_str, integer_numerators, positive_power
 from .arith import variable_names, y_pairs
 
 __all__ = [
@@ -105,9 +104,10 @@ class Polynomial:
 
     @classmethod
     def variable(cls, name: str, config: SystemConfig) -> "Polynomial":
-        mono = [0] * config.nvars
-        mono[config.index(name)] = 1
-        return cls(config, {tuple(mono): Fraction(1)})
+        units = _units(config.m)
+        if not name or name not in units:  # "" is the monomial 1, not a variable
+            raise KeyError(f"unknown variable {name!r} for m={config.m}")
+        return cls(config, {units[name]: Fraction(1)})
 
     # -- basic structure ----------------------------------------------
 
@@ -424,12 +424,11 @@ def format_polynomial(p: Polynomial) -> str:
     pieces: list[str] = []
     for mono in sorted(p.terms, key=monomial_key, reverse=True):
         c = p.terms[mono]
-        n, d = c.numerator, c.denominator
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
-        mag = int_str(abs(n)) if d == 1 else f"{int_str(abs(n))}/{int_str(d)}"
+        mag = fraction_str(abs(c))
         if mag != "1" or not factors:
             factors.insert(0, mag)
-        pieces += (" + " if n > 0 else " - ", "*".join(factors))
+        pieces += (" + " if c > 0 else " - ", "*".join(factors))
     pieces[0] = "" if pieces[0] == " + " else "-"  # the leading term's sign
     return "".join(pieces)
 

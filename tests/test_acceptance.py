@@ -18,8 +18,8 @@ from helpers import (
     random_two_term_polynomial,
 )
 from ramlab.arith import bernoulli
-from ramlab.forms import ak_polynomial, eisenstein, function_tuple, verify_system
-from ramlab.multlab import DegreeBudget, compute_k0, experiment_grid
+from ramlab.forms import ak_polynomial, compute_k0, eisenstein, function_tuple, verify_system
+from ramlab.multlab import DegreeBudget, experiment_grid
 from ramlab.ring import (
     Polynomial,
     SystemConfig,

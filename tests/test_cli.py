@@ -334,6 +334,11 @@ def test_verify_system_prec_0_is_rejected(capsys):
     assert "--prec: must be at least 2, got 0" in err
 
 
+def test_series_refuses_g_outside_its_index_range(capsys):
+    code, out, err = invoke(capsys, "series", "--which", "g[3,3]", "--prec", "3")
+    assert (code, out, err) == (2, "", "error: u must satisfy 0 <= u < v\n")
+
+
 def test_series_negative_prec_is_rejected(capsys):
     code, out, err = invoke(capsys, "series", "--which", "E4", "--prec", "-3")
     assert code == 2

@@ -5,6 +5,8 @@ import pytest
 from helpers import ak_by_linear_solve, ak_evaluate, sigma
 from ramlab.arith import MAX_M, bernoulli
 from ramlab.forms import (
+    AkPolynomial,
+    InternalConsistencyError,
     ak_polynomial,
     discriminant_series,
     eisenstein,
@@ -100,6 +102,30 @@ def test_ak_rejects_k_below_2_before_the_recurrence_runs(monkeypatch):
     for k in (1, 0, -3):
         with pytest.raises(ValueError, match="k must be at least 2"):
             ak_polynomial(k)
+
+
+@pytest.mark.parametrize(
+    "k, extra, first",
+    [(6, "1/7*E6^2", 0), (6, "-3*E4^3 + 3*E6^2", 1), (12, "1/5*(E4^3 - E6^2)^2", 2)],
+)
+def test_ak_refuses_a_perturbed_eisenstein_polynomial(monkeypatch, k, extra, first):
+    from ramlab import ring
+
+    wrong = ring.eisenstein_polynomial(k) + ring.parse(extra, ring.SystemConfig(1))
+    monkeypatch.setattr(ring, "eisenstein_polynomial", lambda j: wrong)
+    precision = 30
+    perturbed = AkPolynomial(k=k, coefficients={(a, b): c for (_, _, a, b, _), c in wrong})
+    combo = ak_evaluate(perturbed, eisenstein(2, precision), eisenstein(3, precision))
+    target = eisenstein(k, precision)
+    n = next(n for n in range(precision + 1) if combo.coefficient(n) != target.coefficient(n))
+    assert n == first
+    for through in (n, precision):
+        with pytest.raises(InternalConsistencyError) as excinfo:
+            ak_polynomial(k, through)
+        assert str(excinfo.value) == f"A_{k} verification failed at coefficient {n}"
+    # below its first mismatch the perturbed polynomial passes the check
+    if n:
+        assert ak_polynomial(k, n - 1) == perturbed
 
 
 def test_discriminant_and_theta():

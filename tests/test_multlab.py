@@ -12,7 +12,7 @@ from helpers import (
     reducer_search,
 )
 from ramlab import multlab
-from ramlab.forms import InternalConsistencyError, function_tuple
+from ramlab.forms import InternalConsistencyError, PrecisionError, compute_k0, function_tuple
 from ramlab.ring import (
     Polynomial,
     SystemConfig,
@@ -22,8 +22,6 @@ from ramlab.ring import (
 )
 from ramlab.multlab import (
     DegreeBudget,
-    PrecisionError,
-    compute_k0,
     experiment_grid,
     max_vanishing_search,
     monomial_basis,

@@ -28,6 +28,7 @@ from helpers import (
     random_polynomial,
 )
 from ramlab import ring
+from ramlab.arith import bernoulli, y_pairs
 from ramlab._parse import MAX_PARSED_TERMS, _tokenize
 from ramlab.forms import discriminant_series, function_tuple
 from ramlab.ring import (
@@ -530,6 +531,40 @@ def test_format_prints_long_coefficients_as_str_does():
 @pytest.mark.parametrize("m", [1, 3, 25, 61])
 def test_units_equal_the_slot_by_slot_construction(m):
     assert ring._units(m) == generator_units(m)
+
+
+@pytest.mark.parametrize("name", ["E8", "g[0,5]", "", "e2"])
+def test_variable_refuses_a_name_outside_the_system(name):
+    # "" keys the monomial 1 in ring._units; it names no variable
+    with pytest.raises(KeyError) as excinfo:
+        Polynomial.variable(name, CFG3)
+    assert excinfo.value.args == (f"unknown variable {name!r} for m=3",)
+
+
+@pytest.mark.parametrize("m", [1, 3, 25, 61])
+def test_velocities_equal_the_slot_by_slot_construction(m):
+    cfg = SystemConfig(m)
+    units = generator_units(m)
+
+    def var(name):
+        return Polynomial(cfg, {units[name]: Fraction(1)})
+
+    x1, x2, x3 = var("E2"), var("E4"), var("E6")
+    expected = [
+        var("z"),
+        (x1 * x1 - x2).scale(Fraction(1, 12)),
+        (x1 * x2 - x3).scale(Fraction(1, 3)),
+        (x1 * x3 - x2 * x2).scale(Fraction(1, 2)),
+    ]
+    for u, v in y_pairs(m):
+        if u < v - 1:
+            expected.append(var(f"g[{u + 1},{v}]"))
+        else:
+            e = Polynomial.zero(cfg)
+            for (_, a1, a2, a3, _), c in ring.eisenstein_polynomial((v + 1) // 2):
+                e = e + (x1**a1 * x2**a2 * x3**a3).scale(c)
+            expected.append((1 - e).scale(bernoulli(v + 1) / (2 * v + 2)))
+    assert ring._velocities(m) == tuple(expected)
 
 
 def test_parse_format_round_trip():

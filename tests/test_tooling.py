@@ -178,6 +178,7 @@ COMMANDS = {
     "series": run_cli("series", "--which", "Theta", "--prec", "30"),
     "verify-system": run_cli("verify-system", "--m", "3", "--prec", "30"),
     "ak": run_cli("ak", "--k", "12"),
+    "k0": run_cli("k0", "--m", "1", "--prec", "10"),
     "auxsearch": run_cli("auxsearch", "--m", "1", "--d0", "1", "--d", "1"),
 }
 
@@ -216,20 +217,24 @@ COMMANDS = {
              "ramlab.series"],
         ),
         (
+            COMMANDS["k0"],
+            ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.series"],
+        ),
+        (
             COMMANDS["auxsearch"],
             ["ramlab", "ramlab._linalg", "ramlab.arith", "ramlab.cli", "ramlab.forms",
              "ramlab.multlab", "ramlab.ring", "ramlab.series"],
         ),
     ],
     ids=["import-ramlab", "import-cli", "import-polynomial", "deriv", "deriv-m7", "stable",
-         "series", "verify-system", "ak", "auxsearch"],
+         "series", "verify-system", "ak", "k0", "auxsearch"],
 )
 def test_each_entry_point_loads_only_the_layers_it_runs(code, expected):
     # deriv and stable never need multlab, and at every m they need neither
     # the q-series layers (series, forms) nor _linalg: the ring writes each
     # closing velocity's E_{2k} in E4 and E6 itself, and ak reads it from
-    # there.  Only auxsearch loads _linalg, and only the commands that parse
-    # load the parser, _parse.
+    # there.  k0 is a q-series fact and loads no ring.  Only auxsearch loads
+    # _linalg, and only the commands that parse load the parser, _parse.
     assert loaded_after(code) == expected
 
 
