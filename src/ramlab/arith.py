@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 
 __all__ = [
     "InternalConsistencyError",
     "Record",
     "bernoulli",
+    "divisor_power_sums",
     "sigma_table",
     "integer_numerators",
     "slot_bytes",
@@ -119,23 +121,25 @@ def bernoulli(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-def sigma_table(k: int, N: int) -> list[Fraction]:
-    """[sigma_k(1), ..., sigma_k(N)] via a divisor sieve (outer loop over d).
-
-    The sieve runs on sigma_|k| in plain integers; for negative k the entry
-    is sigma_|k|(n) / n^|k|, since the divisors d and n/d pair up.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    e = abs(k)
+@lru_cache(maxsize=None)
+def divisor_power_sums(e: int, N: int) -> tuple[int, ...]:
+    """(0, sigma_e(1), ..., sigma_e(N)) by a divisor sieve (outer loop over
+    d), run once per (e, N) in a process."""
     table = [0] * (N + 1)
     for d in range(1, N + 1):
         de = d**e
         for mult in range(d, N + 1, d):
             table[mult] += de
-    if k < 0:
-        return [Fraction(table[n], n**e) for n in range(1, N + 1)]
-    return [Fraction(s) for s in table[1:]]
+    return tuple(table)
+
+
+def sigma_table(k: int, N: int) -> list[Fraction]:
+    """[sigma_k(1), ..., sigma_k(N)]; for negative k the entry is
+    sigma_|k|(n) / n^|k|, since the divisors d and n/d pair up."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    table = divisor_power_sums(abs(k), N)
+    return [Fraction(table[n], n ** max(-k, 0)) for n in range(1, N + 1)]
 
 
 def integer_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:

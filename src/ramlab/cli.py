@@ -27,10 +27,7 @@ EXIT_USAGE = 2
 def _series_payload(s: TruncatedSeries) -> dict:
     from .arith import fraction_str
 
-    return {
-        "precision": s.precision,
-        "coefficients": [fraction_str(c) for c in s.coeffs],
-    }
+    return {"precision": s.precision, "coefficients": [fraction_str(c) for c in s.coeffs]}
 
 
 class CliError(Exception):
@@ -89,9 +86,7 @@ def _parse_grid(spec: str) -> list[DegreeBudget]:
     if not m:
         raise CliError("grid spec must look like D0MAX:DMAX, e.g. 1:2")
     d0max, dmax = int(m.group(1)), int(m.group(2))
-    return [
-        DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1)
-    ]
+    return [DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1)]
 
 
 def _experiment_rows(rows, summary) -> dict:
@@ -365,12 +360,9 @@ def _run(argv: list[str] | None) -> int:
         return EXIT_USAGE
     try:
         record, code, rows = _dispatch(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
 
     if args.format == "json":
         output = json.dumps(record, indent=2) + "\n"

@@ -4,16 +4,19 @@ order k0, the reduction polynomials A_k, and the whole-system verifier.
 The system is defined once, as D's velocity table in `ring`; `verify_system`
 checks that table by the chain rule on the generators.  A_k is computed
 once too, by the Weierstrass recurrence in `ring.eisenstein_polynomial`;
-`ak_polynomial` evaluates it at the function tuple with `ring.evaluate` and
-checks it against the q-expansion of E_{2k}.  Loading this module loads
-`arith` and `series`; `verify_system` and `ak_polynomial` import `ring`.
+`ak_polynomial` evaluates it at the function tuple with `ring`'s evaluation
+core and checks it against the q-expansion of E_{2k}.  Both checks compare
+cross-multiplied integers, coefficient by coefficient, and build no Fraction.
+Loading this module loads `arith` and `series`; `verify_system` and
+`ak_polynomial` import `ring`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
-from .arith import InternalConsistencyError, Record, bernoulli, check_m, sigma_table
+from .arith import InternalConsistencyError, Record, bernoulli, check_m, divisor_power_sums
 from .arith import variable_names, y_pairs
 from .series import Order, TruncatedSeries
 
@@ -39,25 +42,28 @@ def eisenstein(k: int, precision: int) -> TruncatedSeries:
     """E_{2k} = 1 - (4k/B_{2k}) * sum_n sigma_{2k-1}(n) z^n, truncated."""
     if k < 1:
         raise ValueError("k must be positive")
+    den, nums = _eisenstein_numerators(k, precision)
+    return TruncatedSeries._of(tuple(Fraction(x, den) for x in nums))
+
+
+def _eisenstein_numerators(k: int, precision: int) -> tuple[int, list[int]]:
+    """E_{2k} through z^precision as (den, nums), coefficient n being nums[n]/den."""
     factor = -Fraction(4 * k) / bernoulli(2 * k)
-    coeffs = [Fraction(1)]
-    if precision >= 1:
-        table = sigma_table(2 * k - 1, precision)
-        coeffs += [factor * s for s in table]
-    return TruncatedSeries._of(tuple(coeffs))
+    fn, fd = factor.numerator, factor.denominator
+    return fd, [fd] + [fn * s for s in divisor_power_sums(2 * k - 1, precision)[1:]]
 
 
 def g_series(u: int, v: int, precision: int) -> TruncatedSeries:
-    """g_{u,v} = sum_n n^u sigma_{-v}(n) z^n, truncated; v odd, 0 <= u < v."""
+    """g_{u,v} = sum_n n^u sigma_{-v}(n) z^n = sum_n sigma_v(n)/n^(v-u) z^n,
+    truncated; v odd, 0 <= u < v."""
     if v < 1 or v % 2 == 0:
         raise ValueError("v must be a positive odd integer")
     if not 0 <= u < v:
         raise ValueError("u must satisfy 0 <= u < v")
-    coeffs = [Fraction(0)]
-    if precision >= 1:
-        table = sigma_table(-v, precision)
-        coeffs += [n**u * table[n - 1] for n in range(1, precision + 1)]
-    return TruncatedSeries._of(tuple(coeffs))
+    sums = divisor_power_sums(v, precision)
+    return TruncatedSeries._of(
+        (Fraction(0),) + tuple(Fraction(sums[n], n ** (v - u)) for n in range(1, precision + 1))
+    )
 
 
 def discriminant_series(precision: int) -> TruncatedSeries:
@@ -103,11 +109,11 @@ def ak_polynomial(k: int, precision: int = 60) -> AkPolynomial:
     2a + 3b = k, checked on the q-expansions' coefficients through `precision`."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    from .ring import eisenstein_polynomial, evaluate
+    from .ring import eisenstein_polynomial
 
     poly = eisenstein_polynomial(k)
-    combo = evaluate(poly, function_tuple(1, precision))
-    check = _compare(f"A_{k}", combo, eisenstein(k, precision), precision)
+    den, nums = _eisenstein_numerators(k, precision)
+    check = _compare(f"A_{k}", _at(poly, function_tuple(1, precision)), (nums, repeat(den)), precision)
     if not check.ok:
         raise InternalConsistencyError(f"A_{k} verification failed at coefficient {check.first_mismatch}")
     # an m = 1 exponent tuple is (z, E2, E4, E6, g[0,1])
@@ -153,18 +159,47 @@ class SystemReport(Record):
         return all(eq.ok for eq in self.equations)
 
 
-def _compare(name: str, lhs: TruncatedSeries, rhs: TruncatedSeries, upto: int) -> EquationCheck:
-    for n in range(upto + 1):
-        if lhs.coefficient(n) != rhs.coefficient(n):
+# A side of an identity is a pair (numerators, denominators) of iterables:
+# coefficient n is the n-th numerator over the n-th denominator, in any terms.
+
+
+def _compare(name: str, lhs, rhs, upto: int) -> EquationCheck:
+    """Check lhs = rhs through z^upto, a/b = c/d as a*d == c*b in integers."""
+    for n, a, b, c, d in zip(range(upto + 1), *lhs, *rhs):
+        if a * d != c * b:
             return EquationCheck(name=name, ok=False, first_mismatch=n)
     return EquationCheck(name=name, ok=True)
 
 
-def _closing_rhs_literal(v: int, precision: int) -> TruncatedSeries:
-    """The uncorrected closing formula: B_{2v+2} * (A_{v+1}(E4,E6) - 1) / (2v+2)."""
-    a_series = eisenstein(v + 1, precision)
-    one = TruncatedSeries.constant(1, precision)
-    return (a_series - one).scale(bernoulli(2 * v + 2) / (2 * v + 2))
+def _terms(s: TruncatedSeries):
+    """A stored series as a side, term by term."""
+    return [c.numerator for c in s.coeffs], [c.denominator for c in s.coeffs]
+
+
+def _delta(s: TruncatedSeries):
+    """delta(s) = z ds/dz as a side: n*a/b at z^n, a/b the stored coefficient."""
+    nums, dens = _terms(s)
+    return [n * a for n, a in enumerate(nums)], dens
+
+
+def _at(poly, tup: FunctionTuple):
+    """poly at the function tuple as a side.  A monomial with coefficient 1 is
+    its stored series, term by term; any other polynomial is taken over one
+    denominator by `ring.evaluate_numerators`."""
+    from .ring import evaluate_numerators, monomial_series
+
+    if len(poly.terms) == 1 and 1 in poly.terms.values():
+        return _terms(monomial_series(next(iter(poly.terms)), tup))
+    den, nums = evaluate_numerators(poly, tup)
+    return nums, repeat(den)
+
+
+def _closing_rhs_literal(v: int, precision: int):
+    """The uncorrected closing formula B_{2v+2} * (A_{v+1}(E4,E6) - 1) / (2v+2)
+    as a side; A_{v+1}(E4,E6) = E_{2v+2}, whose constant term 1 cancels."""
+    den, nums = _eisenstein_numerators(v + 1, precision)
+    beta = bernoulli(2 * v + 2) / (2 * v + 2)
+    return [0] + [beta.numerator * x for x in nums[1:]], repeat(beta.denominator * den)
 
 
 def verify_system(m: int, precision: int) -> SystemReport:
@@ -190,9 +225,9 @@ def verify_system(m: int, precision: int) -> SystemReport:
             labels.append(f"delta(g[{u},{v}]) = g[{u + 1},{v}]")
         else:
             labels.append(f"delta(g[{u},{v}]) = B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}")
-    deltas = {var: s.delta() for var, s in zip(tup.names[1:], tup.series[1:])}
+    deltas = {var: _delta(s) for var, s in zip(tup.names[1:], tup.series[1:])}
     checks = [
-        _compare(label, deltas[var], ring.evaluate(ring.velocity(var, cfg), tup), upto)
+        _compare(label, deltas[var], _at(ring.velocity(var, cfg), tup), upto)
         for label, var in zip(labels, tup.names[1:])
     ]
     errata = [

@@ -28,6 +28,7 @@ __all__ = [
     "velocity",
     "eisenstein_polynomial",
     "evaluate",
+    "evaluate_numerators",
     "monomial_series",
     "parse",
     "format_polynomial",
@@ -53,21 +54,21 @@ class SystemConfig(Record):
     def nvars(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown variable {name!r} for m={self.m}") from None
-
 
 _names = lru_cache(maxsize=None)(variable_names)
+
+
+@lru_cache(maxsize=None)
+def _slots(m: int) -> dict[str, int]:
+    """Each variable's slot in a monomial, by name."""
+    return {x: i for i, x in enumerate(_names(m))}
 
 
 @lru_cache(maxsize=None)
 def _units(m: int) -> dict[str, Monomial]:
     """Each variable's monomial by name, and the monomial 1 under ""."""
     n = len(_names(m))
-    return {"": (0,) * n} | {x: (0,) * i + (1,) + (0,) * (n - i - 1) for i, x in enumerate(_names(m))}
+    return {"": (0,) * n} | {x: (0,) * i + (1,) + (0,) * (n - i - 1) for x, i in _slots(m).items()}
 
 
 def monomial_key(mono: Monomial) -> tuple:
@@ -148,9 +149,7 @@ class Polynomial:
         return Polynomial(self.config, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.config)
-        return self + (-other)
+        return self + (-other)  # __add__ takes a scalar too
 
     def __rsub__(self, other):
         return (-self) + other
@@ -329,7 +328,7 @@ def _integer_velocities(m: int) -> tuple[int, tuple]:
 
 def velocity(name: str, cfg: SystemConfig) -> Polynomial:
     """D applied to a single variable."""
-    return _velocities(cfg.m)[cfg.index(name)]
+    return _velocities(cfg.m)[_slots(cfg.m)[name]]
 
 
 def derive(p: Polynomial) -> Polynomial:
@@ -361,45 +360,48 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
     found = cache.get(mono)
     if found is not None:
         return found
+    first = next(filter(None, mono), 0)  # the first nonzero exponent
     if mono[0]:
         result = monomial_series((0,) + mono[1:], tup).shift(mono[0])
-    elif not any(mono):
+    elif not first:
         from .series import TruncatedSeries
 
         result = TruncatedSeries.constant(1, tup.precision)
     else:
-        i = next(i for i, e in enumerate(mono) if e)
-        parent = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
-        rest = mono[:i] + (0,) + mono[i + 1 :]
-        if not any(parent):
+        i = mono.index(first)
+        degree = sum(mono)
+        if degree == 1:
             result = tup.series[i]
-        elif parent in cache:
+        elif (parent := mono[:i] + (first - 1,) + mono[i + 1 :]) in cache:
             result = cache[parent] * tup.series[i]
-        elif any(rest):
-            power = (0,) * i + (mono[i],) + (0,) * (len(mono) - i - 1)
+        elif degree > first:
+            power = (0,) * i + (first,) + (0,) * (len(mono) - i - 1)
+            rest = mono[:i] + (0,) + mono[i + 1 :]
             result = monomial_series(power, tup) * monomial_series(rest, tup)
         else:
-            result = tup.series[i] ** mono[i]
+            result = tup.series[i] ** first
     cache[mono] = result
     return result
 
 
 def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
-    """Substitute the function tuple into p; exact truncated series.
-
-    A single monomial with coefficient 1 is its cached series.  Otherwise
-    the sum of c * monomial series is taken in integers over one common
-    denominator, so a Fraction (and its gcd) is built only per coefficient
-    of the result.
-    """
+    """Substitute the function tuple into p; exact truncated series.  A single
+    monomial with coefficient 1 is its cached series; any other p is
+    `evaluate_numerators` with one Fraction (and its gcd) per coefficient."""
     from .series import TruncatedSeries
 
+    if len(p.terms) == 1 and 1 in p.terms.values() and tup.m == p.config.m:
+        return monomial_series(next(iter(p.terms)), tup)
+    den, total = evaluate_numerators(p, tup)
+    return TruncatedSeries._of(tuple(Fraction(t, den) for t in total))
+
+
+def evaluate_numerators(p: Polynomial, tup: FunctionTuple) -> tuple[int, list[int]]:
+    """p at the function tuple as (den, nums), coefficient n being nums[n]/den,
+    not reduced: the sum of c * monomial series in integers over one common
+    denominator."""
     if tup.m != p.config.m:
         raise ValueError("function tuple and polynomial have different m")
-    if len(p.terms) == 1:
-        ((mono, c),) = p.terms.items()
-        if c == 1:
-            return monomial_series(mono, tup)
     scaled = [
         (c, integer_numerators(monomial_series(mono, tup).coeffs))
         for mono, c in p.terms.items()
@@ -410,7 +412,7 @@ def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
     for c, (d, nums) in scaled:
         weight = c.numerator * (den // (c.denominator * d))
         total = [t + weight * x for t, x in zip(total, nums)]
-    return TruncatedSeries._of(tuple(Fraction(t, den) for t in total))
+    return den, total
 
 
 # -- printing ------------------------------------------------------------

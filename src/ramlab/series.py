@@ -94,11 +94,6 @@ class TruncatedSeries:
             coeffs[1] = Fraction(1)
         return cls(coeffs)
 
-    def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n <= self.precision:
-            raise IndexError(f"coefficient {n} outside stored precision {self.precision}")
-        return self.coeffs[n]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
 
@@ -148,10 +143,6 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError("shift must be nonnegative")
         return TruncatedSeries._of(((Fraction(0),) * k + self.coeffs)[: self.precision + 1])
-
-    def delta(self) -> "TruncatedSeries":
-        """Euler operator z d/dz: multiplies the z^n coefficient by n."""
-        return TruncatedSeries._of(tuple(n * c for n, c in enumerate(self.coeffs)))
 
     def order(self) -> Order:
         for n, c in enumerate(self.coeffs):

@@ -9,8 +9,9 @@ from math import comb, lcm
 
 from ramlab import ring
 from ramlab._linalg import RowReducer, solve_lifted_scaled
-from ramlab.arith import y_pairs
-from ramlab.forms import FunctionTuple, InternalConsistencyError, eisenstein, function_tuple
+from ramlab.arith import bernoulli, sigma_table, variable_names, y_pairs
+from ramlab.forms import EquationCheck, FunctionTuple, InternalConsistencyError, SystemReport
+from ramlab.forms import eisenstein, function_tuple
 from ramlab.multlab import ExperimentRow, operational_exponent, paper_exponent
 from ramlab.ring import Polynomial, SystemConfig, derive, evaluate, monomial_series, velocity
 from ramlab.series import TruncatedSeries
@@ -217,6 +218,68 @@ def fraction_sum_evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
     for mono, c in p:
         total = total + monomial_series(mono, tup).scale(c)
     return total
+
+
+def delta(s: TruncatedSeries) -> TruncatedSeries:
+    """Oracle for the Euler operator z d/dz: multiplies the z^n coefficient by n."""
+    return TruncatedSeries._of(tuple(n * c for n, c in enumerate(s.coeffs)))
+
+
+def sigma_table_eisenstein(k: int, precision: int) -> TruncatedSeries:
+    """Oracle for forms.eisenstein: 1, then the factor -4k/B_{2k} times each
+    Fraction of sigma_table(2k-1, precision)."""
+    factor = -Fraction(4 * k) / bernoulli(2 * k)
+    coeffs = [Fraction(1)]
+    if precision >= 1:
+        coeffs += [factor * s for s in sigma_table(2 * k - 1, precision)]
+    return TruncatedSeries._of(tuple(coeffs))
+
+
+def sigma_table_g_series(u: int, v: int, precision: int) -> TruncatedSeries:
+    """Oracle for forms.g_series: 0, then n^u times each Fraction of
+    sigma_table(-v, precision)."""
+    coeffs = [Fraction(0)]
+    if precision >= 1:
+        table = sigma_table(-v, precision)
+        coeffs += [n**u * table[n - 1] for n in range(1, precision + 1)]
+    return TruncatedSeries._of(tuple(coeffs))
+
+
+def fraction_verify_system(m: int, precision: int) -> SystemReport:
+    """Oracle for forms.verify_system by Fraction series: over the tuple of
+    the sigma_table definitions, delta of each generator's series against
+    ring.evaluate of ring.velocity, and against the literal closing formula
+    built as a series, compared coefficient by coefficient with ==."""
+    cfg = SystemConfig(m)
+    series = [TruncatedSeries.z(precision)] + [sigma_table_eisenstein(k, precision) for k in (1, 2, 3)]
+    series += [sigma_table_g_series(u, v, precision) for u, v in y_pairs(m)]
+    tup = FunctionTuple(m=m, precision=precision, series=tuple(series), names=variable_names(m))
+
+    def check(name, lhs, rhs):
+        n = next((n for n in range(precision) if lhs.coeffs[n] != rhs.coeffs[n]), None)
+        return EquationCheck(name=name, ok=n is None, first_mismatch=n)
+
+    labels = ["delta(E2) = (E2^2 - E4)/12", "delta(E4) = (E2*E4 - E6)/3", "delta(E6) = (E2*E6 - E4^2)/2"]
+    labels += [
+        f"delta(g[{u},{v}]) = g[{u + 1},{v}]" if u < v - 1
+        else f"delta(g[{u},{v}]) = B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}"
+        for u, v in y_pairs(m)
+    ]
+    deltas = dict(zip(tup.names[1:], map(delta, tup.series[1:])))
+    equations = [
+        check(label, deltas[var], ring.evaluate(ring.velocity(var, cfg), tup))
+        for label, var in zip(labels, tup.names[1:])
+    ]
+    one = TruncatedSeries.constant(1, precision)
+    errata = [
+        check(
+            f"literal: delta(g[{v - 1},{v}]) = B_{2 * v + 2}*(A_{v + 1} - 1)/{2 * v + 2}",
+            deltas[f"g[{v - 1},{v}]"],
+            (sigma_table_eisenstein(v + 1, precision) - one).scale(bernoulli(2 * v + 2) / (2 * v + 2)),
+        )
+        for v in range(3, m + 1, 2)
+    ]
+    return SystemReport(m=m, precision=precision, equations=tuple(equations), errata=tuple(errata))
 
 
 @dataclass(frozen=True)
@@ -519,8 +582,8 @@ def ak_by_linear_solve(k: int) -> dict[tuple[int, int], Fraction]:
     s = len(pairs)
     e4, e6, target = (eisenstein(j, s - 1) for j in (2, 3, k))
     products = [e4**a * e6**b for a, b in pairs]
-    matrix = [[product.coefficient(n) for product in products] for n in range(s)]
-    solution = gauss_jordan_solve(matrix, [target.coefficient(n) for n in range(s)])
+    matrix = [[product.coeffs[n] for product in products] for n in range(s)]
+    solution = gauss_jordan_solve(matrix, [target.coeffs[n] for n in range(s)])
     return {pair: c for pair, c in zip(pairs, solution) if c != 0}
 
 
@@ -654,7 +717,7 @@ def reducer_search(budget, cfg, basis, precision, reducer_cls=RowReducer) -> Exp
     reducer = reducer_cls(T)
     n_star = None
     for r in range(precision + 1):
-        row = [col.coefficient(r) for col in columns]
+        row = [col.coeffs[r] for col in columns]
         reduced = reducer.reduce(row)
         if any(x != 0 for x in reduced):
             if reducer.rank + 1 == T:

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ak_by_linear_solve, ak_evaluate, sigma
+from helpers import ak_by_linear_solve, ak_evaluate, delta, fraction_verify_system, sigma
+from helpers import sigma_table_eisenstein, sigma_table_g_series
 from ramlab.arith import MAX_M, bernoulli
 from ramlab.forms import (
     AkPolynomial,
@@ -29,16 +30,16 @@ def test_eisenstein_divisor_oracle():
         s = eisenstein(k, 40)
         factor = -Fraction(4 * k) / bernoulli(2 * k)
         for n in range(1, 41):
-            assert s.coefficient(n) == factor * sigma(2 * k - 1, n)
+            assert s.coeffs[n] == factor * sigma(2 * k - 1, n)
 
 
 def test_g_series_examples():
     g01 = g_series(0, 1, 4)
     assert g01.coeffs == (0, 1, Fraction(3, 2), Fraction(4, 3), Fraction(7, 4))
     g23 = g_series(2, 3, 3)
-    assert g23.coefficient(2) == Fraction(9, 2)
+    assert g23.coeffs[2] == Fraction(9, 2)
     for v in (1, 3, 5, 7):
-        assert g_series(0, v, 2).coefficient(1) == 1
+        assert g_series(0, v, 2).coeffs[1] == 1
 
 
 def test_generator_series_store_tuples_of_fractions():
@@ -117,7 +118,7 @@ def test_ak_refuses_a_perturbed_eisenstein_polynomial(monkeypatch, k, extra, fir
     perturbed = AkPolynomial(k=k, coefficients={(a, b): c for (_, _, a, b, _), c in wrong})
     combo = ak_evaluate(perturbed, eisenstein(2, precision), eisenstein(3, precision))
     target = eisenstein(k, precision)
-    n = next(n for n in range(precision + 1) if combo.coefficient(n) != target.coefficient(n))
+    n = next(n for n in range(precision + 1) if combo.coeffs[n] != target.coeffs[n])
     assert n == first
     for through in (n, precision):
         with pytest.raises(InternalConsistencyError) as excinfo:
@@ -130,8 +131,8 @@ def test_ak_refuses_a_perturbed_eisenstein_polynomial(monkeypatch, k, extra, fir
 
 def test_discriminant_and_theta():
     d = discriminant_series(6)
-    assert d.coefficient(1) == 1728
-    assert d.coefficient(2) == -41472
+    assert d.coeffs[1] == 1728
+    assert d.coeffs[2] == -41472
     assert d.order() == Order.finite(1)
     assert theta_series(6).order() == Order.finite(2)
 
@@ -152,16 +153,16 @@ def test_function_tuple_shape():
 def test_function_tuple_constant_terms_and_order():
     tup = function_tuple(3, 8)
     assert tup.names == ("z", "E2", "E4", "E6", "g[0,1]", "g[0,3]", "g[1,3]", "g[2,3]")
-    assert tup.series[0].coefficient(0) == 0
-    assert tup.series[0].coefficient(1) == 1
+    assert tup.series[0].coeffs[0] == 0
+    assert tup.series[0].coeffs[1] == 1
     for name, s in zip(tup.names, tup.series):
-        assert s.coefficient(0) == (1 if name.startswith("E") else 0)
+        assert s.coeffs[0] == (1 if name.startswith("E") else 0)
 
 
 def test_delta_of_g_is_next_g():
     for v in (3, 5, 7):
         for u in range(v - 1):
-            assert g_series(u, v, 50).delta() == g_series(u + 1, v, 50)
+            assert delta(g_series(u, v, 50)) == g_series(u + 1, v, 50)
 
 
 def test_verify_system_passes():
@@ -258,6 +259,68 @@ def test_verify_system_checks_the_velocities_of_d(monkeypatch, name, equation):
     assert [(eq.name, eq.first_mismatch) for eq in report.equations if not eq.ok] == [
         (equation, 1)
     ]
+
+
+@pytest.mark.parametrize("precision", [2, 3, 50, 200])
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
+def test_verify_system_equals_the_fraction_path(m, precision):
+    # labels, verdicts, first mismatches and errata, against Fraction series
+    # compared with ==
+    assert verify_system(m, precision) == fraction_verify_system(m, precision)
+
+
+@pytest.mark.parametrize("precision", [2, 3, 20, 50])
+@pytest.mark.parametrize(
+    "name, extra",
+    # the last one keeps g[0,3]'s velocity a single variable, the wrong one
+    [("E4", "z"), ("g[2,3]", "z"), ("g[0,3]", "z"), ("g[0,3]", "g[2,3] - g[1,3]")],
+)
+def test_verify_system_equals_the_fraction_path_under_a_perturbed_velocity(
+    monkeypatch, name, extra, precision
+):
+    from ramlab import ring
+
+    original = ring.velocity
+
+    def perturbed(var, cfg):
+        vel = original(var, cfg)
+        return vel + ring.parse(extra, cfg) if var == name else vel
+
+    monkeypatch.setattr(ring, "velocity", perturbed)
+    report = verify_system(3, precision)
+    assert report == fraction_verify_system(3, precision)
+    if precision == 50:
+        assert [eq.name for eq in report.equations if not eq.ok] == [
+            next(eq.name for eq in report.equations if eq.name.startswith(f"delta({name})"))
+        ]
+
+
+def test_verify_system_reads_a_single_variable_velocity_term_by_term(monkeypatch):
+    # g[u,v] -> g[u+1,v] is compared with the stored series: over one common
+    # denominator it would need lcm(1..P)^(v-u)
+    from ramlab import ring
+
+    evaluated = []
+    original = ring.evaluate_numerators
+
+    def record(p, tup):
+        evaluated.append(p)
+        return original(p, tup)
+
+    monkeypatch.setattr(ring, "evaluate_numerators", record)
+    assert verify_system(7, 30).ok
+    cfg = ring.SystemConfig(7)
+    closing = [f"g[{v - 1},{v}]" for v in (1, 3, 5, 7)]
+    assert evaluated == [ring.velocity(var, cfg) for var in ["E2", "E4", "E6", *closing]]
+
+
+@pytest.mark.parametrize("precision", [0, 1, 2, 100])
+def test_eisenstein_and_g_equal_their_sigma_table_definitions(precision):
+    for k in range(1, 9):
+        assert eisenstein(k, precision) == sigma_table_eisenstein(k, precision)
+    for v in range(1, 10, 2):
+        for u in range(v):
+            assert g_series(u, v, precision) == sigma_table_g_series(u, v, precision)
 
 
 @pytest.mark.parametrize("precision", [0, 1, 300])
