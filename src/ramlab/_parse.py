@@ -2,8 +2,8 @@
 
 `ring.parse` imports this module when it first runs, so a command that
 never parses (auxsearch, verify-system, k0, ...) never compiles it.  Work is
-bounded before it runs: each bound below refuses, at the operator, a result
-that may pass it.
+bounded before it runs: each bound below refuses, at the operator or the
+parenthesis, a result that may pass it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "MAX_POWER_PRODUCTS",
     "MAX_POWER_BITS",
     "MAX_PARSED_BITS",
+    "MAX_NESTING",
     "parse_polynomial",
 ]
 
@@ -33,51 +34,35 @@ MAX_POWER_BITS = 200_000
 # the most bits, numerators and denominators together, that the coefficients
 # of a parsed product or power of a sum may have in all (see _weight)
 MAX_PARSED_BITS = 2_000_000
+# the deepest that parentheses may nest, well inside the recursion limit
+MAX_NESTING = 100
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # NUM, NAME, EOF, or a literal symbol
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-_SYMBOLS = set("+-*^()[],/")
-
-# After a run of whitespace other than a newline: a newline, a run of decimal
-# digits, g[u,v] written without whitespace, a run of letters and digits, or
-# any other single character that is not whitespace.  For str patterns \s is
-# exactly str.isspace, \d exactly str.isdecimal and [^\W_] exactly
-# str.isalnum, non-ASCII characters included, so the matches split the text
-# where a scan with those methods would.  Trailing whitespace matches nothing.
-_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|(\d+)|(g\[\d+,\d+\]|[^\W_]+)|(\S))")
+# A run of whitespace, skipped whole so that the work is linear in the text;
+# a run of decimal digits; g[u,v] without whitespace, or a run of letters and
+# digits; a symbol; or any other character that is not whitespace.  For str
+# patterns \s is exactly str.isspace, \d str.isdecimal and [^\W_] str.isalnum,
+# non-ASCII characters included, so the matches split the text where a scan
+# with those methods would.
+_TOKEN = re.compile(r"(?P<WS>\s+)|(?P<NUM>\d+)|(?P<NAME>g\[\d+,\d+\]|[^\W_]+)|(?P<SYM>[-+*^()[\],/])|\S")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """Tokens with 1-based line and column; a column counts characters."""
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of text[offset]; a column counts characters."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, text, offset); kind is NUM, NAME, EOF or a symbol."""
+    tokens = []
     for match in _TOKEN.finditer(text):
-        group = match.lastindex
-        start = match.start(group)
-        if group == 1:
-            line += 1
-            line_start = start + 1
+        kind, word = match.lastgroup, match[0]
+        if kind == "WS":
             continue
-        word = match[group]
-        if group == 2:
-            kind = "NUM"
-        elif group == 3 and word[0].isalpha():
-            kind = "NAME"  # a name starts with a letter
-        elif word in _SYMBOLS:
-            kind = word
-        else:
-            raise ParseError(f"unexpected character {word[0]!r}", line, start - line_start + 1)
-        tokens.append(_Token(kind, word, line, start - line_start + 1))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+        if kind is None or kind == "NAME" and not word[0].isalpha():  # a name starts with a letter
+            raise ParseError(f"unexpected character {word[0]!r}", *_position(text, match.start()))
+        tokens.append((word if kind == "SYM" else kind, word, match.start()))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -112,37 +97,43 @@ class _Parser:
     """Recursive descent.  A single term is a (monomial, coefficient) pair; a
     Polynomial is built for a parenthesised sum and a product with one."""
 
-    def __init__(self, tokens: list[_Token], cfg: SystemConfig):
-        self.tokens = tokens
+    def __init__(self, text: str, cfg: SystemConfig):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open at the current token
         self.cfg = cfg
         self.units = _units(cfg.m)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The next token's kind."""
+        return self.tokens[self.pos][0]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.next()
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok)
+        return tok
 
-    def bound(self, size: int, limit: int, message: str, op: _Token) -> None:
+    def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
+        return ParseError(message, *_position(self.text, tok[2]))
+
+    def bound(self, size: int, limit: int, message: str, op: tuple[str, str, int]) -> None:
         """Refuse at op a result that may pass limit; message shows size at {}."""
         if size > limit:
-            raise ParseError(f"{message.format(size)}, over the limit {limit}", op.line, op.col)
+            raise self.error(f"{message.format(size)}, over the limit {limit}", op)
 
     def parse_expression(self) -> Polynomial:
         sign = 1
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.next()
             sign = -1
-        elif self.peek().kind == "+":
+        elif self.peek() == "+":
             self.next()
         # one dict for the whole sum: adding Polynomials term by term would
         # copy the sum so far for every term
@@ -151,13 +142,13 @@ class _Parser:
             term = self.parse_term()
             for mono, c in term.terms.items() if type(term) is Polynomial else (term,):
                 terms[mono] = terms.get(mono, 0) + (c if sign > 0 else -c)
-            if self.peek().kind not in ("+", "-"):
+            if self.peek() not in ("+", "-"):
                 return Polynomial(self.cfg, {mono: Fraction(c) for mono, c in terms.items()})
-            sign = 1 if self.next().kind == "+" else -1
+            sign = 1 if self.next()[0] == "+" else -1
 
     def parse_term(self):
         result = self.parse_factor()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             op = self.next()
             factor = self.parse_factor()
             if type(result) is tuple is type(factor):
@@ -176,10 +167,10 @@ class _Parser:
 
     def parse_factor(self):
         base = self.parse_base()
-        if self.peek().kind != "^":
+        if self.peek() != "^":
             return base
         op = self.next()
-        e = int(self.expect("NUM").text)
+        e = int(self.expect("NUM")[1])
         if type(base) is tuple:
             # |k|**e <= 2**(e * ceil(log2 |k|)) for k the numerator or denominator
             c = base[1]
@@ -201,48 +192,52 @@ class _Parser:
         return base**e
 
     def parse_base(self):
-        tok = self.next()
-        if tok.kind == "NUM":
-            if self.peek().kind != "/":
-                return self.units[""], int(tok.text)
+        kind, word, _ = tok = self.next()
+        if kind == "NUM":
+            if self.peek() != "/":
+                return self.units[""], int(word)
             self.next()
             den_tok = self.expect("NUM")
-            if int(den_tok.text) == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
-            return self.units[""], Fraction(int(tok.text), int(den_tok.text))
-        if tok.kind == "(":
+            if int(den_tok[1]) == 0:
+                raise self.error("zero denominator", den_tok)
+            return self.units[""], Fraction(int(word), int(den_tok[1]))
+        if kind == "(":
+            # each level costs four frames of this recursion
+            self.depth += 1
+            self.bound(self.depth, MAX_NESTING, "parentheses nest {} deep", tok)
             inner = self.parse_expression()
             self.expect(")")
+            self.depth -= 1
             return inner if len(inner.terms) > 1 else next(iter(inner.terms.items()), (self.units[""], 0))
-        if tok.kind == "NAME":
+        if kind == "NAME":
             return self.parse_variable(tok)
-        raise ParseError(f"expected a number, variable or '(', found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        raise self.error(f"expected a number, variable or '(', found {word or 'end of input'!r}", tok)
 
-    def parse_variable(self, tok: _Token) -> tuple[Monomial, int]:
-        name = tok.text
+    def parse_variable(self, tok: tuple[str, str, int]) -> tuple[Monomial, int]:
+        name = tok[1]
         if name in self.units:
             return self.units[name], 1
         if name == "g":
             self.expect("[")
-            u = self.expect("NUM").text
+            u = self.expect("NUM")[1]
             self.expect(",")
-            v = self.expect("NUM").text
+            v = self.expect("NUM")[1]
             self.expect("]")
         elif name.startswith("g["):
             u, v = name[2:-1].split(",")
         else:
-            raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
+            raise self.error(f"unknown variable {name!r}", tok)
         name = f"g[{int(u)},{int(v)}]"
         if name not in self.units:
-            raise ParseError(f"{name} is out of range for m={self.cfg.m}", tok.line, tok.col)
+            raise self.error(f"{name} is out of range for m={self.cfg.m}", tok)
         return self.units[name], 1
 
 
 def parse_polynomial(text: str, cfg: SystemConfig) -> Polynomial:
     """The whole text as one polynomial over cfg; see `ring.parse`."""
-    parser = _Parser(_tokenize(text), cfg)
+    parser = _Parser(text, cfg)
     poly = parser.parse_expression()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    tok = parser.next()
+    if tok[0] != "EOF":
+        raise parser.error(f"unexpected trailing input {tok[1]!r}", tok)
     return poly

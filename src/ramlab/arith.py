@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 
 __all__ = [
     "InternalConsistencyError",
@@ -101,23 +101,39 @@ class Record:
         return f"{type(self).__qualname__}({shown})"
 
 
-# Append-only cache of B_0, B_1, ...; grown on demand.  Appending is atomic
+def _tangent_numbers(n: int) -> list[int]:
+    """[T_1, ..., T_n], the tangent numbers, by Brent and Harvey's integer
+    recurrence ("Fast computation of Bernoulli, tangent and secant numbers",
+    2011): n^2 / 2 products of a small integer and an O(n log n)-bit one."""
+    t = [1]
+    for k in range(2, n + 1):
+        t.append((k - 1) * t[-1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j - 1] = (j - k) * t[j - 2] + (j - k + 2) * t[j - 1]
+    return t
+
+
+# Append-only cache of B_0, B_1, ...; extended at the end, which is atomic
 # enough for concurrent readers (CPython list semantics).
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli(n: int) -> Fraction:
     """B_n as an exact Fraction, convention B_1 = -1/2.
 
-    Computed by the defining recurrence sum_{k=0}^{m} C(m+1,k) B_k = 0
-    with memoization.
+    B_{2k} = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)) for the tangent number
+    T_k, and B_n = 0 for odd n >= 3.  The tangent numbers are computed all at
+    once, so the cache grows to at least twice its length, and asking for
+    B_0, ..., B_n in rising order costs O(n^2) operations in all.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        s = sum((comb(m + 1, k) * _BERNOULLI[k] for k in range(m)), Fraction(0))
-        _BERNOULLI.append(-s / (m + 1))
+    if n >= len(_BERNOULLI):
+        values = [Fraction(1), Fraction(-1, 2)]
+        for k, t in enumerate(_tangent_numbers(max(n, 2 * len(_BERNOULLI)) // 2), 1):
+            values += [Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1)), Fraction(0)]
+        _BERNOULLI.extend(values[len(_BERNOULLI):])
     return _BERNOULLI[n]
 
 

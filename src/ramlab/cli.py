@@ -148,6 +148,37 @@ def _precision(minimum: int):
     return precision
 
 
+def _required(type=None, **kwargs) -> dict:
+    """add_argument's keywords for a required option."""
+    return {"type": type, "required": True, **kwargs}
+
+
+_M, _POLY, _PREC = _required(int), _required(), _required(_precision(0))
+# Each subcommand once: its help text and its options in --help order, each
+# as add_argument's keywords.  The options are also the params of its record,
+# except for auxsearch, whose params show the budgets in place of --d0, --d
+# and --grid.
+_COMMANDS = {
+    "series": ("dump a series' exact coefficients",
+               {"which": _required(help="E2k, g[u,v], Delta or Theta"), "prec": _PREC}),
+    # compares z^0..z^(prec-1), and z^0 always matches
+    "verify-system": ("check the differential system", {"m": _M, "prec": _required(_precision(2))}),
+    "ak": ("reduction polynomial for E_{2k}",
+           {"k": _required(int), "prec": {"type": _precision(0), "default": 60}}),
+    "ord": ("order of vanishing of an evaluated polynomial", {"poly": _POLY, "m": _M, "prec": _PREC}),
+    "deriv": ("apply the derivation D", {"poly": _POLY, "m": _M}),
+    "stable": ("principal D-stability check", {"poly": _POLY, "m": _M}),
+    "k0": ("order of vanishing of the Theta evaluation", {"m": _M, "prec": _PREC}),
+    "auxsearch": ("auxiliary polynomial vanishing search", {
+        "m": _M,
+        "d0": {"type": int},
+        "d": {"type": int},
+        "prec": {"type": _precision(0), "help": "default: adaptive"},
+        "grid": {"help": "D0MAX:DMAX grid of budgets"},
+    }),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # global options, also accepted after the subcommand: one set of actions
     # shared by the top-level parser and every subcommand.  Their SUPPRESS
@@ -169,47 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("series", help="dump a series' exact coefficients")
-    p.add_argument("--which", required=True, help="E2k, g[u,v], Delta or Theta")
-    p.add_argument("--prec", type=_precision(0), required=True)
-
-    p = add_parser("verify-system", help="check the differential system")
-    p.add_argument("--m", type=int, required=True)
-    # compares z^0..z^(prec-1), and z^0 always matches
-    p.add_argument("--prec", type=_precision(2), required=True)
-
-    p = add_parser("ak", help="reduction polynomial for E_{2k}")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prec", type=_precision(0), default=60)
-
-    p = add_parser("ord", help="order of vanishing of an evaluated polynomial")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prec", type=_precision(0), required=True)
-
-    p = add_parser("deriv", help="apply the derivation D")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add_parser("stable", help="principal D-stability check")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add_parser("k0", help="order of vanishing of the Theta evaluation")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prec", type=_precision(0), required=True)
-
-    p = add_parser("auxsearch", help="auxiliary polynomial vanishing search")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d0", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--prec", type=_precision(0), default=None, help="default: adaptive")
-    p.add_argument("--grid", default=None, help="D0MAX:DMAX grid of budgets")
-
+    for name, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for option, kwargs in options.items():
+            p.add_argument(f"--{option}", **kwargs)
     return parser
 
 
@@ -218,18 +212,17 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
 
     Each branch imports the layers it runs, and only those.
     """
-    record: dict = {"subcommand": args.subcommand, "params": {}, "payload": {}}
+    params = {option: getattr(args, option) for option in _COMMANDS[args.subcommand][1]}
+    record: dict = {"subcommand": args.subcommand, "params": params, "payload": {}}
     code = EXIT_OK
     rows = None
 
     if args.subcommand == "series":
-        record["params"] = {"which": args.which, "prec": args.prec}
         record["payload"] = _series_payload(_resolve_series(args.which, args.prec))
 
     elif args.subcommand == "verify-system":
         from .forms import verify_system
 
-        record["params"] = {"m": args.m, "prec": args.prec}
         report = verify_system(args.m, args.prec)
         record["payload"] = _report_payload(report)
         if not report.ok:
@@ -239,7 +232,6 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
         from .arith import fraction_str
         from .forms import ak_polynomial
 
-        record["params"] = {"k": args.k, "prec": args.prec}
         ak = ak_polynomial(args.k, args.prec)
         record["payload"] = {
             "monomials": [
@@ -252,7 +244,6 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
         from .forms import function_tuple
         from .ring import evaluate
 
-        record["params"] = {"poly": args.poly, "m": args.m, "prec": args.prec}
         poly = _parse_poly(args.poly, args.m)
         order = evaluate(poly, function_tuple(args.m, args.prec)).order()
         record["payload"] = {"ord": str(order), "finite": order.is_finite}
@@ -262,7 +253,6 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
     elif args.subcommand == "deriv":
         from .ring import derive, format_polynomial
 
-        record["params"] = {"poly": args.poly, "m": args.m}
         poly = _parse_poly(args.poly, args.m)
         record["payload"] = {"derivative": format_polynomial(derive(poly))}
 
@@ -270,7 +260,6 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
         from .ring import format_polynomial
         from .stability import principal_stability
 
-        record["params"] = {"poly": args.poly, "m": args.m}
         poly = _parse_poly(args.poly, args.m)
         if poly.is_zero():
             raise CliError("the zero polynomial has no stability verdict")
@@ -282,7 +271,6 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
     elif args.subcommand == "k0":
         from .forms import PrecisionError, compute_k0
 
-        record["params"] = {"m": args.m, "prec": args.prec}
         try:
             order = compute_k0(args.m, args.prec)
         except PrecisionError as exc:

@@ -28,6 +28,16 @@ def sigma(k: int, n: int) -> Fraction:
     return total
 
 
+def bernoulli_recurrence(n: int) -> list[Fraction]:
+    """Oracle for arith.bernoulli: [B_0, ..., B_n] by the defining recurrence
+    sum_{k=0}^{m} C(m+1,k) B_k = 0, in O(n^2) Fraction operations."""
+    values = [Fraction(1)]
+    for m in range(1, n + 1):
+        s = sum((comb(m + 1, k) * values[k] for k in range(m)), Fraction(0))
+        values.append(-s / (m + 1))
+    return values
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k); zero when k > n."""
     if n < 0 or k < 0:

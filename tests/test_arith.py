@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import binomial, sigma
+from helpers import bernoulli_recurrence, binomial, sigma
 from ramlab import arith
 from ramlab.arith import MAX_M, bernoulli, check_m, fraction_str, int_str, sigma_table
 
@@ -36,6 +36,20 @@ def test_bernoulli_against_independent_oracle():
     oracle = bernoulli_akiyama_tanigawa(40)
     for n in range(41):
         assert bernoulli(n) == oracle[n]
+
+
+def test_bernoulli_matches_the_defining_recurrence(monkeypatch):
+    # from an empty cache, B_2, B_4, ... in rising order, as the ring's
+    # velocities ask for them; each growth at least doubles the cache
+    monkeypatch.setattr(arith, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+    oracle = bernoulli_recurrence(300)
+    lengths = []
+    for n in range(2, 301, 2):
+        assert bernoulli(n) == oracle[n]
+        if len(arith._BERNOULLI) not in lengths:
+            lengths.append(len(arith._BERNOULLI))
+    assert all(2 * a <= b for a, b in zip([2] + lengths, lengths))
+    assert [bernoulli(n) for n in range(301)] == oracle
 
 
 def test_bernoulli_odd_zero_and_even_sign_alternation():

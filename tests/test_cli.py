@@ -233,6 +233,167 @@ def test_oversized_power_is_refused_before_it_runs(capsys):
     assert "polynomial syntax error: power may have 1373701 terms" in err
 
 
+def test_deep_parentheses_exit_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "deriv", "--poly", "(" * 300 + "E2" + ")" * 300, "--m", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: polynomial syntax error: parentheses nest 101 deep, over the limit 100 "
+        "(line 1, column 101)\n"
+    )
+
+
+# each subcommand's --help and the params lines of its text record, as
+# printed when the options were listed twice, in the parser and the record
+GLOBAL_OPTIONS = """\
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv,text}
+  --out FILE
+  --strict              exit 1 on verification failure or precision-limited
+                        results
+"""
+HELP_AND_PARAMS = {
+    "series": (
+        ["--which", "E4", "--prec", "3"],
+        """\
+usage: ramlab series [-h] [--format {json,csv,text}] [--out FILE] [--strict]
+                     --which WHICH --prec PREC
+
+""" + GLOBAL_OPTIONS + """\
+  --which WHICH         E2k, g[u,v], Delta or Theta
+  --prec PREC
+""",
+        ["which: E4", "prec: 3"],
+    ),
+    "verify-system": (
+        ["--m", "1", "--prec", "3"],
+        """\
+usage: ramlab verify-system [-h] [--format {json,csv,text}] [--out FILE]
+                            [--strict] --m M --prec PREC
+
+""" + GLOBAL_OPTIONS + """\
+  --m M
+  --prec PREC
+""",
+        ["m: 1", "prec: 3"],
+    ),
+    "ak": (
+        ["--k", "2"],
+        """\
+usage: ramlab ak [-h] [--format {json,csv,text}] [--out FILE] [--strict] --k K
+                 [--prec PREC]
+
+""" + GLOBAL_OPTIONS + """\
+  --k K
+  --prec PREC
+""",
+        ["k: 2", "prec: 60"],
+    ),
+    "ord": (
+        ["--poly", "E2 - 1", "--m", "1", "--prec", "3"],
+        """\
+usage: ramlab ord [-h] [--format {json,csv,text}] [--out FILE] [--strict]
+                  --poly POLY --m M --prec PREC
+
+""" + GLOBAL_OPTIONS + """\
+  --poly POLY
+  --m M
+  --prec PREC
+""",
+        ["poly: E2 - 1", "m: 1", "prec: 3"],
+    ),
+    "deriv": (
+        ["--poly", "E2", "--m", "1"],
+        """\
+usage: ramlab deriv [-h] [--format {json,csv,text}] [--out FILE] [--strict]
+                    --poly POLY --m M
+
+""" + GLOBAL_OPTIONS + """\
+  --poly POLY
+  --m M
+""",
+        ["poly: E2", "m: 1"],
+    ),
+    "stable": (
+        ["--poly", "E4", "--m", "1"],
+        """\
+usage: ramlab stable [-h] [--format {json,csv,text}] [--out FILE] [--strict]
+                     --poly POLY --m M
+
+""" + GLOBAL_OPTIONS + """\
+  --poly POLY
+  --m M
+""",
+        ["poly: E4", "m: 1"],
+    ),
+    "k0": (
+        ["--m", "1", "--prec", "10"],
+        """\
+usage: ramlab k0 [-h] [--format {json,csv,text}] [--out FILE] [--strict] --m M
+                 --prec PREC
+
+""" + GLOBAL_OPTIONS + """\
+  --m M
+  --prec PREC
+""",
+        ["m: 1", "prec: 10"],
+    ),
+    "auxsearch": (
+        ["--m", "1", "--grid", "0:1"],
+        """\
+usage: ramlab auxsearch [-h] [--format {json,csv,text}] [--out FILE]
+                        [--strict] --m M [--d0 D0] [--d D] [--prec PREC]
+                        [--grid GRID]
+
+""" + GLOBAL_OPTIONS + """\
+  --m M
+  --d0 D0
+  --d D
+  --prec PREC           default: adaptive
+  --grid GRID           D0MAX:DMAX grid of budgets
+""",
+        ["m: 1", "budgets: [{'d0': 0, 'd': 0}, {'d0': 0, 'd': 1}]", "prec: None"],
+    ),
+}
+
+
+
+@pytest.mark.parametrize("name", list(HELP_AND_PARAMS))
+def test_help_and_params_lines_are_pinned(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    argv, help_text, params = HELP_AND_PARAMS[name]
+    assert invoke(capsys, name, "--help") == (0, help_text, "")
+    code, out, _ = invoke(capsys, name, *argv)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == f"subcommand: {name}"
+    assert lines[1:lines.index("{")] == [f"  {line}" for line in params]
+
+
+def test_top_level_help_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = """\
+usage: ramlab [-h] [--format {json,csv,text}] [--out FILE] [--strict]
+              {series,verify-system,ak,ord,deriv,stable,k0,auxsearch} ...
+
+Exact computations around the extended Ramanujan system.
+
+positional arguments:
+  {series,verify-system,ak,ord,deriv,stable,k0,auxsearch}
+    series              dump a series' exact coefficients
+    verify-system       check the differential system
+    ak                  reduction polynomial for E_{2k}
+    ord                 order of vanishing of an evaluated polynomial
+    deriv               apply the derivation D
+    stable              principal D-stability check
+    k0                  order of vanishing of the Theta evaluation
+    auxsearch           auxiliary polynomial vanishing search
+
+"""
+    assert invoke(capsys, "--help") == (0, usage + GLOBAL_OPTIONS, "")
+
+
 def test_usage_error_exit_2(capsys):
     assert run(["no-such-subcommand"]) == 2
     capsys.readouterr()

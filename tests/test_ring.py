@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    ScanToken,
     char_scan_tokenize,
     count_series_products,
     delta,
@@ -30,7 +31,7 @@ from helpers import (
 )
 from ramlab import ring
 from ramlab.arith import bernoulli, y_pairs
-from ramlab._parse import MAX_PARSED_TERMS, _tokenize
+from ramlab._parse import MAX_NESTING, MAX_PARSED_TERMS, _position, _tokenize
 from ramlab.forms import discriminant_series, function_tuple
 from ramlab.ring import (
     ParseError,
@@ -442,6 +443,12 @@ def test_parse_multiplies_single_terms_without_polynomial_products(monkeypatch):
     assert calls[0] == 1
 
 
+def _positioned_tokenize(text):
+    """_tokenize's (kind, text, offset) tokens, each with the (line, column)
+    that _parse computes from its offset."""
+    return [ScanToken(kind, word, *_position(text, offset)) for kind, word, offset in _tokenize(text)]
+
+
 def _scan(tokenize, text):
     """Every token as (kind, text, line, col), or the error and its position."""
     try:
@@ -455,7 +462,7 @@ def test_tokenize_matches_char_scan_on_symbolic_inputs():
     texts = [case["argv"][2] for case in _symbolic_inputs(1)]
     assert len(texts) == 9
     for text in texts:
-        tokens = _scan(_tokenize, text)
+        tokens = _scan(_positioned_tokenize, text)
         assert len(tokens) > 10 and tokens == _scan(char_scan_tokenize, text)
 
 
@@ -483,7 +490,7 @@ def test_tokenize_matches_char_scan_on_malformed_text():
         texts += [ch, f"E4{ch}2", f"2{ch}E4", f"z +\n {ch}E6", f"12{ch}", f"E{ch}", f"{ch}{ch}z"]
     errors = 0
     for text in texts:
-        got = _scan(_tokenize, text)
+        got = _scan(_positioned_tokenize, text)
         assert got == _scan(char_scan_tokenize, text), repr(text)
         errors += got[0] == "error"
     assert 20 < errors < len(texts) - 20
@@ -647,11 +654,41 @@ def test_parse_errors_match_left_fold_oracle():
 
 
 def test_spaceless_g_is_one_token_and_spaced_g_keeps_its_tokens():
-    assert [t.text for t in _tokenize("g[1,3]^2")] == ["g[1,3]", "^", "2", ""]
-    assert [t.text for t in _tokenize("g [1,3]")] == ["g", "[", "1", ",", "3", "]", ""]
+    for text in ("g[1,3]^2", "g [1,3]"):
+        assert _scan(_positioned_tokenize, text) == _scan(char_scan_tokenize, text)
+    assert [word for _, word, _ in _tokenize("g[1,3]^2")] == ["g[1,3]", "^", "2", ""]
+    assert [word for _, word, _ in _tokenize("g [1,3]")] == ["g", "[", "1", ",", "3", "]", ""]
     g13 = Polynomial.variable("g[1,3]", CFG3)
     for text in ("g[1,3]", "g [1,3]", "g[1, 3]", "g[01,3]", "g[\u0661,3]"):
         assert parse(text, CFG3) == g13
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "\r"])
+def test_trailing_blanks_tokenize_in_linear_time(blank):
+    # each run of whitespace is one match, so no position rescans the run
+    start = time.perf_counter()
+    assert parse("E2" + blank * 100_000, CFG1) == Polynomial.variable("E2", CFG1)
+    assert time.perf_counter() - start < 1
+
+
+def test_parentheses_nest_at_most_max_nesting_deep():
+    nested = "(" * MAX_NESTING + "E2" + ")" * MAX_NESTING
+    assert parse(nested, CFG1) == Polynomial.variable("E2", CFG1)
+    for text in ("(" + nested + ")", "(" * 300 + "E2", "(" * 100_000 + "E2"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse(text, CFG1)
+        assert time.perf_counter() - start < 1
+        # refused at the parenthesis that passes the limit
+        assert str(exc.value) == (
+            f"parentheses nest {MAX_NESTING + 1} deep, over the limit {MAX_NESTING} "
+            f"(line 1, column {MAX_NESTING + 1})"
+        )
+    # the depth counts the parentheses open, not those opened so far
+    assert parse("+".join([nested] * 3), CFG1) == Polynomial.variable("E2", CFG1).scale(3)
+    with pytest.raises(ParseError) as exc:
+        parse("z +\n" + "(" * 150, CFG1)
+    assert (exc.value.line, exc.value.col) == (2, MAX_NESTING + 1)
 
 
 @pytest.mark.parametrize("text", ["E2^\u00b2", "3\u00b2", "g[\u00b2,3]"])
