@@ -1,9 +1,14 @@
-"""Exact linear algebra over Q: a rank profile modulo a prime, an exact
-square solve by p-adic lifting, and fraction-free elimination over Z.
+"""Exact linear algebra over Q: a rank profile modulo a prime with one exact
+kernel vector and the first row it is not orthogonal to; an exact square
+solve by p-adic lifting; and fraction-free elimination over Z.
 
 `rank_profile_mod_p` scales each rational row to integers once and reduces
 the rows one at a time over GF(p).  Its rank can only be lower than the rank
-over Q, since a minor that is nonzero mod p is nonzero.
+over Q, since a minor that is nonzero mod p is nonzero.  `kernel_mod_p`
+turns that profile into one certificate: a vector that is 1 at the first
+free column mod p and 0 past it, solved exactly from the rows whose pivots
+come before that column, and the index of the first row read that the
+vector is not orthogonal to over Q.
 
 `solve_lifted_scaled` solves a square integer system that is nonsingular
 mod p by Dixon's p-adic lifting (Numer. Math. 1982): one inverse mod p, then
@@ -35,8 +40,8 @@ verdict on singular systems.  Deterministic by construction; desk-scale
 matrices only.
 
 Only `multlab` imports this module, and the search calls only
-`rank_profile_mod_p` and `solve_lifted_scaled`.  No command calls `solve_square` or
-`RowReducer`; the tests and the benchmark's trace shim still use them.
+`kernel_mod_p`.  No command calls `solve_square` or `RowReducer`; the tests
+and the benchmark's trace shim still use them.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ __all__ = [
     "solve_square",
     "solve_lifted_scaled",
     "rank_profile_mod_p",
+    "kernel_mod_p",
     "RowReducer",
 ]
 
@@ -73,13 +79,13 @@ def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
 
 def rank_profile_mod_p(
     rows: Iterable[Sequence[Fraction]], target: int, p: int
-) -> tuple[int | None, list[int], list[list[int]]]:
+) -> tuple[int | None, dict[int, int], list[list[int]]]:
     """Reduce rational rows over GF(p), in order, until the rank would hit target.
 
     Returns (index of the first row that would bring the rank to target, or
-    None if no row does; the pivot column of each kept row; the kept rows,
-    scaled to integers).  A kept row is one that raised the rank mod p; its
-    pivot is its first nonzero column after reduction.
+    None if no row does; the pivot column of each row that raised the rank
+    mod p, by row index; every row read, scaled to integers).  A row's pivot
+    is its first nonzero column after reduction.
 
     Rows mod p are packed with nonnegative slots, and an elimination adds
     (p - f) times a monic row whose entries are below p, so slots only grow,
@@ -87,14 +93,15 @@ def rank_profile_mod_p(
     """
     if target < 1:
         raise ValueError("target rank must be positive")
-    pivots: list[int] = []
+    pivots: dict[int, int] = {}
     basis: list[tuple[int, int]] = []  # (bit offset of the pivot slot, packed monic row)
-    kept: list[list[int]] = []
+    scaled: list[list[int]] = []
     # a row takes fewer than `target` eliminations, each adding < p*p to a slot
     nbytes = slot_bytes(target * p * p)
     mask = (1 << 8 * nbytes) - 1
     for index, row in enumerate(rows):
         _, ints = integer_numerators(row)
+        scaled.append(ints)
         x = _pack_residues([a % p for a in ints], nbytes)
         for shift, b in basis:
             f = (x >> shift & mask) % p
@@ -105,12 +112,38 @@ def rank_profile_mod_p(
         if pivot is None:
             continue
         if len(basis) + 1 == target:
-            return index, pivots, kept
+            return index, pivots, scaled
         inv = pow(x[pivot], -1, p)
-        pivots.append(pivot)
+        pivots[index] = pivot
         basis.append((8 * nbytes * pivot, _pack_residues([u * inv % p for u in x], nbytes)))
-        kept.append(ints)
-    return None, pivots, kept
+    return None, pivots, scaled
+
+
+def kernel_mod_p(
+    rows: Iterable[Sequence[Fraction]], T: int, p: int
+) -> tuple[int | None, list[Fraction], int | None]:
+    """(cutoff, kernel vector, its order) of rational rows with T columns.
+
+    The cutoff is `rank_profile_mod_p`'s at target rank T.  With f the first
+    column that is not a pivot mod p, the vector is 0 past f and 1 at f, and
+    its first f coordinates solve the rows with pivot before f on columns
+    0..f-1, a square system nonsingular mod p; then its first nonzero
+    coordinate is normalised to 1.  The order is the index of the first row
+    read that the vector is not orthogonal to over Q, or None.  The system's
+    rows are orthogonal by `solve_lifted_scaled`'s exact check, and every
+    other row read is multiplied out.
+    """
+    cutoff, pivots, scaled = rank_profile_mod_p(rows, T, p)
+    pivot_set = set(pivots.values())
+    f = next(c for c in range(T) if c not in pivot_set)
+    system = [i for i, col in pivots.items() if col < f]
+    nums, den = solve_lifted_scaled([scaled[i][:f] for i in system], [-scaled[i][f] for i in system], p)
+    # the vector times den, in integers, so each coordinate is one Fraction
+    vector = nums + [den]
+    solved = set(system)
+    order = next((i for i, row in enumerate(scaled) if i not in solved and sum(map(mul, row, vector))), None)
+    lead = next(v for v in vector if v)
+    return cutoff, [Fraction(v, lead) for v in vector + [0] * (T - f - 1)], order
 
 
 def _pack_residues(values: list[int], nbytes: int) -> int:

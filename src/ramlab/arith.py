@@ -222,8 +222,8 @@ def power_work(size, e: int) -> int:
 
 # The largest m.  There are 4 + ((m+1)/2)^2 variables, 10,004 at m = 199, and
 # D holds an exponent tuple of that length per variable, so its memory grows
-# as m^4: `ramlab deriv --poly E2 --m 199` takes 22 s and 1.6 GB (2 vCPUs).
-# A minute's work, near m = 255, would need about 4.4 GB.
+# as m^4: `ramlab deriv --poly E2 --m 199` takes 3.4 s with a peak RSS of
+# 940 MiB (one run, 2 vCPUs, Python 3.11), so memory is the binding cost.
 MAX_M = 199
 
 

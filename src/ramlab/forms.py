@@ -225,15 +225,16 @@ def verify_system(m: int, precision: int) -> SystemReport:
             labels.append(f"delta(g[{u},{v}]) = g[{u + 1},{v}]")
         else:
             labels.append(f"delta(g[{u},{v}]) = B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}")
-    deltas = {var: _delta(s) for var, s in zip(tup.names[1:], tup.series[1:])}
+    # each delta side is built when it is compared, so one is held at a time
     checks = [
-        _compare(label, deltas[var], _at(ring.velocity(var, cfg), tup), upto)
-        for label, var in zip(labels, tup.names[1:])
+        _compare(label, _delta(s), _at(ring.velocity(var, cfg), tup), upto)
+        for label, var, s in zip(labels, tup.names[1:], tup.series[1:])
     ]
+    by_name = dict(zip(tup.names, tup.series))
     errata = [
         _compare(
             f"literal: delta(g[{v - 1},{v}]) = B_{2 * v + 2}*(A_{v + 1} - 1)/{2 * v + 2}",
-            deltas[f"g[{v - 1},{v}]"],
+            _delta(by_name[f"g[{v - 1},{v}]"]),
             _closing_rhs_literal(v, precision),
             upto,
         )

@@ -5,13 +5,11 @@ possible order of vanishing at z = 0, and profiles the measured orders
 against the degree-product bound shape.
 
 The search takes the rank profile of the coefficient matrix modulo a prime
-and recovers the kernel vector exactly by p-adic lifting.  The rank mod p is
-at most the rank over Q, so the cutoff n*_p it finds is at least the true
-n*; a witness polynomial whose exact order of vanishing is n*_p proves
-n* >= n*_p, hence equality.  The witness's order is known exactly, whatever
-the prime: it is read off the rank when rows 0..T-1 raised it and the
-lifted system was all of rows 0..T-2 (see `_search`), and computed from the
-witness's series otherwise.  If the order and n*_p disagree, the next prime
+and one exact kernel vector of the rows before its cutoff, with that
+vector's exact order of vanishing (`_linalg.kernel_mod_p`).  The rank mod p
+is at most the rank over Q, so the cutoff n*_p it finds is at least the
+true n*; a witness polynomial whose exact order of vanishing is n*_p proves
+n* >= n*_p, hence equality.  If the order and n*_p disagree, the next prime
 is tried.
 """
 
@@ -21,10 +19,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from ._linalg import rank_profile_mod_p, solve_lifted_scaled
+from ._linalg import kernel_mod_p
 from .arith import Record
 from .forms import InternalConsistencyError, function_tuple
-from .ring import Monomial, Polynomial, SystemConfig, evaluate, monomial_key, monomial_series
+from .ring import Monomial, Polynomial, SystemConfig, monomial_key, monomial_series
 from .series import Order
 
 __all__ = [
@@ -147,41 +145,15 @@ def max_vanishing_search(
         precision = min(2 * precision, cap)
 
 
-def _kernel_vector(
-    T: int, pivots: list[int], kept: list[list[int]], p: int
-) -> list[Fraction]:
-    """The kernel vector of the kept rows whose free column is the first mod p.
-
-    With f the first column that is not a pivot mod p, coordinates past f
-    are 0, coordinate f is 1, and the first f solve the kept rows with pivot
-    before f on columns 0..f-1: a square system, nonsingular mod p.  The
-    first nonzero coordinate is normalised to 1.
-    """
-    pivot_set = set(pivots)
-    f = next(c for c in range(T) if c not in pivot_set)
-    system = [row for row, col in zip(kept, pivots) if col < f]
-    nums, den = solve_lifted_scaled([row[:f] for row in system], [-row[f] for row in system], p)
-    # the vector times den, in integers, so each coordinate is one Fraction
-    scaled = nums + [den] + [0] * (T - f - 1)
-    lead = next(v for v in scaled if v)
-    return [Fraction(v, lead) for v in scaled]
-
-
 def _search(
     budget: DegreeBudget, cfg: SystemConfig, basis: list[Monomial], precision: int
 ) -> ExperimentRow:
     """The search at one fixed precision.
 
-    The witness's order is certified without its series when the cutoff is
-    T-1 and the witness's last coordinate is nonzero.  Then rows 0..T-1
-    each raised the rank mod p, so they are independent mod p, hence over
-    Q.  The last coordinate is nonzero only when the first free column mod
-    p is T-1, so the pivots of rows 0..T-2 are columns 0..T-2, and the
-    square system that `solve_lifted_scaled` checks exactly, M x = d b, is
-    all of rows 0..T-2 on those columns.  The witness is orthogonal to rows
-    0..T-2, so its series vanishes through z^(T-2), and the nonzero witness
-    cannot be orthogonal to row T-1 too, since the T rows are independent:
-    its order is T-1.  Every other case evaluates the witness.
+    The certificate is the order of the kernel vector that `kernel_mod_p`
+    computes exactly: order == cutoff proves n* = cutoff, and in a
+    precision-limited cell (no cutoff) a vector that vanishes through every
+    row proves n* > precision.
     """
     T = len(basis)
     tup = function_tuple(cfg.m, precision)
@@ -190,33 +162,22 @@ def _search(
 
     for p in PRIMES:
         rows = ([col.coeffs[r] for col in columns] for r in range(precision + 1))
-        cutoff, pivots, kept = rank_profile_mod_p(rows, T, p)
-        kernel = _kernel_vector(T, pivots, kept, p)
-        del kept  # frees the rows' large integers before the witness is built
-        witness = Polynomial(
-            cfg,
-            {mono: c for mono, c in zip(basis, kernel) if c != 0},
-        )
-        if cutoff == T - 1 and kernel[-1]:
-            measured = Order.finite(cutoff)
-        else:
-            # the columns filled the tuple's cache, so this is sum c_j * col_j
-            measured = evaluate(witness, tup).order()
+        cutoff, kernel, order = kernel_mod_p(rows, T, p)
+        if order == cutoff:
+            break
         if cutoff is None:
-            if not measured.is_finite:
-                break
             failure = (
                 "rank never reached the basis size yet the witness does not "
                 "vanish through the precision"
             )
-        elif measured.is_finite and measured.value == cutoff:
-            break
         else:
-            failure = f"witness order {measured} disagrees with search cutoff {cutoff}"
+            failure = f"witness order {order} disagrees with search cutoff {cutoff}"
     else:
         raise InternalConsistencyError(f"{failure} for every prime")
+    witness = Polynomial(cfg, {mono: c for mono, c in zip(basis, kernel) if c != 0})
     flagged = cutoff is None
     n_star = precision + 1 if flagged else cutoff
+    measured = Order.at_least(n_star) if flagged else Order.finite(n_star)
 
     nu = operational_exponent(cfg.m)
     nu_paper = paper_exponent(cfg.m)

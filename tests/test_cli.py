@@ -1,8 +1,10 @@
 import errno
 import json
 import os
+import shlex
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -615,3 +617,27 @@ def test_auxsearch_runs_past_the_recursion_limit_in_variables(capsys, m):
     assert (code, err) == (0, "")
     row = json.loads(out)["payload"]["rows"][0]
     assert (row["T"], row["n_star"], row["witness"]) == (1, 0, "1")
+
+
+def _readme_cli_lines() -> list[str]:
+    """The `ramlab ...` lines of the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("ramlab ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_lines_run_and_print_what_they_state(capsys, line):
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:]
+    code, _, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, out, _ = invoke(capsys, "--format", "json", *argv)
+    payload = json.loads(out)["payload"]
+    comment = comment.strip()
+    if argv[0] == "deriv":
+        assert comment == f"-> {payload['derivative']}"
+    elif argv[0] == "stable":
+        assert payload["stable"] and comment == f"stable, cofactor {payload['cofactor']}"
+    elif argv[0] == "k0":
+        assert comment.startswith(f"-> {payload['ord']}, ")

@@ -16,6 +16,7 @@ from ramlab import _linalg
 from ramlab._linalg import (
     InternalConsistencyError,
     RowReducer,
+    kernel_mod_p,
     rank_profile_mod_p,
     solve_square,
 )
@@ -268,7 +269,7 @@ def test_rank_profile_matches_fraction_oracle():
         ncols = rng.randint(1, 9)
         rows = random_rows(rng, ncols, rng.randint(0, ncols + 4))
         target = rng.randint(1, ncols)
-        cutoff, pivots, kept = rank_profile_mod_p(iter(rows), target, P61)
+        cutoff, pivots, scaled = rank_profile_mod_p(iter(rows), target, P61)
         oracle = FractionRowReducer(ncols)
         expected_cutoff, expected_kept = None, []
         for index, row in enumerate(rows):
@@ -278,12 +279,14 @@ def test_rank_profile_matches_fraction_oracle():
                 expected_cutoff = index
                 break
             oracle.add(row)
-            expected_kept.append(row)
+            expected_kept.append(index)
         assert cutoff == expected_cutoff
-        assert sorted(pivots) == sorted(oracle.rows)
-        assert len(kept) == len(expected_kept)
-        for ints, row in zip(kept, expected_kept):
-            # each kept row is the rational row times the lcm of its denominators
+        assert list(pivots) == expected_kept
+        assert sorted(pivots.values()) == sorted(oracle.rows)
+        read = rows if cutoff is None else rows[: cutoff + 1]
+        assert len(scaled) == len(read)
+        for ints, row in zip(scaled, read):
+            # each row read is the rational row times the lcm of its denominators
             scale = lcm(*(x.denominator for x in row))
             assert all(type(x) is int for x in ints)
             assert ints == [scale * x for x in row]
@@ -306,6 +309,42 @@ def test_rank_profile_mod_a_small_prime_can_only_drop():
         else:
             assert mod_7 == over_q
     assert dropped > 10
+
+
+def test_kernel_mod_p_matches_fraction_oracle():
+    rng = random.Random(61)
+    mismatched = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        rows = random_rows(rng, ncols, rng.randint(0, ncols + 4))
+        # denominators divisible by 7 make the rank mod 7 drop off the top
+        rows = [[x / 7 ** rng.randint(0, 2) for x in row] for row in rows]
+        for p in (P61, 7):
+            cutoff, kernel, order = kernel_mod_p(iter(rows), ncols, p)
+            profile_cutoff, pivots, _ = rank_profile_mod_p(iter(rows), ncols, p)
+            assert cutoff == profile_cutoff
+            # the rows with pivot mod p before the first free column f, on
+            # columns 0..f: their kernel over Q has f free, the first nonzero 1
+            f = next(c for c in range(ncols) if c not in pivots.values())
+            oracle = FractionRowReducer(f + 1)
+            for index, col in pivots.items():
+                if col < f:
+                    oracle.add(rows[index][: f + 1])
+            assert oracle.rank == f
+            assert kernel == oracle.kernel_vector() + [Fraction(0)] * (ncols - f - 1)
+            read = rows if cutoff is None else rows[: cutoff + 1]
+            products = [sum(a * b for a, b in zip(row, kernel)) for row in read]
+            assert order == next((r for r, x in enumerate(products) if x), None)
+            if p == P61:
+                # no prime-sized denominators: the profile is the one over Q,
+                # and the kernel vector is orthogonal to every row before the cutoff
+                reducer = FractionRowReducer(ncols)
+                for row in rows[:cutoff]:
+                    reducer.add(row)
+                assert kernel == reducer.kernel_vector()
+                assert order == cutoff
+            mismatched += order != cutoff
+    assert mismatched > 10
 
 
 def test_reconstruct_matches_brute_force():

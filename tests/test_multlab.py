@@ -204,13 +204,27 @@ def test_adaptive_precision_stops_at_3t(monkeypatch):
     assert row.precision == 90
 
 
+def _constant_witness(monkeypatch) -> list[int]:
+    """Make every prime's kernel vector that of the basis monomial 1, with
+    its order over the rows (0, as the series of 1 is 1); keep the cutoff.
+    Returns the primes tried."""
+    primes = []
+    real = multlab.kernel_mod_p
+
+    def constant(rows, T, p):
+        primes.append(p)
+        rows = list(rows)
+        cutoff, _, _ = real(iter(rows), T, p)
+        order = next((r for r, row in enumerate(rows) if row[0]), None)
+        return cutoff, [Fraction(1)] + [Fraction(0)] * (T - 1), order
+
+    monkeypatch.setattr(multlab, "kernel_mod_p", constant)
+    return primes
+
+
 def test_witness_cutoff_mismatch_raises(monkeypatch):
     # witness 1 has order 0, which contradicts any cutoff n* > 0, whatever the prime
-    monkeypatch.setattr(
-        multlab,
-        "_kernel_vector",
-        lambda T, pivots, kept, p: [Fraction(1)] + [Fraction(0)] * (T - 1),
-    )
+    _constant_witness(monkeypatch)
     with pytest.raises(InternalConsistencyError, match="disagrees"):
         max_vanishing_search(DegreeBudget(1, 1), CFG1)
     # precision-limited branch: the witness must vanish through the precision
@@ -268,13 +282,13 @@ def test_search_matches_bareiss_oracle(monkeypatch, m, budgets, precision):
 
 def _record_primes(monkeypatch) -> list[int]:
     primes = []
-    profile = multlab.rank_profile_mod_p
+    kernel = multlab.kernel_mod_p
 
-    def recording(rows, target, p):
+    def recording(rows, T, p):
         primes.append(p)
-        return profile(rows, target, p)
+        return kernel(rows, T, p)
 
-    monkeypatch.setattr(multlab, "rank_profile_mod_p", recording)
+    monkeypatch.setattr(multlab, "kernel_mod_p", recording)
     return primes
 
 
@@ -359,15 +373,40 @@ def test_grid_refuses_an_oversized_basis_before_any_cell_runs(monkeypatch):
 
 
 def _record_evaluations(monkeypatch) -> list[Polynomial]:
+    """Record every ring.evaluate call; the search holds no evaluate of its own."""
+    from ramlab import ring
+
+    assert "evaluate" not in vars(multlab)
     evaluated = []
-    original = multlab.evaluate
+    original = ring.evaluate
 
     def recording(poly, tup):
         evaluated.append(poly)
         return original(poly, tup)
 
-    monkeypatch.setattr(multlab, "evaluate", recording)
+    monkeypatch.setattr(ring, "evaluate", recording)
     return evaluated
+
+
+def _record_certificates(monkeypatch) -> tuple[list, list[int]]:
+    """Record kernel_mod_p's (cutoff, kernel, order) and the size of each
+    system it lifts."""
+    from ramlab import _linalg
+
+    certificates, systems = [], []
+    kernel, solve = multlab.kernel_mod_p, _linalg.solve_lifted_scaled
+
+    def recording_kernel(rows, T, p):
+        certificates.append(kernel(rows, T, p))
+        return certificates[-1]
+
+    def recording_solve(matrix, rhs, p):
+        systems.append(len(matrix))
+        return solve(matrix, rhs, p)
+
+    monkeypatch.setattr(multlab, "kernel_mod_p", recording_kernel)
+    monkeypatch.setattr(_linalg, "solve_lifted_scaled", recording_solve)
+    return certificates, systems
 
 
 def _grid(d0max, dmax):
@@ -380,30 +419,37 @@ def _grid(d0max, dmax):
 )
 def test_certified_order_is_the_witness_order(monkeypatch, m, budgets, precision):
     # every cell here has n* = T-1 and a witness using the last basis
-    # monomial, so its order comes from the rank and nothing is evaluated
+    # monomial: the lifted system is all of rows 0..T-2, so only the cutoff
+    # row is multiplied out, and nothing is evaluated
     evaluated = _record_evaluations(monkeypatch)
+    certificates, systems = _record_certificates(monkeypatch)
     cfg = SystemConfig(m)
     for budget in budgets:
+        certificates.clear()
+        systems.clear()
         row = max_vanishing_search(budget, cfg, precision)
         assert row.n_star == row.T - 1
         assert monomial_basis(budget, cfg)[-1] in row.witness.terms
+        assert systems == [row.T - 1]
+        [(cutoff, kernel, order)] = certificates
+        assert cutoff == order == row.n_star and kernel[-1]
         assert evaluated == []
         assert evaluate(row.witness, function_tuple(m, row.precision)).order() == row.measured_ord
 
 
 def test_uncertified_cells_evaluate_the_witness(monkeypatch):
-    evaluated = _record_evaluations(monkeypatch)
+    certificates, _ = _record_certificates(monkeypatch)
     m, budgets, precision = LIMITED_CELL
     row = max_vanishing_search(budgets[0], SystemConfig(m), precision)
     assert row.precision_limited
-    assert evaluated == [row.witness]
-    # a kernel vector whose last coordinate is 0 is evaluated, and found wrong, for every prime
-    evaluated.clear()
-    monkeypatch.setattr(
-        multlab,
-        "_kernel_vector",
-        lambda T, pivots, kept, p: [Fraction(1)] + [Fraction(0)] * (T - 1),
-    )
+    # the witness is the kernel vector, which vanishes on every row read
+    [(cutoff, kernel, order)] = certificates
+    assert cutoff is None and order is None
+    basis = monomial_basis(budgets[0], SystemConfig(m))
+    assert [row.witness.terms.get(mono, 0) for mono in basis] == kernel
+    assert evaluate(row.witness, function_tuple(m, precision)).order() == row.measured_ord
+    # a kernel vector whose last coordinate is 0 has its order checked, and found wrong, for every prime
+    primes = _constant_witness(monkeypatch)
     with pytest.raises(InternalConsistencyError, match="disagrees"):
         max_vanishing_search(DegreeBudget(1, 1), CFG1)
-    assert len(evaluated) == len(multlab.PRIMES)
+    assert primes == list(multlab.PRIMES)
