@@ -2,9 +2,9 @@
 scaling of a rational vector to integers, Kronecker packing, square-and-
 multiply, the domain of m, the names and index pairs of the system's
 variables, the exact text of a rational and of a long integer, the error
-raised when a self-check fails, and the base of the immutable value
-classes.  Every other module may import this one; it imports no other
-ramlab module.
+raised when a self-check fails, the base of the immutable value classes,
+and the lookup by which a module reaches names kept in a sibling module.
+Every other module may import this one; it imports no other ramlab module.
 
 A vector of integers is packed into one integer, value i in slot i, each
 slot a whole number of bytes (Kronecker substitution).  A sum of multiples
@@ -40,6 +40,7 @@ __all__ = [
     "variable_names",
     "fraction_str",
     "int_str",
+    "forward_names",
 ]
 
 
@@ -296,3 +297,21 @@ def _power_of_two(h: int, dec):
         power = dec(1 << h) if h <= _LEAF_BITS else _power_of_two(h >> 1, dec) ** 2
         _POWERS_OF_TWO[h] = power
     return power
+
+
+def forward_names(namespace: dict, home: str, names: tuple[str, ...]):
+    """A module `__getattr__` (PEP 562) for names that live in the sibling
+    module `home`, such as "_system": home is imported when one of them is
+    first looked up, and each name is kept in namespace once resolved.  So
+    the module holds home's own objects, and a later lookup, import or patch
+    sees a plain module attribute."""
+
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        # the import statement's own path, so that -X importtime lists home
+        module = __import__(home, namespace, None, (name,), 1)
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    return __getattr__

@@ -191,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         default=argparse.SUPPRESS,
-        help="exit 1 on verification failure or precision-limited results",
+        help="exit 1 on a precision-limited auxsearch cell, or when ord's order is "
+        "not resolved at --prec",
     )
 
     parser = argparse.ArgumentParser(

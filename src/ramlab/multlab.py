@@ -117,7 +117,10 @@ PRECISION_SLACK = 5
 
 
 def max_vanishing_search(
-    budget: DegreeBudget, cfg: SystemConfig, precision: int | None = None
+    budget: DegreeBudget,
+    cfg: SystemConfig,
+    precision: int | None = None,
+    tup: FunctionTuple | None = None,
 ) -> ExperimentRow:
     """Find the highest-vanishing combination of the budgeted monomials.
 
@@ -126,29 +129,48 @@ def max_vanishing_search(
     the best achievable vanishing order within the budget.
 
     An explicit precision is used as given.  Without one, the search starts
-    at T + PRECISION_SLACK and doubles while the result is precision-limited,
-    up to 3T.  Row r of the matrix is the same at every precision >= r, so
-    everything but the reported precision equals the search at 3T.
+    at T + PRECISION_SLACK (`_first_precision`) and doubles while the result
+    is precision-limited, up to 3T.  Row r of the matrix is the same at every
+    precision >= r, so everything but the reported precision equals the
+    search at 3T.
+
+    For the same reason a search at some precision may read its columns from
+    a function tuple at any precision above it.  So a tuple `tup` given by
+    the caller is shared: an attempt at a precision up to tup's reads its
+    columns from tup's monomial cache, and fills it for the next caller;
+    only an attempt past it builds a tuple of its own.
     """
     basis = monomial_basis(budget, cfg)
     T = len(basis)
     if T != expected_basis_size(budget, cfg):
         raise InternalConsistencyError(f"basis size {T} disagrees with the count formula")
+
+    def search(precision: int) -> ExperimentRow:
+        if tup is None or tup.precision < precision:
+            return _search(budget, cfg, basis, precision, function_tuple(cfg.m, precision))
+        return _search(budget, cfg, basis, precision, tup)
+
     if precision is not None:
-        return _search(budget, cfg, basis, precision)
+        return search(precision)
     cap = 3 * T
-    precision = min(T + PRECISION_SLACK, cap)
+    precision = _first_precision(T)
     while True:
-        row = _search(budget, cfg, basis, precision)
+        row = search(precision)
         if not row.precision_limited or precision >= cap:
             return row
         precision = min(2 * precision, cap)
 
 
+def _first_precision(T: int) -> int:
+    """The adaptive search's first precision for a basis of size T."""
+    return min(T + PRECISION_SLACK, 3 * T)
+
+
 def _search(
-    budget: DegreeBudget, cfg: SystemConfig, basis: list[Monomial], precision: int
+    budget: DegreeBudget, cfg: SystemConfig, basis: list[Monomial], precision: int, tup: FunctionTuple
 ) -> ExperimentRow:
-    """The search at one fixed precision.
+    """The search at one fixed precision, on a function tuple at that
+    precision or above; it reads rows 0..precision only.
 
     The certificate is the order of the kernel vector that `kernel_mod_p`
     computes exactly: order == cutoff proves n* = cutoff, and in a
@@ -156,7 +178,6 @@ def _search(
     row proves n* > precision.
     """
     T = len(basis)
-    tup = function_tuple(cfg.m, precision)
     # basis order is graded, so each column is one product off a cached parent
     columns = [monomial_series(mono, tup) for mono in basis]
 
@@ -204,9 +225,14 @@ def experiment_grid(
     """Run the search over a grid of budgets; deterministic row order.
 
     Every cell's basis size is checked against MAX_BASIS_SIZE before the
-    first search runs.
+    first search runs.  The cells share one function tuple, at the largest
+    precision any cell starts at (see `max_vanishing_search`): a grid's
+    bases nest, so each column series is built once per grid, not once per
+    cell, and a cell builds a tuple of its own only when it escalates past
+    the shared one.
     """
     cfg = SystemConfig(m)
+    starts = []
     for b in budgets:
         T = expected_basis_size(b, cfg)
         if T > MAX_BASIS_SIZE:
@@ -214,7 +240,9 @@ def experiment_grid(
                 f"the cell m={m}, d0={b.d0}, d={b.d} has T={T} basis monomials, "
                 f"over the limit {MAX_BASIS_SIZE}"
             )
-    rows = [max_vanishing_search(b, cfg, precision) for b in budgets]
+        starts.append(_first_precision(T) if precision is None else precision)
+    tup = function_tuple(m, max(starts)) if starts else None
+    rows = [max_vanishing_search(b, cfg, precision, tup) for b in budgets]
     max_ratio = max((row.ratio for row in rows), default=Fraction(0))
     max_ratio_paper = max((row.ratio_paper for row in rows), default=Fraction(0))
     summary = GridSummary(

@@ -715,11 +715,13 @@ class FractionRowReducer:
         return [x / lead for x in vec]
 
 
-def reducer_search(budget, cfg, basis, precision, reducer_cls=RowReducer) -> ExperimentRow:
+def reducer_search(budget, cfg, basis, precision, tup, reducer_cls=RowReducer) -> ExperimentRow:
     """Oracle for multlab._search: exact row reduction over Q, one row at a time.
 
     The cutoff is the first row that would bring the rank to T, and the
-    witness is the reducer's kernel vector of the rows before it.
+    witness is the reducer's kernel vector of the rows before it.  The
+    oracle builds its own function tuple at `precision`; the search's `tup`,
+    which may be at a higher precision, is not read.
     """
     T = len(basis)
     tup = function_tuple(cfg.m, precision)

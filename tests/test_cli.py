@@ -253,8 +253,8 @@ options:
   -h, --help            show this help message and exit
   --format {json,csv,text}
   --out FILE
-  --strict              exit 1 on verification failure or precision-limited
-                        results
+  --strict              exit 1 on a precision-limited auxsearch cell, or when
+                        ord's order is not resolved at --prec
 """
 HELP_AND_PARAMS = {
     "series": (
@@ -531,6 +531,22 @@ def test_csv_auxsearch_builds_no_json_or_text_payload(capsys, monkeypatch, m, gr
     code, out, _ = invoke(capsys, "--format", "csv", "auxsearch", "--m", m, "--grid", grid)
     assert code == 0
     assert out == SEARCH_GRID_CSV[m, grid]
+
+
+@pytest.mark.parametrize("m, grid", sorted(SEARCH_GRID_CSV))
+def test_every_grid_cell_reports_what_it_reports_searched_alone(capsys, m, grid):
+    # a grid's cells share one function tuple; each cell's record, its
+    # precision included, is still the one it has as a grid of its own
+    def cells(fmt, *argv):
+        code, out, _ = invoke(capsys, "--format", fmt, "auxsearch", "--m", m, *argv)
+        assert code == 0
+        return json.loads(out)["payload"]["rows"] if fmt == "json" else out.splitlines()[1:]
+
+    d0max, dmax = map(int, grid.split(":"))
+    for fmt in ("json", "csv"):
+        alone = [cells(fmt, "--d0", str(d0), "--d", str(d))
+                 for d0 in range(d0max + 1) for d in range(dmax + 1)]
+        assert cells(fmt, "--grid", grid) == [row for rows in alone for row in rows]
 
 
 @pytest.mark.parametrize(

@@ -194,7 +194,7 @@ def test_adaptive_precision_doubles_while_precision_limited(monkeypatch):
 def test_adaptive_precision_stops_at_3t(monkeypatch):
     tried = []
 
-    def always_limited(budget, cfg, basis, precision):
+    def always_limited(budget, cfg, basis, precision, tup):
         tried.append(precision)
         return SimpleNamespace(precision_limited=True, precision=precision)
 
@@ -370,6 +370,26 @@ def test_grid_refuses_an_oversized_basis_before_any_cell_runs(monkeypatch):
     monkeypatch.undo()
     rows, _ = experiment_grid(3, [DegreeBudget(1, 3)], precision=0)
     assert rows[0].T == 240
+
+
+def test_grid_shares_one_function_tuple_until_a_cell_escalates_past_it(monkeypatch):
+    # T = 5 and 30 start at 1 and 26, so the grid's tuple is at 26: the
+    # T = 5 cell escalates inside it, the T = 30 cell past it
+    budgets = [DegreeBudget(0, 1), DegreeBudget(1, 2)]
+    monkeypatch.setattr(multlab, "PRECISION_SLACK", -4)
+    alone = [max_vanishing_search(b, CFG1) for b in budgets]
+    built = []
+    real = multlab.function_tuple
+
+    def recording(m, precision):
+        built.append(precision)
+        return real(m, precision)
+
+    monkeypatch.setattr(multlab, "function_tuple", recording)
+    rows, _ = experiment_grid(1, budgets)
+    assert built == [26, 52]
+    assert [r.precision for r in rows] == [4, 52]
+    assert [(_answer(r), r.precision) for r in rows] == [(_answer(r), r.precision) for r in alone]
 
 
 def _record_evaluations(monkeypatch) -> list[Polynomial]:

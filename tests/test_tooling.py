@@ -98,9 +98,10 @@ def test_only_multlab_imports_linalg_and_ring_imports_no_upper_layer():
     # lazy import that no test command reaches would not show in sys.modules
     imports = {path.stem: imported_layers(path) for path in SOURCES}
     assert imports["ring"] & {"forms", "multlab", "_linalg"} == set()
+    assert imports["_system"] & {"forms", "multlab", "_linalg"} == set()
     assert [name for name, layers in imports.items() if "_linalg" in layers] == ["multlab"]
     # the walk sees imports inside functions, in both relative forms
-    assert {"ring", "series"} <= imports["forms"] and "_parse" in imports["ring"]
+    assert {"forms", "ring"} <= imports["_checks"] and "_parse" in imports["ring"]
 
 
 def test_trace_shim_targets_resolve():
@@ -191,16 +192,18 @@ COMMANDS = {
         ("from ramlab import Polynomial", ["ramlab", "ramlab.arith", "ramlab.ring"]),
         (
             COMMANDS["deriv"],
-            ["ramlab", "ramlab._parse", "ramlab.arith", "ramlab.cli", "ramlab.ring"],
+            ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
+             "ramlab.ring"],
         ),
         (
             run_cli("deriv", "--poly", "E2", "--m", "7"),
-            ["ramlab", "ramlab._parse", "ramlab.arith", "ramlab.cli", "ramlab.ring"],
+            ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
+             "ramlab.ring"],
         ),
         (
             COMMANDS["stable"],
-            ["ramlab", "ramlab._parse", "ramlab.arith", "ramlab.cli", "ramlab.ring",
-             "ramlab.stability"],
+            ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
+             "ramlab.ring", "ramlab.stability"],
         ),
         (
             COMMANDS["series"],
@@ -208,13 +211,13 @@ COMMANDS = {
         ),
         (
             COMMANDS["verify-system"],
-            ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.ring",
-             "ramlab.series"],
+            ["ramlab", "ramlab._checks", "ramlab._system", "ramlab.arith", "ramlab.cli",
+             "ramlab.forms", "ramlab.ring", "ramlab.series"],
         ),
         (
             COMMANDS["ak"],
-            ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.ring",
-             "ramlab.series"],
+            ["ramlab", "ramlab._checks", "ramlab._system", "ramlab.arith", "ramlab.cli",
+             "ramlab.forms", "ramlab.ring", "ramlab.series"],
         ),
         (
             COMMANDS["k0"],
@@ -235,7 +238,36 @@ def test_each_entry_point_loads_only_the_layers_it_runs(code, expected):
     # closing velocity's E_{2k} in E4 and E6 itself, and ak reads it from
     # there.  k0 is a q-series fact and loads no ring.  Only auxsearch loads
     # _linalg, and only the commands that parse load the parser, _parse.
+    # Only the commands that apply or check D load it, _system; only
+    # verify-system and ak load the checks, _checks; the search loads neither
     assert loaded_after(code) == expected
+
+
+# each module that holds names of another, and the names it resolves from there
+MOVED = {
+    "ring": ("_system", ["eisenstein_polynomial", "velocity", "derive", "_velocities"]),
+    "forms": ("_checks", ["AkPolynomial", "ak_polynomial", "EquationCheck", "SystemReport",
+                          "verify_system"]),
+    "_linalg": ("_bareiss", ["RowReducer", "solve_square"]),
+}
+
+
+@pytest.mark.parametrize("old", MOVED)
+def test_moved_names_resolve_at_their_old_home_to_the_same_object(old):
+    home, names = MOVED[old]
+    old_module = importlib.import_module(f"ramlab.{old}")
+    new_module = importlib.import_module(f"ramlab.{home}")
+    for name in names:
+        assert getattr(old_module, name) is getattr(new_module, name)
+    assert set(new_module.__all__) <= set(old_module.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        old_module.no_such_name
+
+
+@pytest.mark.parametrize("old", MOVED)
+def test_importing_a_module_loads_none_of_the_modules_it_resolves_names_from(old):
+    homes = {f"ramlab.{home}" for home, _ in MOVED.values()}
+    assert homes & set(loaded_after(f"import ramlab.{old}")) == set()
 
 
 @pytest.fixture(scope="module")
