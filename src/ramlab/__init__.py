@@ -9,35 +9,21 @@ Subpackages:
   multlab    auxiliary-polynomial vanishing experiments
   cli        command-line front end
 
-Layering and start-up: `import ramlab` loads no layer.  The four names
-below resolve on first use (PEP 562), `ring` loads only `arith` until it
-evaluates at the function tuple, and the CLI imports each layer in the
+Layering and start-up: `import ramlab` loads no layer, each name is
+imported from the module that defines it, `ring` loads only `arith` until
+it evaluates at the function tuple, and the CLI imports each layer in the
 subcommand that runs it.  Code that only some commands run lives in a
-private module that its public home loads on first use, so a command's
-process start does not compile it:
+private module, so a command's process start does not compile it:
   _parse     the parser, loaded by `ring.parse`
-  _system    D, its velocity table and E_{2k} in E4 and E6, resolved by `ring`
-  _checks    `verify_system` and `ak_polynomial`, resolved by `forms`
-  _bareiss   `RowReducer` and `solve_square`, resolved by `_linalg`
-So `ramlab deriv` and `ramlab stable` load only `arith`, `ring`, `_parse`
-and `_system` (and `stability`) at every m, the search loads none of the
-four, and only `multlab` loads `_linalg`.
+  _system    D, its velocity table and E_{2k} in E4 and E6
+  _checks    `verify_system` and `ak_polynomial`
+  _bareiss   `RowReducer` and `solve_square`
+`ring`, `forms` and `_linalg` forward only the names of these that the
+benchmark's trace shim wraps there (`arith.forward_names`).  So `ramlab
+deriv` and `ramlab stable` load only `arith`, `ring`, `_parse` and
+`_system` (and `stability`) at every m, the search loads none of the four,
+and only `multlab` loads `_linalg`.
 """
 
-__all__ = ["Order", "TruncatedSeries", "Polynomial", "SystemConfig"]
+__all__ = ["arith", "series", "forms", "ring", "stability", "multlab", "cli"]
 __version__ = "0.1.0"
-
-_HOMES = {
-    "Order": "series",
-    "TruncatedSeries": "series",
-    "Polynomial": "ring",
-    "SystemConfig": "ring",
-}
-
-
-def __getattr__(name):
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f".{_HOMES[name]}", __name__), name)

@@ -1,8 +1,8 @@
 """Fraction-free elimination over Z, one row at a time: `RowReducer` and
 the exact square solve built on it.  No command runs them; the tests use
-them as an oracle of the search, and the benchmark's trace shim wraps them.
-`_linalg` resolves both names here on first use (`arith.forward_names`), so
-the search never compiles this module.
+them as an oracle of the search and import them from here.  `_linalg`
+forwards both names (`arith.forward_names`), only because the benchmark's
+trace shim wraps them there, and the search never compiles this module.
 
 `RowReducer` keeps an integer echelon basis, one row at a time, with
 Bareiss' integer-preserving step (Bareiss, Math. Comp. 1968): every stored

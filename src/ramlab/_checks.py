@@ -1,21 +1,23 @@
 """The two checks of the system against the q-expansions: `verify_system`
 checks D's velocity table by the chain rule on the generators, and
-`ak_polynomial` checks E_{2k} in E4 and E6, as `ring.eisenstein_polynomial`
+`ak_polynomial` checks E_{2k} in E4 and E6, as `_system.eisenstein_polynomial`
 writes it, against the q-expansion of E_{2k}.  Both compare cross-multiplied
 integers, coefficient by coefficient, and build no Fraction.
 
-`forms` resolves the public names here on first use
-(`arith.forward_names`), so only `verify-system` and `ak` compile this
-module.  It reaches the series
-through `forms` and D through `ring`, looked up when a check runs.
+Callers import these names from here.  `forms` forwards `verify_system` and
+`ak_polynomial` (`arith.forward_names`), only because the benchmark's trace
+shim wraps them there, so only `verify-system` and `ak` compile this module.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
+# `forms.function_tuple` is looked up at each call, so the trace shim's span counts it
 from . import forms
+from ._system import eisenstein_polynomial, velocity
 from .arith import InternalConsistencyError, Record, bernoulli, y_pairs
+from .ring import SystemConfig, evaluate_numerators, monomial_series
 
 __all__ = ["AkPolynomial", "ak_polynomial", "EquationCheck", "SystemReport", "verify_system"]
 
@@ -30,13 +32,11 @@ class AkPolynomial(Record):
     coefficients: dict[tuple[int, int], Fraction]
 
 
-def ak_polynomial(k: int, precision: int = 60) -> AkPolynomial:
-    """`ring.eisenstein_polynomial(k)` as a combination of E4^a E6^b with
+def ak_polynomial(k: int, precision: int) -> AkPolynomial:
+    """`eisenstein_polynomial(k)` as a combination of E4^a E6^b with
     2a + 3b = k, checked on the q-expansions' coefficients through `precision`."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    from .ring import eisenstein_polynomial
-
     poly = eisenstein_polynomial(k)
     den, nums = forms._eisenstein_numerators(k, precision)
     check = _compare(f"A_{k}", _at(poly, forms.function_tuple(1, precision)), (nums, repeat(den)), precision)
@@ -90,8 +90,6 @@ def _at(poly, tup: FunctionTuple):
     """poly at the function tuple as a side.  A monomial with coefficient 1 is
     its stored series, term by term; any other polynomial is taken over one
     denominator by `ring.evaluate_numerators`."""
-    from .ring import evaluate_numerators, monomial_series
-
     if len(poly.terms) == 1 and 1 in poly.terms.values():
         return _terms(monomial_series(next(iter(poly.terms)), tup))
     den, nums = evaluate_numerators(poly, tup)
@@ -114,9 +112,7 @@ def verify_system(m: int, precision: int) -> SystemReport:
     of each closing equation is re-checked alongside and its verdict
     recorded as errata evidence.
     """
-    from . import ring
-
-    cfg = ring.SystemConfig(m)
+    cfg = SystemConfig(m)
     tup = forms.function_tuple(m, precision)
     upto = precision - 1
     labels = [
@@ -131,7 +127,7 @@ def verify_system(m: int, precision: int) -> SystemReport:
             labels.append(f"delta(g[{u},{v}]) = B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}")
     # each delta side is built when it is compared, so one is held at a time
     checks = [
-        _compare(label, _delta(s), _at(ring.velocity(var, cfg), tup), upto)
+        _compare(label, _delta(s), _at(velocity(var, cfg), tup), upto)
         for label, var, s in zip(labels, tup.names[1:], tup.series[1:])
     ]
     by_name = dict(zip(tup.names, tup.series))

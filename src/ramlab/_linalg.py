@@ -30,9 +30,10 @@ width of its own entries.
 
 Only `multlab` imports this module, and the search calls only
 `kernel_mod_p`.  The fraction-free elimination `RowReducer` and
-`solve_square`, which no command calls and which the tests and the
-benchmark's trace shim still use, live in `_bareiss`, loaded when one of
-them is first looked up here.
+`solve_square`, which no command calls, live in `_bareiss`.  They are the
+names forwarded here, because the benchmark's trace shim wraps them as
+`_linalg.RowReducer` and `_linalg.solve_square`; they load `_bareiss` when
+first looked up.
 """
 
 from __future__ import annotations
@@ -43,16 +44,9 @@ from operator import mul
 
 from .arith import InternalConsistencyError, forward_names, integer_numerators, pack, slot_bytes
 
-__all__ = [
-    "InternalConsistencyError",
-    "solve_square",
-    "solve_lifted_scaled",
-    "rank_profile_mod_p",
-    "kernel_mod_p",
-    "RowReducer",
-]
+__all__ = ["solve_lifted_scaled", "rank_profile_mod_p", "kernel_mod_p"]
 
-# the fraction-free elimination, resolved from `_bareiss` on first use
+# the trace shim's elimination spans, resolved from `_bareiss` on first use
 __getattr__ = forward_names(globals(), "_bareiss", ("RowReducer", "solve_square"))
 
 

@@ -2,12 +2,11 @@
 the one statement of the system, and E_{2k} written in E4 and E6 by the
 Weierstrass recurrence, which the closing velocities read.
 
-`ring` resolves the public names here, and `_velocities`, on first use
-(`arith.forward_names`), so `ring.derive` and `ring.velocity` are these
-functions, and a process that never applies D, as the search does not,
-never compiles this module.  The
-commands that load it are `deriv` and `stable`, which apply D, and
-`verify-system` and `ak`, which check it.
+Callers import these names from here.  `ring` forwards `derive` alone
+(`arith.forward_names`), only because the benchmark's trace shim wraps it
+as `ring.derive`.  A process that never applies D, as the search does not,
+never compiles this module.  The commands that load it are `deriv` and
+`stable`, which apply D, and `verify-system` and `ak`, which check it.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ def eisenstein_polynomial(k: int) -> Polynomial:
 @lru_cache(maxsize=None)
 def _velocities(m: int) -> tuple[Polynomial, ...]:
     """D applied to each variable, in canonical variable order.  This table is
-    the one definition of the system; `forms.verify_system` checks it."""
+    the one definition of the system; `_checks.verify_system` checks it."""
     cfg = SystemConfig(m)
     z = Polynomial.variable("z", cfg)
     x1 = Polynomial.variable("E2", cfg)

@@ -304,7 +304,9 @@ def forward_names(namespace: dict, home: str, names: tuple[str, ...]):
     module `home`, such as "_system": home is imported when one of them is
     first looked up, and each name is kept in namespace once resolved.  So
     the module holds home's own objects, and a later lookup, import or patch
-    sees a plain module attribute."""
+    sees a plain module attribute.  It serves only the benchmark's trace
+    shim, which wraps `derive`, the two checks and the Bareiss elimination
+    at the homes they had before they moved."""
 
     def __getattr__(name):
         if name not in names:

@@ -78,15 +78,17 @@ def _parse_poly(text: str, m: int):
         raise CliError(f"polynomial syntax error: {exc}") from None
 
 
-def _parse_grid(spec: str) -> list[DegreeBudget]:
-    """Grid spec "D0MAX:DMAX": every budget with d0 <= D0MAX and d <= DMAX."""
+def _parse_grid(spec: str) -> Iterator[DegreeBudget]:
+    """Grid spec "D0MAX:DMAX": every budget with d0 <= D0MAX and d <= DMAX,
+    built one at a time as it is read, so `experiment_grid` refuses a cell
+    over its size limit before the rest of the grid is built."""
     from .multlab import DegreeBudget
 
     m = re.fullmatch(r"(\d+):(\d+)", spec)
     if not m:
         raise CliError("grid spec must look like D0MAX:DMAX, e.g. 1:2")
     d0max, dmax = int(m.group(1)), int(m.group(2))
-    return [DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1)]
+    return (DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1))
 
 
 def _experiment_rows(rows, summary) -> dict:
@@ -222,6 +224,7 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
         record["payload"] = _series_payload(_resolve_series(args.which, args.prec))
 
     elif args.subcommand == "verify-system":
+        # from forms, not _checks, so the trace shim's forms.verify_system span counts it
         from .forms import verify_system
 
         report = verify_system(args.m, args.prec)
@@ -231,6 +234,7 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
 
     elif args.subcommand == "ak":
         from .arith import fraction_str
+        # from forms, not _checks, so the trace shim's forms.ak_polynomial span counts it
         from .forms import ak_polynomial
 
         ak = ak_polynomial(args.k, args.prec)
@@ -252,6 +256,7 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
             code = EXIT_FAIL
 
     elif args.subcommand == "deriv":
+        # derive from ring, not _system, so the trace shim's ring.derive span counts it
         from .ring import derive, format_polynomial
 
         poly = _parse_poly(args.poly, args.m)
@@ -289,12 +294,12 @@ def _dispatch(args) -> tuple[dict, int, list | None]:
             budgets = [DegreeBudget(args.d0, args.d)]
         else:
             raise CliError("auxsearch needs either --d0 and --d, or --grid")
+        rows, summary = experiment_grid(args.m, budgets, args.prec)
         record["params"] = {
             "m": args.m,
-            "budgets": [{"d0": b.d0, "d": b.d} for b in budgets],
+            "budgets": [{"d0": r.d0, "d": r.d} for r in rows],
             "prec": args.prec,
         }
-        rows, summary = experiment_grid(args.m, budgets, args.prec)
         if args.format != "csv":
             record["payload"] = _experiment_rows(rows, summary)
         if summary.flagged and args.strict:

@@ -20,8 +20,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from ._linalg import kernel_mod_p
-from .arith import Record
-from .forms import InternalConsistencyError, function_tuple
+from .arith import InternalConsistencyError, Record
+from .forms import function_tuple
 from .ring import Monomial, Polynomial, SystemConfig, monomial_key, monomial_series
 from .series import Order
 
@@ -220,19 +220,20 @@ def _search(
 
 
 def experiment_grid(
-    m: int, budgets: list[DegreeBudget], precision: int | None = None
+    m: int, budgets: Iterable[DegreeBudget], precision: int | None = None
 ) -> tuple[list[ExperimentRow], GridSummary]:
     """Run the search over a grid of budgets; deterministic row order.
 
-    Every cell's basis size is checked against MAX_BASIS_SIZE before the
-    first search runs.  The cells share one function tuple, at the largest
-    precision any cell starts at (see `max_vanishing_search`): a grid's
-    bases nest, so each column series is built once per grid, not once per
-    cell, and a cell builds a tuple of its own only when it escalates past
-    the shared one.
+    Every cell's basis size is checked against MAX_BASIS_SIZE, in the
+    budgets' order, before the first search runs, and no budget past the
+    first cell over it is read.  The cells share one function tuple, at the
+    largest precision any cell starts at (see `max_vanishing_search`): a
+    grid's bases nest, so each column series is built once per grid, not
+    once per cell, and a cell builds a tuple of its own only when it
+    escalates past the shared one.
     """
     cfg = SystemConfig(m)
-    starts = []
+    cells, starts = [], []
     for b in budgets:
         T = expected_basis_size(b, cfg)
         if T > MAX_BASIS_SIZE:
@@ -240,9 +241,10 @@ def experiment_grid(
                 f"the cell m={m}, d0={b.d0}, d={b.d} has T={T} basis monomials, "
                 f"over the limit {MAX_BASIS_SIZE}"
             )
+        cells.append(b)
         starts.append(_first_precision(T) if precision is None else precision)
     tup = function_tuple(m, max(starts)) if starts else None
-    rows = [max_vanishing_search(b, cfg, precision, tup) for b in budgets]
+    rows = [max_vanishing_search(b, cfg, precision, tup) for b in cells]
     max_ratio = max((row.ratio for row in rows), default=Fraction(0))
     max_ratio_paper = max((row.ratio_paper for row in rows), default=Fraction(0))
     summary = GridSummary(

@@ -1,16 +1,17 @@
 """Sparse multivariate polynomials over exact rationals in the variables
 z, X1, X2, X3 (printed as z, E2, E4, E6) and Y_{u,v} (printed g[u,v]),
-with the derivation D, exact division, evaluation at the function tuple,
-and a text parser/printer.
+with exact division, evaluation at the function tuple, and a text
+parser/printer.
 
 Loading this module loads only `arith`, and it compiles only what the
 search runs: the ring, evaluation and printing.  D, its velocity table and
-E_{2k} in E4 and E6 (`derive`, `velocity`, `eisenstein_polynomial`) live in
-`_system`, which is loaded when one of them is first looked up here, and
-`parse` loads the parser, `_parse`, only when it runs.  The q-series layer
-`series` is imported only inside `evaluate` and `monomial_series`, and
-nothing here or in `_system` imports `forms`: D writes E_{2k} in E4 and E6
-itself, with no linear solve.
+E_{2k} in E4 and E6 live in `_system`, and `parse` loads the parser,
+`_parse`, only when it runs.  The one name forwarded here is `derive`,
+which the benchmark's trace shim wraps as `ring.derive`; it loads
+`_system` when first looked up.  The q-series layer `series` is imported
+only inside `evaluate` and `monomial_series`, and nothing here or in
+`_system` imports `forms`: D writes E_{2k} in E4 and E6 itself, with no
+linear solve.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .arith import positive_power, variable_names
 __all__ = [
     "SystemConfig",
     "Polynomial",
-    "derive",
-    "velocity",
-    "eisenstein_polynomial",
     "evaluate",
     "evaluate_numerators",
     "monomial_series",
@@ -40,10 +38,8 @@ __all__ = [
 
 Monomial = tuple[int, ...]  # exponents aligned with SystemConfig.names
 
-# D and its velocity table, resolved from `_system` on first use
-__getattr__ = forward_names(
-    globals(), "_system", ("eisenstein_polynomial", "velocity", "derive", "_velocities")
-)
+# the trace shim's `ring.derive` span, resolved from `_system` on first use
+__getattr__ = forward_names(globals(), "_system", ("derive",))
 
 
 class SystemConfig(Record):

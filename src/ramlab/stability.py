@@ -7,6 +7,7 @@ DQ = Q*B is then constrained to the linear form a*X1 + b with integer a, b.
 from __future__ import annotations
 
 from .arith import Record
+# derive from ring, not _system, so the trace shim's ring.derive span counts it
 from .ring import Polynomial, derive
 
 __all__ = ["StabilityVerdict", "principal_stability"]

@@ -8,12 +8,14 @@ from fractions import Fraction
 from math import comb, lcm
 
 from ramlab import ring
-from ramlab._linalg import RowReducer, solve_lifted_scaled
-from ramlab.arith import bernoulli, sigma_table, variable_names, y_pairs
-from ramlab.forms import EquationCheck, FunctionTuple, InternalConsistencyError, SystemReport
-from ramlab.forms import eisenstein, function_tuple
+from ramlab._bareiss import RowReducer
+from ramlab._checks import EquationCheck, SystemReport
+from ramlab._linalg import solve_lifted_scaled
+from ramlab._system import derive, velocity
+from ramlab.arith import InternalConsistencyError, bernoulli, sigma_table, variable_names, y_pairs
+from ramlab.forms import FunctionTuple, eisenstein, function_tuple
 from ramlab.multlab import ExperimentRow, operational_exponent, paper_exponent
-from ramlab.ring import Polynomial, SystemConfig, derive, evaluate, monomial_series, velocity
+from ramlab.ring import Polynomial, SystemConfig, evaluate, monomial_series
 from ramlab.series import TruncatedSeries
 
 
@@ -165,7 +167,7 @@ def schoolbook_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def naive_derive(p: Polynomial) -> Polynomial:
-    """Slow oracle for ring.derive: one immutable Polynomial sum per term."""
+    """Slow oracle for _system.derive: one immutable Polynomial sum per term."""
     cfg = p.config
     result = Polynomial.zero(cfg)
     for mono, c in p.terms.items():
@@ -255,11 +257,12 @@ def sigma_table_g_series(u: int, v: int, precision: int) -> TruncatedSeries:
     return TruncatedSeries._of(tuple(coeffs))
 
 
-def fraction_verify_system(m: int, precision: int) -> SystemReport:
-    """Oracle for forms.verify_system by Fraction series: over the tuple of
+def fraction_verify_system(m: int, precision: int, velocity=velocity) -> SystemReport:
+    """Oracle for _checks.verify_system by Fraction series: over the tuple of
     the sigma_table definitions, delta of each generator's series against
-    ring.evaluate of ring.velocity, and against the literal closing formula
-    built as a series, compared coefficient by coefficient with ==."""
+    ring.evaluate of `velocity` (D's table unless a test perturbs it), and
+    against the literal closing formula built as a series, compared
+    coefficient by coefficient with ==."""
     cfg = SystemConfig(m)
     series = [TruncatedSeries.z(precision)] + [sigma_table_eisenstein(k, precision) for k in (1, 2, 3)]
     series += [sigma_table_g_series(u, v, precision) for u, v in y_pairs(m)]
@@ -277,7 +280,7 @@ def fraction_verify_system(m: int, precision: int) -> SystemReport:
     ]
     deltas = dict(zip(tup.names[1:], map(delta, tup.series[1:])))
     equations = [
-        check(label, deltas[var], ring.evaluate(ring.velocity(var, cfg), tup))
+        check(label, deltas[var], evaluate(velocity(var, cfg), tup))
         for label, var in zip(labels, tup.names[1:])
     ]
     one = TruncatedSeries.constant(1, precision)
@@ -567,7 +570,7 @@ def count_series_products(monkeypatch) -> list[int]:
 
 
 def gauss_jordan_solve(matrix, rhs):
-    """Slow oracle for _linalg.solve_square: Gauss-Jordan over Fraction."""
+    """Slow oracle for _bareiss.solve_square: Gauss-Jordan over Fraction."""
     n = len(matrix)
     aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     for col in range(n):
@@ -585,7 +588,7 @@ def gauss_jordan_solve(matrix, rhs):
 
 
 def ak_by_linear_solve(k: int) -> dict[tuple[int, int], Fraction]:
-    """Slow oracle for ring.eisenstein_polynomial: E_{2k} as the combination
+    """Slow oracle for _system.eisenstein_polynomial: E_{2k} as the combination
     of the s products E4^a * E6^b with 2a + 3b = k that matches E_{2k} on its
     first s q-coefficients, by Gauss-Jordan over Fraction."""
     pairs = [((k - 3 * b) // 2, b) for b in range(k // 3 + 1) if (k - 3 * b) % 2 == 0]
@@ -662,7 +665,7 @@ def generator_units(m: int) -> dict:
 
 
 class FractionRowReducer:
-    """Slow oracle for _linalg.RowReducer: a monic reduced echelon over Fraction.
+    """Slow oracle for _bareiss.RowReducer: a monic reduced echelon over Fraction.
 
     Same interface; add() reduces its row again, so it accepts any row.
     """

@@ -18,17 +18,17 @@ from helpers import (
     random_polynomial,
     random_two_term_polynomial,
 )
+from ramlab._checks import ak_polynomial, verify_system
+from ramlab._system import derive, velocity
 from ramlab.arith import bernoulli
-from ramlab.forms import ak_polynomial, compute_k0, eisenstein, function_tuple, verify_system
+from ramlab.forms import compute_k0, eisenstein, function_tuple
 from ramlab.multlab import DegreeBudget, experiment_grid
 from ramlab.ring import (
     Polynomial,
     SystemConfig,
-    derive,
     evaluate,
     format_polynomial,
     parse,
-    velocity,
 )
 from ramlab.series import Order
 from ramlab.stability import principal_stability

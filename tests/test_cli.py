@@ -595,6 +595,27 @@ def test_oversized_requests_exit_2_at_once_stating_the_bound(capsys, argv, messa
     assert message in err
 
 
+def test_an_oversized_grid_is_refused_before_the_rest_of_it_is_built(capsys, monkeypatch):
+    # 1,002,001 cells; the grid is read in order and stops at its first cell
+    # over the limit, d0=0 d=7, so only the eight budgets up to it are built
+    from ramlab.multlab import DegreeBudget
+
+    built = []
+    check = DegreeBudget.__post_init__
+
+    def counting(self):
+        built.append((self.d0, self.d))
+        if len(built) > 100:
+            raise RuntimeError("the grid was built past its first oversized cell")
+        check(self)
+
+    monkeypatch.setattr(DegreeBudget, "__post_init__", counting)
+    code, out, err = invoke(capsys, "auxsearch", "--m", "1", "--grid", "1000:1000")
+    assert (code, out) == (2, "")
+    assert err == "error: the cell m=1, d0=0, d=7 has T=330 basis monomials, over the limit 240\n"
+    assert built == [(0, d) for d in range(8)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -608,7 +629,7 @@ def test_oversized_requests_exit_2_at_once_stating_the_bound(capsys, argv, messa
     ids=lambda argv: argv[0],
 )
 def test_every_command_refuses_the_same_m_before_building_its_variables(capsys, monkeypatch, argv):
-    from ramlab import forms, multlab, ring
+    from ramlab import _system, forms, multlab, ring
     from ramlab.arith import MAX_M
 
     def refuse(*args):
@@ -616,12 +637,12 @@ def test_every_command_refuses_the_same_m_before_building_its_variables(capsys, 
 
     monkeypatch.setattr(forms, "function_tuple", refuse)
     monkeypatch.setattr(multlab, "function_tuple", refuse)
-    built = ring._units.cache_info().misses, ring._velocities.cache_info().misses
+    built = ring._units.cache_info().misses, _system._velocities.cache_info().misses
     start = time.perf_counter()
     code, out, err = invoke(capsys, *argv, "--m", str(MAX_M + 2))
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", f"error: m={MAX_M + 2} is over the limit {MAX_M}\n")
-    assert (ring._units.cache_info().misses, ring._velocities.cache_info().misses) == built
+    assert (ring._units.cache_info().misses, _system._velocities.cache_info().misses) == built
 
 
 @pytest.mark.parametrize("m", [63, 199])

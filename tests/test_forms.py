@@ -4,18 +4,11 @@ import pytest
 
 from helpers import ak_by_linear_solve, ak_evaluate, delta, fraction_verify_system, sigma
 from helpers import sigma_table_eisenstein, sigma_table_g_series
-from ramlab.arith import MAX_M, bernoulli
-from ramlab.forms import (
-    AkPolynomial,
-    InternalConsistencyError,
-    ak_polynomial,
-    discriminant_series,
-    eisenstein,
-    function_tuple,
-    g_series,
-    theta_series,
-    verify_system,
-)
+from ramlab import _checks
+from ramlab._checks import AkPolynomial, ak_polynomial, verify_system
+from ramlab._system import eisenstein_polynomial, velocity
+from ramlab.arith import MAX_M, InternalConsistencyError, bernoulli
+from ramlab.forms import discriminant_series, eisenstein, function_tuple, g_series, theta_series
 from ramlab.series import Order, TruncatedSeries
 
 
@@ -94,15 +87,13 @@ def test_ak_matches_the_linear_solve_oracle(k):
 
 
 def test_ak_rejects_k_below_2_before_the_recurrence_runs(monkeypatch):
-    from ramlab import ring
-
     def refuse(k):
         raise AssertionError("the recurrence ran")
 
-    monkeypatch.setattr(ring, "eisenstein_polynomial", refuse)
+    monkeypatch.setattr(_checks, "eisenstein_polynomial", refuse)
     for k in (1, 0, -3):
         with pytest.raises(ValueError, match="k must be at least 2"):
-            ak_polynomial(k)
+            ak_polynomial(k, 60)
 
 
 @pytest.mark.parametrize(
@@ -112,8 +103,8 @@ def test_ak_rejects_k_below_2_before_the_recurrence_runs(monkeypatch):
 def test_ak_refuses_a_perturbed_eisenstein_polynomial(monkeypatch, k, extra, first):
     from ramlab import ring
 
-    wrong = ring.eisenstein_polynomial(k) + ring.parse(extra, ring.SystemConfig(1))
-    monkeypatch.setattr(ring, "eisenstein_polynomial", lambda j: wrong)
+    wrong = eisenstein_polynomial(k) + ring.parse(extra, ring.SystemConfig(1))
+    monkeypatch.setattr(_checks, "eisenstein_polynomial", lambda j: wrong)
     precision = 30
     perturbed = AkPolynomial(k=k, coefficients={(a, b): c for (_, _, a, b, _), c in wrong})
     combo = ak_evaluate(perturbed, eisenstein(2, precision), eisenstein(3, precision))
@@ -248,13 +239,11 @@ def test_verify_system_checks_the_velocities_of_d(monkeypatch, name, equation):
     # in D's table fails exactly that generator's equation
     from ramlab import ring
 
-    original = ring.velocity
-
     def perturbed(var, cfg):
-        vel = original(var, cfg)
+        vel = velocity(var, cfg)
         return vel + ring.Polynomial.variable("z", cfg) if var == name else vel
 
-    monkeypatch.setattr(ring, "velocity", perturbed)
+    monkeypatch.setattr(_checks, "velocity", perturbed)
     report = verify_system(3, 20)
     assert [(eq.name, eq.first_mismatch) for eq in report.equations if not eq.ok] == [
         (equation, 1)
@@ -280,15 +269,13 @@ def test_verify_system_equals_the_fraction_path_under_a_perturbed_velocity(
 ):
     from ramlab import ring
 
-    original = ring.velocity
-
     def perturbed(var, cfg):
-        vel = original(var, cfg)
+        vel = velocity(var, cfg)
         return vel + ring.parse(extra, cfg) if var == name else vel
 
-    monkeypatch.setattr(ring, "velocity", perturbed)
+    monkeypatch.setattr(_checks, "velocity", perturbed)
     report = verify_system(3, precision)
-    assert report == fraction_verify_system(3, precision)
+    assert report == fraction_verify_system(3, precision, perturbed)
     if precision == 50:
         assert [eq.name for eq in report.equations if not eq.ok] == [
             next(eq.name for eq in report.equations if eq.name.startswith(f"delta({name})"))
@@ -307,11 +294,11 @@ def test_verify_system_reads_a_single_variable_velocity_term_by_term(monkeypatch
         evaluated.append(p)
         return original(p, tup)
 
-    monkeypatch.setattr(ring, "evaluate_numerators", record)
+    monkeypatch.setattr(_checks, "evaluate_numerators", record)
     assert verify_system(7, 30).ok
     cfg = ring.SystemConfig(7)
     closing = [f"g[{v - 1},{v}]" for v in (1, 3, 5, 7)]
-    assert evaluated == [ring.velocity(var, cfg) for var in ["E2", "E4", "E6", *closing]]
+    assert evaluated == [velocity(var, cfg) for var in ["E2", "E4", "E6", *closing]]
 
 
 @pytest.mark.parametrize("precision", [0, 1, 2, 100])

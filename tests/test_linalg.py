@@ -13,13 +13,9 @@ from helpers import (
     solve_lifted,
 )
 from ramlab import _linalg
-from ramlab._linalg import (
-    InternalConsistencyError,
-    RowReducer,
-    kernel_mod_p,
-    rank_profile_mod_p,
-    solve_square,
-)
+from ramlab._bareiss import RowReducer, solve_square
+from ramlab._linalg import kernel_mod_p, rank_profile_mod_p
+from ramlab.arith import InternalConsistencyError
 
 P61 = 2**61 - 1
 

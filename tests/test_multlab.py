@@ -12,7 +12,8 @@ from helpers import (
     reducer_search,
 )
 from ramlab import multlab
-from ramlab.forms import InternalConsistencyError, PrecisionError, compute_k0, function_tuple
+from ramlab.arith import InternalConsistencyError
+from ramlab.forms import PrecisionError, compute_k0, function_tuple
 from ramlab.ring import (
     Polynomial,
     SystemConfig,

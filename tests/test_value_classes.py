@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from ramlab.forms import AkPolynomial, EquationCheck, FunctionTuple, SystemReport, function_tuple
+from ramlab._checks import AkPolynomial, EquationCheck, SystemReport
+from ramlab.forms import FunctionTuple, function_tuple
 from ramlab.multlab import DegreeBudget, ExperimentRow, GridSummary
 from ramlab.ring import Polynomial, SystemConfig, monomial_series
 from ramlab.series import Order, TruncatedSeries
