@@ -7,13 +7,14 @@ Subpackages:
   ring       sparse polynomial ring, evaluation, printer, parser entry
   stability  principal D-stability (does Q divide DQ?)
   multlab    auxiliary-polynomial vanishing experiments
-  cli        command-line front end
+  cli        command-line front end: the subcommand table, the parser, output
 
 Layering and start-up: `import ramlab` loads no layer, each name is
 imported from the module that defines it, `ring` loads only `arith` until
-it evaluates at the function tuple, and the CLI imports each layer in the
-subcommand that runs it.  Code that only some commands run lives in a
-private module, so a command's process start does not compile it:
+it evaluates at the function tuple, and the CLI imports, for the
+subcommand that runs, its one handler from a module that the subcommand
+loads anyway.  Code that only some commands run lives in a private module,
+so a command's process start does not compile it:
   _parse     the parser, loaded by `ring.parse`
   _system    D, its velocity table and E_{2k} in E4 and E6
   _checks    `verify_system` and `ak_polynomial`
@@ -25,5 +26,13 @@ deriv` and `ramlab stable` load only `arith`, `ring`, `_parse` and
 and only `multlab` loads `_linalg`.
 """
 
-__all__ = ["arith", "series", "forms", "ring", "stability", "multlab", "cli"]
+__all__ = ["CliError", "arith", "series", "forms", "ring", "stability", "multlab", "cli"]
 __version__ = "0.1.0"
+
+
+class CliError(Exception):
+    """A refusal (an `error:` line, exit `code`); not in `cli`, which may run as `__main__`."""
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code

@@ -6,7 +6,8 @@ integers, coefficient by coefficient, and build no Fraction.
 
 Callers import these names from here.  `forms` forwards `verify_system` and
 `ak_polynomial` (`arith.forward_names`), only because the benchmark's trace
-shim wraps them there, so only `verify-system` and `ak` compile this module.
+shim wraps them there, so only `verify-system` and `ak` compile this module,
+which holds their two handlers too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import repeat
 # `forms.function_tuple` is looked up at each call, so the trace shim's span counts it
 from . import forms
 from ._system import eisenstein_polynomial, velocity
-from .arith import InternalConsistencyError, Record, bernoulli, y_pairs
+from .arith import InternalConsistencyError, Record, bernoulli, fraction_str, y_pairs
 from .ring import SystemConfig, evaluate_numerators, monomial_series
 
 __all__ = ["AkPolynomial", "ak_polynomial", "EquationCheck", "SystemReport", "verify_system"]
@@ -143,3 +144,37 @@ def verify_system(m: int, precision: int) -> SystemReport:
     return SystemReport(
         m=m, precision=precision, equations=tuple(checks), errata=tuple(errata)
     )
+
+
+# -- the handlers of verify-system and ak (see cli._COMMANDS); each calls its
+# check as forms' name, so the trace shim's span counts it
+
+
+def verify_system_command(args, record) -> int:
+    """`ramlab verify-system`: exit 1 when an equation of the system fails."""
+    report = forms.verify_system(args.m, args.prec)
+
+    def check(eq: EquationCheck) -> dict:
+        entry = {"equation": eq.name, "ok": eq.ok}
+        if eq.first_mismatch is not None:
+            entry["first_mismatch"] = eq.first_mismatch
+        return entry
+
+    record["payload"] = {
+        "ok": report.ok,
+        "equations": [check(eq) for eq in report.equations],
+        "errata": [check(eq) for eq in report.errata],
+    }
+    return 0 if report.ok else 1
+
+
+def ak_command(args, record) -> int:
+    """`ramlab ak`: the coefficients of A_k, by exponent pair."""
+    ak = forms.ak_polynomial(args.k, args.prec)
+    record["payload"] = {
+        "monomials": [
+            {"e4_exp": a, "e6_exp": b, "coefficient": fraction_str(c)}
+            for (a, b), c in sorted(ak.coefficients.items())
+        ]
+    }
+    return 0

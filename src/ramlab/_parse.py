@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for polynomial text.
+"""The parser of polynomial text, and the handler of `ramlab deriv`.
 
 `ring.parse` imports this module when it first runs, so a command that
 never parses (auxsearch, verify-system, k0, ...) never compiles it.  Work is
@@ -13,8 +13,9 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
+from . import CliError, ring
 from .arith import integer_numerators, power_work
-from .ring import ParseError, Polynomial, _units
+from .ring import ParseError, Polynomial, SystemConfig, _units
 
 __all__ = [
     "MAX_PARSED_TERMS",
@@ -135,15 +136,17 @@ class _Parser:
             sign = -1
         elif self.peek() == "+":
             self.next()
-        # one dict for the whole sum: adding Polynomials term by term would
-        # copy the sum so far for every term
+        # one dict for the whole sum: adding Polynomials term by term would copy
+        # the sum so far for every term.  No Fraction is added to 0 or rebuilt
         terms: dict[Monomial, int | Fraction] = {}
         while True:
             term = self.parse_term()
             for mono, c in term.terms.items() if type(term) is Polynomial else (term,):
-                terms[mono] = terms.get(mono, 0) + (c if sign > 0 else -c)
+                c = c if sign > 0 else -c
+                terms[mono] = c if (old := terms.get(mono)) is None else old + c
             if self.peek() not in ("+", "-"):
-                return Polynomial(self.cfg, {mono: Fraction(c) for mono, c in terms.items()})
+                return Polynomial(self.cfg, {mono: c if type(c) is Fraction else Fraction(c)
+                                             for mono, c in terms.items()})
             sign = 1 if self.next()[0] == "+" else -1
 
     def parse_term(self):
@@ -152,8 +155,9 @@ class _Parser:
             op = self.next()
             factor = self.parse_factor()
             if type(result) is tuple is type(factor):
-                # two single terms: one monomial sum and one coefficient product
-                result = tuple(map(add, result[0], factor[0])), result[1] * factor[1]
+                # two single terms: a monomial sum, and a coefficient product unless c is 1
+                c = factor[1]
+                result = tuple(map(add, result[0], factor[0])), result[1] if c == 1 else result[1] * c
             else:
                 a, b = (x if type(x) is Polynomial else Polynomial(self.cfg, dict([x]))
                         for x in (result, factor))
@@ -241,3 +245,18 @@ def parse_polynomial(text: str, cfg: SystemConfig) -> Polynomial:
     if tok[0] != "EOF":
         raise parser.error(f"unexpected trailing input {tok[1]!r}", tok)
     return poly
+
+
+def parse_argument(text: str, m: int) -> Polynomial:
+    """A command's --poly over SystemConfig(m), through `ring.parse`."""
+    try:
+        return ring.parse(text, SystemConfig(m))
+    except ParseError as exc:
+        raise CliError(f"polynomial syntax error: {exc}") from None
+
+
+def deriv_command(args, record) -> int:
+    """`ramlab deriv`: D of the polynomial."""
+    poly = parse_argument(args.poly, args.m)
+    record["payload"] = {"derivative": ring.format_polynomial(ring.derive(poly))}
+    return 0

@@ -86,12 +86,13 @@ def _velocities(m: int) -> tuple[Polynomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def _integer_velocities(m: int) -> tuple[int, tuple]:
-    """_velocities over one denominator: (den, per variable its terms as
-    (monomial, numerator, 1))."""
+def _shifted_velocities(m: int) -> tuple[int, tuple]:
+    """_velocities over one denominator: (den, per variable x the terms of
+    D(x)/x as (shift, numerator, 1)); a shift may have an exponent -1."""
     vels = _velocities(m)
     den = lcm(*(c.denominator for v in vels for c in v.terms.values()))
-    return den, tuple(tuple((mono, c.numerator * den // c.denominator, 1) for mono, c in v) for v in vels)
+    return den, tuple(tuple((mono[:i] + (mono[i] - 1,) + mono[i + 1 :], c.numerator * den // c.denominator, 1)
+                            for mono, c in v) for i, v in enumerate(vels))
 
 
 def velocity(name: str, cfg: SystemConfig) -> Polynomial:
@@ -101,10 +102,10 @@ def velocity(name: str, cfg: SystemConfig) -> Polynomial:
 
 def derive(p: Polynomial) -> Polynomial:
     """The derivation D = z d/dz + sum of coefficient polynomials times d/dx."""
-    den, vels = _integer_velocities(p.config.m)
-    # (c*e) * mono/x_i * D(x_i) for each variable x_i of each term
-    lowered = (
-        (((mono[:i] + (e - 1,) + mono[i + 1 :], c.numerator * e, c.denominator * den),), vels[i])
+    den, shifts = _shifted_velocities(p.config.m)
+    # (c*e) * mono * (D(x_i)/x_i) for each variable x_i of each term
+    pairs = (
+        (((mono, c.numerator * e, c.denominator * den),), shifts[i])
         for mono, c in p.terms.items() for i, e in enumerate(mono) if e
     )
-    return Polynomial(p.config, _products(lowered))
+    return Polynomial(p.config, _products(pairs))

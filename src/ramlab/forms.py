@@ -8,15 +8,18 @@ checks of these against the q-expansions, `verify_system` and
 here are those two functions, which the benchmark's trace shim wraps as
 `forms.verify_system` and `forms.ak_polynomial`; they load `_checks` when
 first looked up.  So loading this module loads `arith` and `series` only,
-and compiles only what the search, `series` and `k0` run.
+and compiles only what the search and the commands `series`, `k0` and `ord`
+run; the handlers of these three commands are here too.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
+from . import CliError
 from .arith import Record, bernoulli, check_m, divisor_power_sums
-from .arith import forward_names, variable_names, y_pairs
+from .arith import forward_names, fraction_str, variable_names, y_pairs
 from .series import Order, TruncatedSeries
 
 __all__ = [
@@ -110,3 +113,50 @@ def function_tuple(m: int, precision: int) -> FunctionTuple:
     series += [eisenstein(k, precision) for k in (1, 2, 3)]
     series += [g_series(u, v, precision) for u, v in y_pairs(m)]
     return FunctionTuple(m=m, precision=precision, series=tuple(series), names=variable_names(m))
+
+
+# -- the handlers of series, k0 and ord (see cli._COMMANDS) -----------------
+
+
+def series_command(args, record) -> int:
+    """`ramlab series`: the named series' exact coefficients."""
+    which, precision = args.which, args.prec
+    if which == "Delta":
+        s = discriminant_series(precision)
+    elif which == "Theta":
+        s = theta_series(precision)
+    elif m := re.fullmatch(r"E(\d+)", which):
+        weight = int(m.group(1))
+        if weight < 2 or weight % 2:
+            raise CliError(f"no Eisenstein series of weight {weight}")
+        s = eisenstein(weight // 2, precision)
+    elif m := re.fullmatch(r"g\[(\d+),(\d+)\]", which):
+        s = g_series(int(m.group(1)), int(m.group(2)), precision)
+    else:
+        raise CliError(f"unknown series {which!r}; use E2k, g[u,v], Delta or Theta")
+    record["payload"] = {"precision": s.precision, "coefficients": [fraction_str(c) for c in s.coeffs]}
+    return 0
+
+
+def k0_command(args, record) -> int:
+    """`ramlab k0`: exit 1 when Theta vanishes through --prec."""
+    try:
+        order = compute_k0(args.m, args.prec)
+    except PrecisionError as exc:
+        raise CliError(str(exc), code=1) from None
+    record["payload"] = {"ord": order.value}
+    return 0
+
+
+def ord_command(args, record) -> int:
+    """`ramlab ord`: the order of the polynomial at the function tuple; with
+    --strict, exit 1 when it is not resolved at --prec."""
+    from . import ring
+    from ._parse import parse_argument
+
+    poly = parse_argument(args.poly, args.m)
+    if poly.is_zero():
+        raise CliError("the zero polynomial has no order of vanishing")
+    order = ring.evaluate(poly, function_tuple(args.m, args.prec)).order()
+    record["payload"] = {"ord": str(order), "finite": order.is_finite}
+    return 1 if args.strict and not order.is_finite else 0

@@ -11,16 +11,21 @@ is at most the rank over Q, so the cutoff n*_p it finds is at least the
 true n*; a witness polynomial whose exact order of vanishing is n*_p proves
 n* >= n*_p, hence equality.  If the order and n*_p disagree, the next prime
 is tried.
+
+The handler of `ramlab auxsearch`, with its grid syntax and its JSON and CSV
+rows, is here too: only that command loads this module.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
+from . import CliError
 from ._linalg import kernel_mod_p
-from .arith import InternalConsistencyError, Record
+from .arith import InternalConsistencyError, Record, fraction_str
 from .forms import function_tuple
 from .ring import Monomial, Polynomial, SystemConfig, monomial_key, monomial_series
 from .series import Order
@@ -258,3 +263,72 @@ def experiment_grid(
         ),
     )
     return rows, summary
+
+
+# -- the handler of auxsearch (see cli._COMMANDS) --------------------------
+
+
+def auxsearch_command(args, record) -> int:
+    """`ramlab auxsearch` on one budget (--d0 and --d) or a --grid, which
+    `cli` has checked are not both given; with --strict, exit 1 when a cell
+    is precision-limited.  The params list the budgets searched."""
+    if args.grid is None:
+        budgets = [DegreeBudget(args.d0, args.d)]
+    else:
+        budgets = _parse_grid(args.grid)
+    rows, summary = experiment_grid(args.m, budgets, args.prec)
+    record["params"] = {"m": args.m, "budgets": [{"d0": r.d0, "d": r.d} for r in rows], "prec": args.prec}
+    record["payload"] = _rows_to_csv(rows) if args.format == "csv" else _experiment_rows(rows, summary)
+    return 1 if summary.flagged and args.strict else 0
+
+
+def _parse_grid(spec: str) -> Iterator[DegreeBudget]:
+    """Grid spec "D0MAX:DMAX": every budget with d0 <= D0MAX and d <= DMAX,
+    built one at a time as it is read, so `experiment_grid` refuses a cell
+    over its size limit before the rest of the grid is built."""
+    m = re.fullmatch(r"(\d+):(\d+)", spec)
+    if not m:
+        raise CliError("grid spec must look like D0MAX:DMAX, e.g. 1:2")
+    d0max, dmax = int(m.group(1)), int(m.group(2))
+    return (DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1))
+
+
+def _experiment_rows(rows: list[ExperimentRow], summary: GridSummary) -> dict:
+    """The JSON and text payload of a search."""
+    # from ring at each call, where the trace shim and the tests replace it
+    from .ring import format_polynomial
+
+    return {
+        "exponent_operational": summary.exponent_operational,
+        "exponent_paper": summary.exponent_paper,
+        "rows": [
+            {
+                "m": r.m,
+                "d0": r.d0,
+                "d": r.d,
+                "T": r.T,
+                "n_star": r.n_star,
+                "ord": str(r.measured_ord),
+                "ratio": fraction_str(r.ratio),
+                "ratio_paper": fraction_str(r.ratio_paper),
+                "witness": format_polynomial(r.witness),
+                "precision": r.precision,
+                "precision_limited": r.precision_limited,
+            }
+            for r in rows
+        ],
+        "max_ratio": fraction_str(summary.max_ratio),
+        "max_ratio_paper": fraction_str(summary.max_ratio_paper),
+        "flagged": [{"d0": b.d0, "d": b.d} for b in summary.flagged],
+    }
+
+
+def _rows_to_csv(rows: list[ExperimentRow]) -> str:
+    """The CSV text of a search, one line per cell."""
+    # every field is an integer or an order such as ">=5", so none needs quoting
+    lines = ["m,d0,d,T,n_star,ord,ratio_num,ratio_den,flag"]
+    for r in rows:
+        fields = (r.m, r.d0, r.d, r.T, r.n_star, r.measured_ord,
+                  r.ratio.numerator, r.ratio.denominator, int(r.precision_limited))
+        lines.append(",".join(map(str, fields)))
+    return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import add
 
-from .arith import Record, check_m, forward_names, fraction_str, integer_numerators
+from .arith import Record, check_m, forward_names, int_str, integer_numerators
 from .arith import positive_power, variable_names
 
 __all__ = [
@@ -88,7 +88,7 @@ class Polynomial:
     def __init__(self, config: SystemConfig, terms: dict[Monomial, Fraction]):
         object.__setattr__(self, "config", config)
         object.__setattr__(
-            self, "terms", {m: c for m, c in terms.items() if c != 0}
+            self, "terms", {m: c for m, c in terms.items() if c}
         )
 
     def __setattr__(self, name, value):
@@ -334,15 +334,15 @@ def format_polynomial(p: Polynomial) -> str:
     """Canonical rendering; graded-lex descending, exact rationals."""
     if p.is_zero():
         return "0"
-    names = p.config.names
+    names, terms = p.config.names, p.terms
     pieces: list[str] = []
-    for mono in sorted(p.terms, key=monomial_key, reverse=True):
-        c = p.terms[mono]
+    for mono in sorted(terms, key=monomial_key, reverse=True):
+        c = terms[mono]
+        n, d = c.numerator, c.denominator  # sign and magnitude with no Fraction work
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
-        mag = fraction_str(abs(c))
-        if mag != "1" or not factors:
-            factors.insert(0, mag)
-        pieces += (" + " if c > 0 else " - ", "*".join(factors))
+        if n not in (1, -1) or d != 1 or not factors:
+            factors.insert(0, int_str(abs(n)) if d == 1 else f"{int_str(abs(n))}/{int_str(d)}")
+        pieces += (" + " if n > 0 else " - ", "*".join(factors))
     pieces[0] = "" if pieces[0] == " + " else "-"  # the leading term's sign
     return "".join(pieces)
 

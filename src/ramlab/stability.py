@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .arith import Record
 # derive from ring, not _system, so the trace shim's ring.derive span counts it
-from .ring import Polynomial, derive
+from .ring import Polynomial, derive, format_polynomial
 
 __all__ = ["StabilityVerdict", "principal_stability"]
 
@@ -21,8 +21,19 @@ class StabilityVerdict(Record):
 def principal_stability(q: Polynomial) -> StabilityVerdict:
     """Compute DQ and test exact divisibility by Q."""
     if q.is_zero():
-        raise ValueError("the zero polynomial generates the zero ideal")
+        raise ValueError("the zero polynomial has no stability verdict")
     cof = derive(q).exact_divide(q)
     if cof is None:
         return StabilityVerdict(stable=False)
     return StabilityVerdict(stable=True, cofactor=cof)
+
+
+def stable_command(args, record) -> int:
+    """`ramlab stable`: the verdict, and the cofactor when stable."""
+    from ._parse import parse_argument
+
+    verdict = principal_stability(parse_argument(args.poly, args.m))
+    record["payload"] = {"stable": verdict.stable}
+    if verdict.stable:
+        record["payload"]["cofactor"] = format_polynomial(verdict.cofactor)
+    return 0

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import shlex
@@ -181,14 +182,16 @@ SEARCH_GRID_CSV = {
 
 @pytest.mark.parametrize("m, grid", sorted(SEARCH_GRID_CSV))
 def test_auxsearch_builds_csv_only_for_csv_output(capsys, monkeypatch, m, grid):
+    from ramlab import multlab
+
     rendered = []
-    real = cli._rows_to_csv
+    real = multlab._rows_to_csv
 
     def recording(rows):
         rendered.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(cli, "_rows_to_csv", recording)
+    monkeypatch.setattr(multlab, "_rows_to_csv", recording)
     for fmt in ("text", "json"):
         code, out, _ = invoke(capsys, "--format", fmt, "auxsearch", "--m", m, "--grid", grid)
         assert code == 0 and out
@@ -471,7 +474,8 @@ def test_auxsearch_refuses_a_grid_with_a_single_budget(capsys, monkeypatch, budg
 
 
 def test_strict_flag_on_unresolved_ord(capsys):
-    # zero polynomial never happens, but a deep vanishing probe can exceed prec
+    # a polynomial vanishing past --prec leaves its order unresolved; the zero
+    # polynomial is refused (test_ord_refuses_the_zero_polynomial)
     code, out, _ = invoke(
         capsys,
         "--format",
@@ -521,12 +525,12 @@ def test_auxsearch_negative_prec_is_rejected(capsys):
 
 @pytest.mark.parametrize("m, grid", sorted(SEARCH_GRID_CSV))
 def test_csv_auxsearch_builds_no_json_or_text_payload(capsys, monkeypatch, m, grid):
-    from ramlab import ring
+    from ramlab import multlab, ring
 
     def refuse(*args):
         raise AssertionError("CSV output built the JSON/text payload")
 
-    monkeypatch.setattr(cli, "_experiment_rows", refuse)
+    monkeypatch.setattr(multlab, "_experiment_rows", refuse)
     monkeypatch.setattr(ring, "format_polynomial", refuse)
     code, out, _ = invoke(capsys, "--format", "csv", "auxsearch", "--m", m, "--grid", grid)
     assert code == 0
@@ -678,3 +682,63 @@ def test_readme_cli_lines_run_and_print_what_they_state(capsys, line):
         assert payload["stable"] and comment == f"stable, cofactor {payload['cofactor']}"
     elif argv[0] == "k0":
         assert comment.startswith(f"-> {payload['ord']}, ")
+
+
+# one command per subcommand and per output format it accepts, with its exit
+# code and the sha256 of its stdout: a change to any byte a subcommand prints
+# fails here
+PINNED_OUTPUT = {
+    "series-text": (("series", "--which", "g[1,3]", "--prec", "12"),
+                   0, "43fd6c06636b79a57206c092fde0ff5f3f981444d8ea0492222d6e0b3974c54f"),
+    "series-json": (("--format", "json", "series", "--which", "g[1,3]", "--prec", "12"),
+                   0, "3ce31da50835ba326654886948a35020b9087a28126a3caaf80564536435b10d"),
+    "verify-system-text": (("verify-system", "--m", "3", "--prec", "20"),
+                          0, "d27ec5d094db9216fc860ac92f9016e2bf6dda554c18a69e0f034b6a089ad3df"),
+    "verify-system-json": (("--format", "json", "verify-system", "--m", "3", "--prec", "20"),
+                          0, "4fa3b6da75586cd64fadc2d444998d228b31e522ca938fe0151b61248e106422"),
+    "ak-text": (("ak", "--k", "12", "--prec", "30"),
+               0, "c318537f1c371f07b075e910a325b881642b311d72495950e0dde86fea54262d"),
+    "ak-json": (("--format", "json", "ak", "--k", "12", "--prec", "30"),
+               0, "7c2b1b8657f4df653eafedbbb2c03bc96305e006cbacf3ae13474e2fedfe6020"),
+    "ord-text": (("ord", "--poly", "z*(E4^3-E6^2)", "--m", "1", "--prec", "10"),
+                0, "8f330dbf3869ff5d8c8c9003e5fa2c3201fd84a482db810b1f5f0b5396b62fc7"),
+    "ord-json": (("--format", "json", "ord", "--poly", "z*(E4^3-E6^2)", "--m", "1", "--prec", "10"),
+                0, "d438e773305c5f4b13973e94cc9c5d33799e400a1762cc44b9628b6df048518e"),
+    "deriv-text": (("deriv", "--poly", "E2*g[1,3]^2 - 1/2*z*E6", "--m", "3"),
+                  0, "9b90d80c929276475c09e17ccf32b82e378d6f92c270b4be3872cb3ea75c2446"),
+    "deriv-json": (("--format", "json", "deriv", "--poly", "E2*g[1,3]^2 - 1/2*z*E6", "--m", "3"),
+                  0, "8f1562338c100f3af9911b231760472455558db7147a435643cc4770bb652389"),
+    "stable-text": (("stable", "--poly", "(E4^3-E6^2)^2*z", "--m", "1"),
+                   0, "7900ebc31958f1c7af2ebed89355f6bff9df97b432e287f99d41fca7712d2529"),
+    "stable-json": (("--format", "json", "stable", "--poly", "(E4^3-E6^2)^2*z", "--m", "1"),
+                   0, "94b3e8d89132f019f2058508660c33b92ed52b44ced5f145aad068110fce37a1"),
+    "k0-text": (("k0", "--m", "3", "--prec", "10"),
+               0, "01dae308f9ada09fba50b59e60f8ce129557344b4b060554b806a5a2f391a4d1"),
+    "k0-json": (("--format", "json", "k0", "--m", "3", "--prec", "10"),
+               0, "32b645df48fb57749e39770f632b37b853506e86c13acbac43581799cf3f2f2f"),
+    "auxsearch-text-m1": (("auxsearch", "--m", "1", "--grid", "1:2"),
+                         0, "2769bb38985e1ce6e708092accc2db534dac5ff5881fd3fb6e8e9ee0d2b597fd"),
+    "auxsearch-json-m1": (("--format", "json", "auxsearch", "--m", "1", "--grid", "1:2"),
+                         0, "2c8e7e6a27d896ba183c904a3c23d28543262ce3e54eff5427f9177036487336"),
+    "auxsearch-csv-m1": (("--format", "csv", "auxsearch", "--m", "1", "--grid", "1:2"),
+                        0, "8fb7e01ae956ff7740eee375111855496c5e95cdda696127b57b5644b586c29b"),
+    "auxsearch-text-m3": (("auxsearch", "--m", "3", "--grid", "1:1"),
+                         0, "4802e4cde67d576f9c5e2f6072b6e4e813241bddfa8d76192cba8066918f7c8c"),
+    "auxsearch-json-m3": (("--format", "json", "auxsearch", "--m", "3", "--grid", "1:1"),
+                         0, "d7c33c07e5ee676e8b9bab727be7978858130b253fe598b1c8b6d5c07cfdf08c"),
+    "auxsearch-csv-m3": (("--format", "csv", "auxsearch", "--m", "3", "--grid", "1:1"),
+                        0, "f206520efd91ecf2da87aa098b4f9ef17feeded1fc053e02c5baba95438f4f5b"),
+}
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_OUTPUT.values(), ids=PINNED_OUTPUT.keys())
+def test_every_subcommand_prints_the_pinned_bytes(capsys, argv, code, digest):
+    got, out, _ = invoke(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("poly", ["0", "E2-E2"])
+def test_ord_refuses_the_zero_polynomial(capsys, poly):
+    # its order is infinite at every precision, so no --prec resolves it
+    code, out, err = invoke(capsys, "ord", "--poly", poly, "--m", "1", "--prec", "3")
+    assert (code, out, err) == (2, "", "error: the zero polynomial has no order of vanishing\n")

@@ -173,64 +173,69 @@ def run_cli(*argv: str) -> str:
 
 
 # one run of each subcommand that computes something
-COMMANDS = {
-    "deriv": run_cli("deriv", "--poly", "E2*g[1,3]^2 - 1/2*z*E6", "--m", "3"),
-    "stable": run_cli("stable", "--poly", "(E4^3 - E6^2)^2*g[0,3]", "--m", "3"),
-    "series": run_cli("series", "--which", "Theta", "--prec", "30"),
-    "verify-system": run_cli("verify-system", "--m", "3", "--prec", "30"),
-    "ak": run_cli("ak", "--k", "12"),
-    "k0": run_cli("k0", "--m", "1", "--prec", "10"),
-    "auxsearch": run_cli("auxsearch", "--m", "1", "--d0", "1", "--d", "1"),
+ARGV = {
+    "deriv": ("deriv", "--poly", "E2*g[1,3]^2 - 1/2*z*E6", "--m", "3"),
+    "stable": ("stable", "--poly", "(E4^3 - E6^2)^2*g[0,3]", "--m", "3"),
+    "series": ("series", "--which", "Theta", "--prec", "30"),
+    "verify-system": ("verify-system", "--m", "3", "--prec", "30"),
+    "ak": ("ak", "--k", "12"),
+    "ord": ("ord", "--poly", "z*(E4^3-E6^2)", "--m", "1", "--prec", "10"),
+    "k0": ("k0", "--m", "1", "--prec", "10"),
+    "auxsearch": ("auxsearch", "--m", "1", "--d0", "1", "--d", "1"),
+}
+COMMANDS = {command: run_cli(*argv) for command, argv in ARGV.items()}
+
+# each entry point's code and the ramlab modules it loads
+LOADS = {
+    "import-ramlab": ("import ramlab", ["ramlab"]),
+    "import-cli": ("import ramlab.cli", ["ramlab", "ramlab.cli"]),
+    "deriv": (
+        COMMANDS["deriv"],
+        ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
+         "ramlab.ring"],
+    ),
+    "deriv-m7": (
+        run_cli("deriv", "--poly", "E2", "--m", "7"),
+        ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
+         "ramlab.ring"],
+    ),
+    "stable": (
+        COMMANDS["stable"],
+        ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
+         "ramlab.ring", "ramlab.stability"],
+    ),
+    "series": (
+        COMMANDS["series"],
+        ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.series"],
+    ),
+    "verify-system": (
+        COMMANDS["verify-system"],
+        ["ramlab", "ramlab._checks", "ramlab._system", "ramlab.arith", "ramlab.cli",
+         "ramlab.forms", "ramlab.ring", "ramlab.series"],
+    ),
+    "ak": (
+        COMMANDS["ak"],
+        ["ramlab", "ramlab._checks", "ramlab._system", "ramlab.arith", "ramlab.cli",
+         "ramlab.forms", "ramlab.ring", "ramlab.series"],
+    ),
+    "k0": (
+        COMMANDS["k0"],
+        ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.series"],
+    ),
+    "auxsearch": (
+        COMMANDS["auxsearch"],
+        ["ramlab", "ramlab._linalg", "ramlab.arith", "ramlab.cli", "ramlab.forms",
+         "ramlab.multlab", "ramlab.ring", "ramlab.series"],
+    ),
+    "ord": (
+        COMMANDS["ord"],
+        ["ramlab", "ramlab._parse", "ramlab.arith", "ramlab.cli", "ramlab.forms",
+         "ramlab.ring", "ramlab.series"],
+    ),
 }
 
 
-@pytest.mark.parametrize(
-    "code, expected",
-    [
-        ("import ramlab", ["ramlab"]),
-        ("import ramlab.cli", ["ramlab", "ramlab.cli"]),
-        (
-            COMMANDS["deriv"],
-            ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
-             "ramlab.ring"],
-        ),
-        (
-            run_cli("deriv", "--poly", "E2", "--m", "7"),
-            ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
-             "ramlab.ring"],
-        ),
-        (
-            COMMANDS["stable"],
-            ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
-             "ramlab.ring", "ramlab.stability"],
-        ),
-        (
-            COMMANDS["series"],
-            ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.series"],
-        ),
-        (
-            COMMANDS["verify-system"],
-            ["ramlab", "ramlab._checks", "ramlab._system", "ramlab.arith", "ramlab.cli",
-             "ramlab.forms", "ramlab.ring", "ramlab.series"],
-        ),
-        (
-            COMMANDS["ak"],
-            ["ramlab", "ramlab._checks", "ramlab._system", "ramlab.arith", "ramlab.cli",
-             "ramlab.forms", "ramlab.ring", "ramlab.series"],
-        ),
-        (
-            COMMANDS["k0"],
-            ["ramlab", "ramlab.arith", "ramlab.cli", "ramlab.forms", "ramlab.series"],
-        ),
-        (
-            COMMANDS["auxsearch"],
-            ["ramlab", "ramlab._linalg", "ramlab.arith", "ramlab.cli", "ramlab.forms",
-             "ramlab.multlab", "ramlab.ring", "ramlab.series"],
-        ),
-    ],
-    ids=["import-ramlab", "import-cli", "deriv", "deriv-m7", "stable", "series",
-         "verify-system", "ak", "k0", "auxsearch"],
-)
+@pytest.mark.parametrize("code, expected", LOADS.values(), ids=LOADS.keys())
 def test_each_entry_point_loads_only_the_layers_it_runs(code, expected):
     # deriv and stable never need multlab, and at every m they need neither
     # the q-series layers (series, forms) nor _linalg: the ring writes each
@@ -240,6 +245,40 @@ def test_each_entry_point_loads_only_the_layers_it_runs(code, expected):
     # Only the commands that apply or check D load it, _system; only
     # verify-system and ak load the checks, _checks; the search loads neither
     assert loaded_after(code) == expected
+
+
+def test_each_handler_lives_in_a_module_its_command_loads():
+    # so no command compiles a module for its handler alone
+    from ramlab import cli
+
+    assert set(cli._COMMANDS) == set(COMMANDS)
+    for command, (_, _, (home, name)) in cli._COMMANDS.items():
+        module = importlib.import_module(f"ramlab.{home}")
+        assert getattr(module, name).__module__ == module.__name__
+        assert module.__name__ in LOADS[command][1]
+
+
+def test_the_front_end_runs_no_function_for_one_subcommand_alone(capsys):
+    # each subcommand's own code is its handler; cli holds only what the
+    # subcommands share
+    from ramlab import cli
+
+    runs: dict[str, set[str]] = {}
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == cli.__file__:
+            runs.setdefault(frame.f_code.co_name, set()).add(command)
+
+    csv = ("--format", "csv", "auxsearch", "--m", "1", "--grid", "1:1")
+    for command, argv in [*ARGV.items(), ("auxsearch", csv)]:
+        sys.setprofile(record)
+        try:
+            assert cli.run(list(argv)) == 0
+        finally:
+            sys.setprofile(None)
+    capsys.readouterr()
+    assert runs["_dispatch"] == set(COMMANDS)
+    assert {name: sorted(commands) for name, commands in runs.items() if len(commands) == 1} == {}
 
 
 # each module that forwards names, and the module that defines them
