@@ -2,7 +2,9 @@
 checks D's velocity table by the chain rule on the generators, and
 `ak_polynomial` checks E_{2k} in E4 and E6, as `_system.eisenstein_polynomial`
 writes it, against the q-expansion of E_{2k}.  Both compare cross-multiplied
-integers, coefficient by coefficient, and build no Fraction.
+integers, coefficient by coefficient, and build no Fraction.  `ak_polynomial`
+returns the checked polynomial, and an `EquationCheck` its first mismatch,
+from which its verdict `ok` is derived.
 
 Callers import these names from here.  `forms` forwards `verify_system` and
 `ak_polynomial` (`arith.forward_names`), only because the benchmark's trace
@@ -17,25 +19,15 @@ from itertools import repeat
 # `forms.function_tuple` is looked up at each call, so the trace shim's span counts it
 from . import forms
 from ._system import eisenstein_polynomial, velocity
-from .arith import InternalConsistencyError, Record, bernoulli, fraction_str, y_pairs
+from .arith import InternalConsistencyError, Record, bernoulli, fraction_str, variable_names, y_pairs
 from .ring import SystemConfig, evaluate_numerators, monomial_series
 
-__all__ = ["AkPolynomial", "ak_polynomial", "EquationCheck", "SystemReport", "verify_system"]
+__all__ = ["ak_polynomial", "EquationCheck", "SystemReport", "verify_system"]
 
 
-class AkPolynomial(Record):
-    """E_{2k} written as a polynomial in (X2, X3) = (E4, E6).
-
-    Only exponent pairs (a, b) with 2a + 3b = k occur.
-    """
-
-    k: int
-    coefficients: dict[tuple[int, int], Fraction]
-
-
-def ak_polynomial(k: int, precision: int) -> AkPolynomial:
-    """`eisenstein_polynomial(k)` as a combination of E4^a E6^b with
-    2a + 3b = k, checked on the q-expansions' coefficients through `precision`."""
+def ak_polynomial(k: int, precision: int) -> Polynomial:
+    """`eisenstein_polynomial(k)`, E_{2k} in E4^a E6^b with 2a + 3b = k at m = 1,
+    checked on the q-expansions' coefficients through `precision`."""
     if k < 2:
         raise ValueError("k must be at least 2")
     poly = eisenstein_polynomial(k)
@@ -43,14 +35,16 @@ def ak_polynomial(k: int, precision: int) -> AkPolynomial:
     check = _compare(f"A_{k}", _at(poly, forms.function_tuple(1, precision)), (nums, repeat(den)), precision)
     if not check.ok:
         raise InternalConsistencyError(f"A_{k} verification failed at coefficient {check.first_mismatch}")
-    # an m = 1 exponent tuple is (z, E2, E4, E6, g[0,1])
-    return AkPolynomial(k=k, coefficients={(a, b): c for (_, _, a, b, _), c in poly})
+    return poly
 
 
 class EquationCheck(Record):
     name: str
-    ok: bool
-    first_mismatch: int | None = None
+    first_mismatch: int | None  # the first coefficient that differs, None if none does
+
+    @property
+    def ok(self) -> bool:
+        return self.first_mismatch is None
 
 
 class SystemReport(Record):
@@ -72,8 +66,8 @@ def _compare(name: str, lhs, rhs, upto: int) -> EquationCheck:
     """Check lhs = rhs through z^upto, a/b = c/d as a*d == c*b in integers."""
     for n, a, b, c, d in zip(range(upto + 1), *lhs, *rhs):
         if a * d != c * b:
-            return EquationCheck(name=name, ok=False, first_mismatch=n)
-    return EquationCheck(name=name, ok=True)
+            return EquationCheck(name, n)
+    return EquationCheck(name, None)
 
 
 def _terms(s: TruncatedSeries):
@@ -129,9 +123,9 @@ def verify_system(m: int, precision: int) -> SystemReport:
     # each delta side is built when it is compared, so one is held at a time
     checks = [
         _compare(label, _delta(s), _at(velocity(var, cfg), tup), upto)
-        for label, var, s in zip(labels, tup.names[1:], tup.series[1:])
+        for label, var, s in zip(labels, variable_names(m)[1:], tup.series[1:])
     ]
-    by_name = dict(zip(tup.names, tup.series))
+    by_name = dict(zip(variable_names(m), tup.series))
     errata = [
         _compare(
             f"literal: delta(g[{v - 1},{v}]) = B_{2 * v + 2}*(A_{v + 1} - 1)/{2 * v + 2}",
@@ -155,10 +149,8 @@ def verify_system_command(args, record) -> int:
     report = forms.verify_system(args.m, args.prec)
 
     def check(eq: EquationCheck) -> dict:
-        entry = {"equation": eq.name, "ok": eq.ok}
-        if eq.first_mismatch is not None:
-            entry["first_mismatch"] = eq.first_mismatch
-        return entry
+        mismatch = {} if eq.ok else {"first_mismatch": eq.first_mismatch}
+        return {"equation": eq.name, "ok": eq.ok, **mismatch}
 
     record["payload"] = {
         "ok": report.ok,
@@ -171,10 +163,11 @@ def verify_system_command(args, record) -> int:
 def ak_command(args, record) -> int:
     """`ramlab ak`: the coefficients of A_k, by exponent pair."""
     ak = forms.ak_polynomial(args.k, args.prec)
+    # an m = 1 exponent tuple is (z, E2, E4, E6, g[0,1]), and only E4 and E6 occur
     record["payload"] = {
         "monomials": [
             {"e4_exp": a, "e6_exp": b, "coefficient": fraction_str(c)}
-            for (a, b), c in sorted(ak.coefficients.items())
+            for (_, _, a, b, _), c in sorted(ak)
         ]
     }
     return 0

@@ -51,32 +51,26 @@ class InternalConsistencyError(Exception):
 class Record:
     """Base of the immutable value classes.
 
-    The annotated names of a subclass body are its fields, in order, and a
-    value assigned there is that field's default.  A record is built by
-    position or keyword, compares and hashes as the tuple of its fields, and
-    prints as ``Name(field=value, ...)``.  Nothing is compiled when a
-    subclass is defined.  A subclass may define `__post_init__`, which runs
-    once the fields are set, to validate them or to add state outside them.
+    The annotated names of a subclass body are its fields, in order; a view
+    derived from them, such as a ratio or a verdict, is a property.  A record
+    is built by position or keyword, each field given once, compares and
+    hashes as the tuple of its fields, and prints as ``Name(field=value,
+    ...)``.  Nothing is compiled when a subclass is defined.  A subclass's
+    `__post_init__` runs once the fields are set, to validate them or to add
+    state outside them.
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)
-        own = vars(cls)
-        cls._defaults = {name: own[name] for name in cls._fields if name in own}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        if (
-            len(args) > len(fields)
-            or len(values) != len(fields)
-            or not kwargs.keys() <= set(fields[len(args) :])
-        ):
+        if len(args) > len(fields) or kwargs.keys() != set(fields[len(args) :]):
             raise TypeError(f"{type(self).__name__}() takes each of {', '.join(fields)} once")
+        values = dict(zip(fields, args), **kwargs)
         self.__dict__.update(values, _values=tuple(map(values.__getitem__, fields)))
         self.__post_init__()
 

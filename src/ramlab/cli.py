@@ -146,8 +146,10 @@ def run(argv: list[str] | None = None) -> int:
 
 def _unwritable(path: str) -> str | None:
     """Why open(path, "w") would fail, where that shows without creating the
-    file: path names a directory, or its parent is missing or not a
+    file: path is empty or a directory, or its parent is missing or not a
     directory.  Any other failure is reported when the output is written."""
+    if not path:
+        return os.strerror(errno.ENOENT)
     if path.endswith(os.sep) or os.path.isdir(path):
         return os.strerror(errno.EISDIR)
     try:
@@ -167,7 +169,7 @@ def _run(argv: list[str] | None) -> int:
     if args.format == "csv" and args.subcommand != "auxsearch":
         print("error: csv output is only available for auxsearch", file=sys.stderr)
         return EXIT_USAGE
-    reason = args.out and _unwritable(args.out)
+    reason = args.out is not None and _unwritable(args.out)
     if reason:
         print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
@@ -184,7 +186,7 @@ def _run(argv: list[str] | None) -> int:
     else:
         output = _render_text(record)
 
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(output)

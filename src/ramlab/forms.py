@@ -4,12 +4,12 @@ order k0, and the function tuple at which the ring is evaluated.
 The system is defined once, as D's velocity table in `_system`, and E_{2k}
 is written in E4 and E6 once, by the Weierstrass recurrence there.  The two
 checks of these against the q-expansions, `verify_system` and
-`ak_polynomial` with their records, live in `_checks`.  The names forwarded
-here are those two functions, which the benchmark's trace shim wraps as
-`forms.verify_system` and `forms.ak_polynomial`; they load `_checks` when
-first looked up.  So loading this module loads `arith` and `series` only,
-and compiles only what the search and the commands `series`, `k0` and `ord`
-run; the handlers of these three commands are here too.
+`ak_polynomial`, live in `_checks`.  The names forwarded here are those two
+functions, which the benchmark's trace shim wraps as `forms.verify_system`
+and `forms.ak_polynomial`; they load `_checks` when first looked up.  So
+loading this module loads `arith` and `series` only, and compiles only what
+the search and the commands `series`, `k0` and `ord` run; the handlers of
+these three commands are here too.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import CliError
 from .arith import Record, bernoulli, check_m, divisor_power_sums
-from .arith import forward_names, fraction_str, variable_names, y_pairs
+from .arith import forward_names, fraction_str, y_pairs
 from .series import Order, TruncatedSeries
 
 __all__ = [
@@ -94,12 +94,11 @@ def compute_k0(m: int, precision: int) -> Order:
 
 
 class FunctionTuple(Record):
-    """The ordered series tuple (z, E2, E4, E6, g_{0,1}, g_{0,3}, ...)."""
+    """The series of `arith.variable_names(m)`: (z, E2, E4, E6, g_{0,1}, ...)."""
 
     m: int
     precision: int
     series: tuple[TruncatedSeries, ...]
-    names: tuple[str, ...]
 
     def __post_init__(self):
         # monomial -> its series at this tuple; filled by ring.monomial_series.
@@ -112,7 +111,7 @@ def function_tuple(m: int, precision: int) -> FunctionTuple:
     series = [TruncatedSeries.z(precision)]
     series += [eisenstein(k, precision) for k in (1, 2, 3)]
     series += [g_series(u, v, precision) for u, v in y_pairs(m)]
-    return FunctionTuple(m=m, precision=precision, series=tuple(series), names=variable_names(m))
+    return FunctionTuple(m=m, precision=precision, series=tuple(series))
 
 
 # -- the handlers of series, k0 and ord (see cli._COMMANDS) -----------------

@@ -10,7 +10,8 @@ vector's exact order of vanishing (`_linalg.kernel_mod_p`).  The rank mod p
 is at most the rank over Q, so the cutoff n*_p it finds is at least the
 true n*; a witness polynomial whose exact order of vanishing is n*_p proves
 n* >= n*_p, hence equality.  If the order and n*_p disagree, the next prime
-is tried.
+is tried.  A cell's `ExperimentRow` stores that certificate alone; its order,
+its ratios and a grid's maxima and flagged cells are derived where printed.
 
 The handler of `ramlab auxsearch`, with its grid syntax and its JSON and CSV
 rows, is here too: only that command loads this module.
@@ -33,7 +34,6 @@ from .series import Order
 __all__ = [
     "DegreeBudget",
     "ExperimentRow",
-    "GridSummary",
     "operational_exponent",
     "paper_exponent",
     "monomial_basis",
@@ -69,21 +69,21 @@ class ExperimentRow(Record):
     d: int
     T: int  # monomial count
     n_star: int  # maximal vanishing cutoff achieved (lower bound when flagged)
-    measured_ord: Order
-    ratio: Fraction  # n_star / ((d0+1)(d+1)^nu), operational nu
-    ratio_paper: Fraction  # same with the published exponent
     witness: Polynomial
     precision: int
     precision_limited: bool
 
+    @property
+    def measured_ord(self) -> Order:
+        return Order(not self.precision_limited, self.n_star)
 
-class GridSummary(Record):
-    m: int
-    exponent_operational: int
-    exponent_paper: int
-    max_ratio: Fraction
-    max_ratio_paper: Fraction
-    flagged: tuple[DegreeBudget, ...]
+    @property
+    def ratio(self) -> Fraction:  # n_star / ((d0+1)(d+1)^nu), operational nu
+        return Fraction(self.n_star, (self.d0 + 1) * (self.d + 1) ** operational_exponent(self.m))
+
+    @property
+    def ratio_paper(self) -> Fraction:  # the same with the published exponent
+        return Fraction(self.n_star, (self.d0 + 1) * (self.d + 1) ** paper_exponent(self.m))
 
 
 def monomial_basis(budget: DegreeBudget, cfg: SystemConfig) -> list[Monomial]:
@@ -202,22 +202,12 @@ def _search(
         raise InternalConsistencyError(f"{failure} for every prime")
     witness = Polynomial(cfg, {mono: c for mono, c in zip(basis, kernel) if c != 0})
     flagged = cutoff is None
-    n_star = precision + 1 if flagged else cutoff
-    measured = Order.at_least(n_star) if flagged else Order.finite(n_star)
-
-    nu = operational_exponent(cfg.m)
-    nu_paper = paper_exponent(cfg.m)
-    denom = (budget.d0 + 1) * (budget.d + 1) ** nu
-    denom_paper = (budget.d0 + 1) * (budget.d + 1) ** nu_paper
     return ExperimentRow(
         m=cfg.m,
         d0=budget.d0,
         d=budget.d,
         T=T,
-        n_star=n_star,
-        measured_ord=measured,
-        ratio=Fraction(n_star, denom),
-        ratio_paper=Fraction(n_star, denom_paper),
+        n_star=precision + 1 if flagged else cutoff,
         witness=witness,
         precision=precision,
         precision_limited=flagged,
@@ -226,7 +216,7 @@ def _search(
 
 def experiment_grid(
     m: int, budgets: Iterable[DegreeBudget], precision: int | None = None
-) -> tuple[list[ExperimentRow], GridSummary]:
+) -> list[ExperimentRow]:
     """Run the search over a grid of budgets; deterministic row order.
 
     Every cell's basis size is checked against MAX_BASIS_SIZE, in the
@@ -249,20 +239,7 @@ def experiment_grid(
         cells.append(b)
         starts.append(_first_precision(T) if precision is None else precision)
     tup = function_tuple(m, max(starts)) if starts else None
-    rows = [max_vanishing_search(b, cfg, precision, tup) for b in cells]
-    max_ratio = max((row.ratio for row in rows), default=Fraction(0))
-    max_ratio_paper = max((row.ratio_paper for row in rows), default=Fraction(0))
-    summary = GridSummary(
-        m=m,
-        exponent_operational=operational_exponent(m),
-        exponent_paper=paper_exponent(m),
-        max_ratio=max_ratio,
-        max_ratio_paper=max_ratio_paper,
-        flagged=tuple(
-            DegreeBudget(row.d0, row.d) for row in rows if row.precision_limited
-        ),
-    )
-    return rows, summary
+    return [max_vanishing_search(b, cfg, precision, tup) for b in cells]
 
 
 # -- the handler of auxsearch (see cli._COMMANDS) --------------------------
@@ -276,10 +253,10 @@ def auxsearch_command(args, record) -> int:
         budgets = [DegreeBudget(args.d0, args.d)]
     else:
         budgets = _parse_grid(args.grid)
-    rows, summary = experiment_grid(args.m, budgets, args.prec)
+    rows = experiment_grid(args.m, budgets, args.prec)
     record["params"] = {"m": args.m, "budgets": [{"d0": r.d0, "d": r.d} for r in rows], "prec": args.prec}
-    record["payload"] = _rows_to_csv(rows) if args.format == "csv" else _experiment_rows(rows, summary)
-    return 1 if summary.flagged and args.strict else 0
+    record["payload"] = _rows_to_csv(rows) if args.format == "csv" else _experiment_rows(args.m, rows)
+    return 1 if args.strict and any(r.precision_limited for r in rows) else 0
 
 
 def _parse_grid(spec: str) -> Iterator[DegreeBudget]:
@@ -293,14 +270,14 @@ def _parse_grid(spec: str) -> Iterator[DegreeBudget]:
     return (DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1))
 
 
-def _experiment_rows(rows: list[ExperimentRow], summary: GridSummary) -> dict:
-    """The JSON and text payload of a search."""
+def _experiment_rows(m: int, rows: list[ExperimentRow]) -> dict:
+    """The JSON and text payload of a search; the largest ratios are 0 for no rows."""
     # from ring at each call, where the trace shim and the tests replace it
     from .ring import format_polynomial
 
     return {
-        "exponent_operational": summary.exponent_operational,
-        "exponent_paper": summary.exponent_paper,
+        "exponent_operational": operational_exponent(m),
+        "exponent_paper": paper_exponent(m),
         "rows": [
             {
                 "m": r.m,
@@ -317,9 +294,9 @@ def _experiment_rows(rows: list[ExperimentRow], summary: GridSummary) -> dict:
             }
             for r in rows
         ],
-        "max_ratio": fraction_str(summary.max_ratio),
-        "max_ratio_paper": fraction_str(summary.max_ratio_paper),
-        "flagged": [{"d0": b.d0, "d": b.d} for b in summary.flagged],
+        "max_ratio": fraction_str(max((r.ratio for r in rows), default=Fraction(0))),
+        "max_ratio_paper": fraction_str(max((r.ratio_paper for r in rows), default=Fraction(0))),
+        "flagged": [{"d0": r.d0, "d": r.d} for r in rows if r.precision_limited],
     }
 
 

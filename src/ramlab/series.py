@@ -139,10 +139,11 @@ class TruncatedSeries:
         return positive_power(self, e)
 
     def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by z^k at the same precision, with no series product."""
+        """Multiply by z^k at the same precision: no series product, and no slot past it."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        return TruncatedSeries._of(((Fraction(0),) * k + self.coeffs)[: self.precision + 1])
+        k = min(k, len(self.coeffs))
+        return TruncatedSeries._of((Fraction(0),) * k + self.coeffs[: len(self.coeffs) - k])
 
     def order(self) -> Order:
         for n, c in enumerate(self.coeffs):

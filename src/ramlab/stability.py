@@ -2,6 +2,7 @@
 
 A principal ideal (Q) is D-stable exactly when Q | DQ; the cofactor B with
 DQ = Q*B is then constrained to the linear form a*X1 + b with integer a, b.
+A verdict stores B alone, None when Q does not divide DQ.
 """
 
 from __future__ import annotations
@@ -14,18 +15,18 @@ __all__ = ["StabilityVerdict", "principal_stability"]
 
 
 class StabilityVerdict(Record):
-    stable: bool
-    cofactor: Polynomial | None = None
+    cofactor: Polynomial | None
+
+    @property
+    def stable(self) -> bool:
+        return self.cofactor is not None
 
 
 def principal_stability(q: Polynomial) -> StabilityVerdict:
     """Compute DQ and test exact divisibility by Q."""
     if q.is_zero():
         raise ValueError("the zero polynomial has no stability verdict")
-    cof = derive(q).exact_divide(q)
-    if cof is None:
-        return StabilityVerdict(stable=False)
-    return StabilityVerdict(stable=True, cofactor=cof)
+    return StabilityVerdict(derive(q).exact_divide(q))
 
 
 def stable_command(args, record) -> int:

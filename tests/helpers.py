@@ -14,7 +14,7 @@ from ramlab._linalg import solve_lifted_scaled
 from ramlab._system import derive, velocity
 from ramlab.arith import InternalConsistencyError, bernoulli, sigma_table, variable_names, y_pairs
 from ramlab.forms import FunctionTuple, eisenstein, function_tuple
-from ramlab.multlab import ExperimentRow, operational_exponent, paper_exponent
+from ramlab.multlab import ExperimentRow
 from ramlab.ring import Polynomial, SystemConfig, evaluate, monomial_series
 from ramlab.series import TruncatedSeries
 
@@ -266,11 +266,12 @@ def fraction_verify_system(m: int, precision: int, velocity=velocity) -> SystemR
     cfg = SystemConfig(m)
     series = [TruncatedSeries.z(precision)] + [sigma_table_eisenstein(k, precision) for k in (1, 2, 3)]
     series += [sigma_table_g_series(u, v, precision) for u, v in y_pairs(m)]
-    tup = FunctionTuple(m=m, precision=precision, series=tuple(series), names=variable_names(m))
+    tup = FunctionTuple(m=m, precision=precision, series=tuple(series))
+    names = variable_names(m)
 
     def check(name, lhs, rhs):
         n = next((n for n in range(precision) if lhs.coeffs[n] != rhs.coeffs[n]), None)
-        return EquationCheck(name=name, ok=n is None, first_mismatch=n)
+        return EquationCheck(name=name, first_mismatch=n)
 
     labels = ["delta(E2) = (E2^2 - E4)/12", "delta(E4) = (E2*E4 - E6)/3", "delta(E6) = (E2*E6 - E4^2)/2"]
     labels += [
@@ -278,10 +279,10 @@ def fraction_verify_system(m: int, precision: int, velocity=velocity) -> SystemR
         else f"delta(g[{u},{v}]) = B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}"
         for u, v in y_pairs(m)
     ]
-    deltas = dict(zip(tup.names[1:], map(delta, tup.series[1:])))
+    deltas = dict(zip(names[1:], map(delta, tup.series[1:])))
     equations = [
         check(label, deltas[var], evaluate(velocity(var, cfg), tup))
-        for label, var in zip(labels, tup.names[1:])
+        for label, var in zip(labels, names[1:])
     ]
     one = TruncatedSeries.constant(1, precision)
     errata = [
@@ -514,10 +515,16 @@ def naive_format(p: Polynomial) -> str:
     return "".join(pieces)
 
 
-def ak_evaluate(ak, e4: TruncatedSeries, e6: TruncatedSeries) -> TruncatedSeries:
+def ak_coefficients(ak: Polynomial) -> dict[tuple[int, int], Fraction]:
+    """The coefficient of each E4^a * E6^b in A_k, a polynomial of m = 1,
+    by (a, b); its exponent tuples are (z, E2, E4, E6, g[0,1])."""
+    return {(a, b): c for (_, _, a, b, _), c in ak}
+
+
+def ak_evaluate(ak: Polynomial, e4: TruncatedSeries, e6: TruncatedSeries) -> TruncatedSeries:
     """A_k(E4, E6) as a series: the sum of c * E4^a * E6^b over its terms."""
     total = TruncatedSeries.zero(min(e4.precision, e6.precision))
-    for (a, b), c in ak.coefficients.items():
+    for (a, b), c in ak_coefficients(ak).items():
         total = total + (e4**a * e6**b).scale(c)
     return total
 
@@ -749,17 +756,12 @@ def reducer_search(budget, cfg, basis, precision, tup, reducer_cls=RowReducer) -
             raise InternalConsistencyError("oracle witness does not vanish")
     elif not (measured.is_finite and measured.value == n_star):
         raise InternalConsistencyError("oracle witness order disagrees with its cutoff")
-    denom = (budget.d0 + 1) * (budget.d + 1) ** operational_exponent(cfg.m)
-    denom_paper = (budget.d0 + 1) * (budget.d + 1) ** paper_exponent(cfg.m)
     return ExperimentRow(
         m=cfg.m,
         d0=budget.d0,
         d=budget.d,
         T=T,
         n_star=n_star,
-        measured_ord=measured,
-        ratio=Fraction(n_star, denom),
-        ratio_paper=Fraction(n_star, denom_paper),
         witness=witness,
         precision=precision,
         precision_limited=flagged,

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    ak_coefficients,
     ak_evaluate,
     delta,
     from_monomial,
@@ -20,9 +21,9 @@ from helpers import (
 )
 from ramlab._checks import ak_polynomial, verify_system
 from ramlab._system import derive, velocity
-from ramlab.arith import bernoulli
+from ramlab.arith import bernoulli, fraction_str
 from ramlab.forms import compute_k0, eisenstein, function_tuple
-from ramlab.multlab import DegreeBudget, experiment_grid
+from ramlab.multlab import DegreeBudget, _experiment_rows, experiment_grid
 from ramlab.ring import (
     Polynomial,
     SystemConfig,
@@ -54,9 +55,9 @@ def test_criterion_1_eisenstein_vs_divisor_oracle():
 
 
 def test_criterion_2_ak_table():
-    assert ak_polynomial(4, 60).coefficients == {(2, 0): Fraction(1)}
-    assert ak_polynomial(5, 60).coefficients == {(1, 1): Fraction(1)}
-    assert ak_polynomial(6, 60).coefficients == {
+    assert ak_coefficients(ak_polynomial(4, 60)) == {(2, 0): Fraction(1)}
+    assert ak_coefficients(ak_polynomial(5, 60)) == {(1, 1): Fraction(1)}
+    assert ak_coefficients(ak_polynomial(6, 60)) == {
         (3, 0): Fraction(441, 691),
         (0, 2): Fraction(250, 691),
     }
@@ -163,7 +164,7 @@ def test_criterion_7_k0():
 def test_criterion_8_multiplicity_lab():
     start = time.monotonic()
     budgets = [DegreeBudget(d0, d) for d0 in (0, 1) for d in (0, 1, 2)]
-    rows, summary = experiment_grid(1, budgets)  # adaptive default precision
+    rows = experiment_grid(1, budgets)  # adaptive default precision
     for row in rows:
         assert not row.precision_limited
         assert row.measured_ord.is_finite
@@ -171,14 +172,18 @@ def test_criterion_8_multiplicity_lab():
         assert row.n_star >= row.T - 1
         assert row.ratio == Fraction(row.n_star, (row.d0 + 1) * (row.d + 1) ** 4)
         assert row.ratio_paper == Fraction(row.n_star, (row.d0 + 1) * (row.d + 1) ** 3)
-    assert summary.exponent_operational == 4
-    assert summary.exponent_paper == 3
+    payload = _experiment_rows(1, rows)
+    assert payload["exponent_operational"] == 4
+    assert payload["exponent_paper"] == 3
+    assert payload["max_ratio"] == fraction_str(max(row.ratio for row in rows))
+    assert payload["max_ratio_paper"] == fraction_str(max(row.ratio_paper for row in rows))
+    assert payload["flagged"] == []
     elapsed = time.monotonic() - start
     assert elapsed < 300, f"took {elapsed:.1f}s"
     report(
         8,
         f"m=1 grid (d0<=1, d<=2): all orders finite and maximal, "
-        f"max ratio {summary.max_ratio} (operational) / {summary.max_ratio_paper} "
+        f"max ratio {payload['max_ratio']} (operational) / {payload['max_ratio_paper']} "
         f"(paper exponent) ({elapsed:.1f}s)",
     )
 

@@ -159,6 +159,33 @@ def test_auxsearch_csv(capsys):
     assert lines[2] == "1,1,0,2,1,1,1,2,0"
 
 
+@pytest.mark.parametrize(
+    "argv, flagged",
+    [
+        (("--grid", "1:2"), []),
+        (("--grid", "1:2", "--prec", "12"), [{"d0": 0, "d": 2}, {"d0": 1, "d": 2}]),
+        (("--d0", "1", "--d", "2", "--prec", "12"), [{"d0": 1, "d": 2}]),
+    ],
+    ids=["grid-1:2", "grid-1:2-prec-12", "limited-cell"],
+)
+def test_auxsearch_summary_is_recomputed_from_its_rows(capsys, argv, flagged):
+    from fractions import Fraction
+
+    from ramlab.arith import fraction_str
+
+    code, out, _ = invoke(capsys, "--format", "json", "auxsearch", "--m", "1", *argv)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    rows = payload["rows"]
+    for key in ("ratio", "ratio_paper"):
+        assert payload[f"max_{key}"] == fraction_str(max(Fraction(r[key]) for r in rows))
+    assert payload["flagged"] == [{"d0": r["d0"], "d": r["d"]} for r in rows if r["precision_limited"]]
+    assert payload["flagged"] == flagged
+    # and --strict reads the same flagged cells
+    code, _, _ = invoke(capsys, "--strict", "auxsearch", "--m", "1", *argv)
+    assert code == (1 if flagged else 0)
+
+
 # the CSV of the benchmark's two `search` grids
 SEARCH_GRID_CSV = {
     ("1", "1:2"): (
@@ -463,6 +490,19 @@ def test_unwritable_out_is_refused_before_the_command_runs(
     assert (tmp_path / "a-file").read_text() == "kept"
 
 
+def test_empty_out_is_refused_not_read_as_standard_output(tmp_path, capsys, monkeypatch):
+    # open("", "w") fails with ENOENT, so "" names no file, not stdout
+    monkeypatch.setattr(cli, "_dispatch", lambda args: pytest.fail("the command ran"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, "--out", "", "k0", "--m", "1", "--prec", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write : No such file or directory\n"
+    with pytest.raises(OSError) as exc:
+        open("", "w")
+    assert exc.value.errno == errno.ENOENT
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("budget", [("--d0", "1", "--d", "1"), ("--d0", "1"), ("--d", "1")])
 def test_auxsearch_refuses_a_grid_with_a_single_budget(capsys, monkeypatch, budget):
     from ramlab import multlab
@@ -491,6 +531,15 @@ def test_strict_flag_on_unresolved_ord(capsys):
     )
     assert code == 1
     assert json.loads(out)["payload"]["ord"] == ">=4"
+
+
+def test_ord_of_a_huge_power_of_z_builds_only_the_precision(capsys):
+    # z^(10^9) is a shift past the precision, not 10^9 stored zeros
+    start = time.monotonic()
+    code, out, _ = invoke(capsys, "--format", "json", "ord", "--poly", "z^1000000000*E4", "--m", "1", "--prec", "5")
+    assert time.monotonic() - start < 1
+    assert code == 0
+    assert json.loads(out)["payload"] == {"ord": ">=6", "finite": False}
 
 
 def test_verify_system_prec_0_is_rejected(capsys):

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ak_by_linear_solve, ak_evaluate, delta, fraction_verify_system, sigma
+from helpers import ak_by_linear_solve, ak_coefficients, ak_evaluate, delta, fraction_verify_system, sigma
 from helpers import sigma_table_eisenstein, sigma_table_g_series
 from ramlab import _checks
-from ramlab._checks import AkPolynomial, ak_polynomial, verify_system
+from ramlab._checks import ak_polynomial, verify_system
 from ramlab._system import eisenstein_polynomial, velocity
-from ramlab.arith import MAX_M, InternalConsistencyError, bernoulli
+from ramlab.arith import MAX_M, InternalConsistencyError, bernoulli, variable_names
 from ramlab.forms import discriminant_series, eisenstein, function_tuple, g_series, theta_series
+from ramlab.ring import SystemConfig, parse
 from ramlab.series import Order, TruncatedSeries
 
 
@@ -56,19 +57,21 @@ def test_g_series_validation():
 
 
 def test_ak_small_cases():
-    assert ak_polynomial(2, 20).coefficients == {(1, 0): Fraction(1)}
-    assert ak_polynomial(3, 20).coefficients == {(0, 1): Fraction(1)}
-    assert ak_polynomial(4, 20).coefficients == {(2, 0): Fraction(1)}
-    assert ak_polynomial(5, 20).coefficients == {(1, 1): Fraction(1)}
-    assert ak_polynomial(6, 20).coefficients == {
+    assert ak_coefficients(ak_polynomial(2, 20)) == {(1, 0): Fraction(1)}
+    assert ak_coefficients(ak_polynomial(3, 20)) == {(0, 1): Fraction(1)}
+    assert ak_coefficients(ak_polynomial(4, 20)) == {(2, 0): Fraction(1)}
+    assert ak_coefficients(ak_polynomial(5, 20)) == {(1, 1): Fraction(1)}
+    assert ak_coefficients(ak_polynomial(6, 20)) == {
         (3, 0): Fraction(441, 691),
         (0, 2): Fraction(250, 691),
     }
+    # the checked polynomial itself, in the ring of m = 1
+    assert ak_polynomial(6, 20) == parse("441/691*E4^3 + 250/691*E6^2", SystemConfig(1))
 
 
 def test_ak_monomial_constraint():
     for k in range(2, 13):
-        for (a, b) in ak_polynomial(k, 20).coefficients:
+        for (a, b) in ak_coefficients(ak_polynomial(k, 20)):
             assert 2 * a + 3 * b == k
 
 
@@ -83,7 +86,7 @@ def test_ak_reproduces_eisenstein():
 @pytest.mark.parametrize("k", range(2, 41))
 def test_ak_matches_the_linear_solve_oracle(k):
     # the Weierstrass recurrence in the ring against the q-series solve
-    assert ak_polynomial(k, 0).coefficients == ak_by_linear_solve(k)
+    assert ak_coefficients(ak_polynomial(k, 0)) == ak_by_linear_solve(k)
 
 
 def test_ak_rejects_k_below_2_before_the_recurrence_runs(monkeypatch):
@@ -106,8 +109,7 @@ def test_ak_refuses_a_perturbed_eisenstein_polynomial(monkeypatch, k, extra, fir
     wrong = eisenstein_polynomial(k) + ring.parse(extra, ring.SystemConfig(1))
     monkeypatch.setattr(_checks, "eisenstein_polynomial", lambda j: wrong)
     precision = 30
-    perturbed = AkPolynomial(k=k, coefficients={(a, b): c for (_, _, a, b, _), c in wrong})
-    combo = ak_evaluate(perturbed, eisenstein(2, precision), eisenstein(3, precision))
+    combo = ak_evaluate(wrong, eisenstein(2, precision), eisenstein(3, precision))
     target = eisenstein(k, precision)
     n = next(n for n in range(precision + 1) if combo.coeffs[n] != target.coeffs[n])
     assert n == first
@@ -117,7 +119,7 @@ def test_ak_refuses_a_perturbed_eisenstein_polynomial(monkeypatch, k, extra, fir
         assert str(excinfo.value) == f"A_{k} verification failed at coefficient {n}"
     # below its first mismatch the perturbed polynomial passes the check
     if n:
-        assert ak_polynomial(k, n - 1) == perturbed
+        assert ak_polynomial(k, n - 1) == wrong
 
 
 def test_discriminant_and_theta():
@@ -143,10 +145,12 @@ def test_function_tuple_shape():
 
 def test_function_tuple_constant_terms_and_order():
     tup = function_tuple(3, 8)
-    assert tup.names == ("z", "E2", "E4", "E6", "g[0,1]", "g[0,3]", "g[1,3]", "g[2,3]")
+    names = variable_names(3)
+    assert names == ("z", "E2", "E4", "E6", "g[0,1]", "g[0,3]", "g[1,3]", "g[2,3]")
+    assert len(tup.series) == len(names)
     assert tup.series[0].coeffs[0] == 0
     assert tup.series[0].coeffs[1] == 1
-    for name, s in zip(tup.names, tup.series):
+    for name, s in zip(names, tup.series):
         assert s.coeffs[0] == (1 if name.startswith("E") else 0)
 
 

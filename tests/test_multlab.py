@@ -119,13 +119,47 @@ def test_witness_normalization():
 
 def test_experiment_grid_summary():
     budgets = [DegreeBudget(0, 0), DegreeBudget(1, 0)]
-    rows, summary = experiment_grid(1, budgets)
+    rows = experiment_grid(1, budgets)
     assert rows[0].ratio == 0
     assert rows[1].ratio == Fraction(1, 2)
-    assert summary.max_ratio == Fraction(1, 2)
-    assert summary.flagged == ()
-    assert summary.exponent_operational == 4
-    assert summary.exponent_paper == 3
+    summary = multlab._experiment_rows(1, rows)
+    assert summary["max_ratio"] == "1/2"
+    assert summary["flagged"] == []
+    assert summary["exponent_operational"] == 4
+    assert summary["exponent_paper"] == 3
+
+
+def test_an_empty_grid_summary_reads_ratio_0():
+    summary = multlab._experiment_rows(3, [])
+    assert summary == {
+        "exponent_operational": 7,
+        "exponent_paper": 4,
+        "rows": [],
+        "max_ratio": "0",
+        "max_ratio_paper": "0",
+        "flagged": [],
+    }
+
+
+def _stored_views(row):
+    """The order and ratios as the search computed and stored them before
+    they became properties of the row."""
+    measured = Order.at_least(row.n_star) if row.precision_limited else Order.finite(row.n_star)
+    denom = (row.d0 + 1) * (row.d + 1) ** operational_exponent(row.m)
+    denom_paper = (row.d0 + 1) * (row.d + 1) ** paper_exponent(row.m)
+    return measured, Fraction(row.n_star, denom), Fraction(row.n_star, denom_paper)
+
+
+@pytest.mark.parametrize(
+    "budgets, precision",
+    [([DegreeBudget(d0, d) for d0 in range(3) for d in range(4)], None), ([DegreeBudget(1, 2)], 12)],
+    ids=["grid-2:3", "precision-limited"],
+)
+def test_derived_views_equal_the_formulas_once_stored(budgets, precision):
+    rows = experiment_grid(1, budgets, precision)
+    assert any(row.precision_limited for row in rows) == (precision is not None)
+    for row in rows:
+        assert (row.measured_ord, row.ratio, row.ratio_paper) == _stored_views(row)
 
 
 def test_k0_independent_of_m():
@@ -369,7 +403,7 @@ def test_grid_refuses_an_oversized_basis_before_any_cell_runs(monkeypatch):
     # the largest cell the witness path has finished stays within the cap
     assert expected_basis_size(DegreeBudget(1, 3), CFG3) == 240 <= MAX_BASIS_SIZE
     monkeypatch.undo()
-    rows, _ = experiment_grid(3, [DegreeBudget(1, 3)], precision=0)
+    rows = experiment_grid(3, [DegreeBudget(1, 3)], precision=0)
     assert rows[0].T == 240
 
 
@@ -387,7 +421,7 @@ def test_grid_shares_one_function_tuple_until_a_cell_escalates_past_it(monkeypat
         return real(m, precision)
 
     monkeypatch.setattr(multlab, "function_tuple", recording)
-    rows, _ = experiment_grid(1, budgets)
+    rows = experiment_grid(1, budgets)
     assert built == [26, 52]
     assert [r.precision for r in rows] == [4, 52]
     assert [(_answer(r), r.precision) for r in rows] == [(_answer(r), r.precision) for r in alone]

@@ -172,6 +172,23 @@ def test_shift_is_product_with_z_power():
         assert s.shift(k) == s * TruncatedSeries.z(8) ** k
     with pytest.raises(ValueError):
         s.shift(-1)
+    # past the precision every slot is zero, and the precision is kept
+    assert s.shift(9) == s.shift(10**12) == TruncatedSeries.zero(8)
+
+
+def test_a_long_shift_allocates_only_the_kept_slots():
+    import tracemalloc
+
+    s = TruncatedSeries.z(5)
+    tracemalloc.start()
+    try:
+        shifted = s.shift(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shifted == TruncatedSeries.zero(5)
+    # a tuple of 10**7 zeros alone takes 80 MB
+    assert peak < 10**6
 
 
 @given(a=series_strategy, b=series_strategy)

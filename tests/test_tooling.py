@@ -351,6 +351,12 @@ def test_every_name_in_all_resolves(path):
     assert names and [name for name in names if name not in namespace] == []
 
 
+def test_refused_empty_out_loads_no_layer():
+    argv = ["--out", "", "k0", "--m", "1", "--prec", "5"]
+    code = f"from ramlab.cli import run\nif run({argv!r}) != 2:\n    sys.exit(1)"
+    assert loaded_after(code) == ["ramlab", "ramlab.cli"]
+
+
 def test_refused_auxsearch_budget_loads_no_layer():
     argv = ["auxsearch", "--m", "1", "--d0", "1", "--d", "1", "--grid", "1:1"]
     code = f"from ramlab.cli import run\nif run({argv!r}) != 2:\n    sys.exit(1)"
