@@ -42,7 +42,8 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .arith import InternalConsistencyError, forward_names, integer_numerators, pack, slot_bytes
+from .arith import InternalConsistencyError, forward_names, integer_numerators
+from .series import pack, slot_bytes
 
 __all__ = ["solve_lifted_scaled", "rank_profile_mod_p", "kernel_mod_p"]
 

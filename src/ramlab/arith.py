@@ -1,16 +1,10 @@
 """Exact integer/rational helpers: Bernoulli numbers, divisor sums, the
-scaling of a rational vector to integers, Kronecker packing, square-and-
-multiply, the domain of m, the names and index pairs of the system's
-variables, the exact text of a rational and of a long integer, the error
-raised when a self-check fails, the base of the immutable value classes,
-and the lookup by which a module reaches names kept in a sibling module.
-Every other module may import this one; it imports no other ramlab module.
-
-A vector of integers is packed into one integer, value i in slot i, each
-slot a whole number of bytes (Kronecker substitution).  A sum of multiples
-of packed vectors, or a product of two packed polynomials, is then one
-big-integer operation, and reads back exactly as long as every slot value
-fits its slot.
+scaling of a rational vector to integers, square-and-multiply, the domain
+of m, the names and index pairs of the system's variables, the exact text
+of a rational and of a long integer, the error raised when a self-check
+fails, the base of the immutable value classes, and the lookup by which a
+module reaches names kept in a sibling module.  Every other module may
+import this one; it imports no other ramlab module.
 
 Everything here is exact; no floating point anywhere.
 """
@@ -29,9 +23,6 @@ __all__ = [
     "divisor_power_sums",
     "sigma_table",
     "integer_numerators",
-    "slot_bytes",
-    "pack",
-    "unpack",
     "positive_power",
     "power_work",
     "MAX_M",
@@ -157,32 +148,6 @@ def integer_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(D, [D*x for x in values]) with D the lcm of the denominators."""
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
-
-
-def slot_bytes(bound: int) -> int:
-    """Whole bytes per slot so that every value with |x| <= bound fits signed."""
-    return bound.bit_length() // 8 + 1
-
-
-def pack(values: Sequence[int], nbytes: int) -> int:
-    """sum(x * 256**(nbytes*i) for i, x in enumerate(values)), each x fitting signed."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(nbytes, "little") for x in values)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(nbytes, "little") for x in values)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def unpack(packed: int, n: int, nbytes: int) -> list[int]:
-    """The low n signed slot values of a packed integer (the inverse of pack)."""
-    # the low slots are kept with a mask: % would be a long division
-    raw = (packed & (1 << 8 * nbytes * n) - 1).to_bytes(nbytes * n, "little")
-    out = []
-    borrow = 0
-    for start in range(0, len(raw), nbytes):
-        s = int.from_bytes(raw[start : start + nbytes], "little", signed=True)
-        out.append(s + borrow)
-        # a negative slot borrowed one unit from the slot above it
-        borrow = s < 0
-    return out
 
 
 def positive_power(base, e: int):

@@ -37,10 +37,18 @@ __all__ = [
 __getattr__ = forward_names(globals(), "_checks", ("verify_system", "ak_polynomial"))
 
 
+# The largest weight 2k of an E_{2k}.  B_{2k} costs about k^3 time, and
+# `series --which E4000 --prec 50` takes 9.7 s, E6000 32 s and E8000 67 s
+# (58 MiB; one run each, 2 vCPUs, Python 3.11), so time is the binding cost.
+MAX_EISENSTEIN_WEIGHT = 8000
+
+
 def eisenstein(k: int, precision: int) -> TruncatedSeries:
     """E_{2k} = 1 - (4k/B_{2k}) * sum_n sigma_{2k-1}(n) z^n, truncated."""
     if k < 1:
         raise ValueError("k must be positive")
+    if 2 * k > MAX_EISENSTEIN_WEIGHT:
+        raise ValueError(f"the weight {2 * k} is over the limit {MAX_EISENSTEIN_WEIGHT}")
     den, nums = _eisenstein_numerators(k, precision)
     return TruncatedSeries._of(tuple(Fraction(x, den) for x in nums))
 
@@ -94,11 +102,14 @@ def compute_k0(m: int, precision: int) -> Order:
 
 
 class FunctionTuple(Record):
-    """The series of `arith.variable_names(m)`: (z, E2, E4, E6, g_{0,1}, ...)."""
+    """The series of `arith.variable_names(m)`: (z, E2, E4, E6, g_{0,1}, ...),
+    so their count fixes m."""
 
-    m: int
-    precision: int
     series: tuple[TruncatedSeries, ...]
+
+    @property
+    def precision(self) -> int:
+        return self.series[0].precision
 
     def __post_init__(self):
         # monomial -> its series at this tuple; filled by ring.monomial_series.
@@ -111,7 +122,7 @@ def function_tuple(m: int, precision: int) -> FunctionTuple:
     series = [TruncatedSeries.z(precision)]
     series += [eisenstein(k, precision) for k in (1, 2, 3)]
     series += [g_series(u, v, precision) for u, v in y_pairs(m)]
-    return FunctionTuple(m=m, precision=precision, series=tuple(series))
+    return FunctionTuple(tuple(series))
 
 
 # -- the handlers of series, k0 and ord (see cli._COMMANDS) -----------------

@@ -10,8 +10,9 @@ vector's exact order of vanishing (`_linalg.kernel_mod_p`).  The rank mod p
 is at most the rank over Q, so the cutoff n*_p it finds is at least the
 true n*; a witness polynomial whose exact order of vanishing is n*_p proves
 n* >= n*_p, hence equality.  If the order and n*_p disagree, the next prime
-is tried.  A cell's `ExperimentRow` stores that certificate alone; its order,
-its ratios and a grid's maxima and flagged cells are derived where printed.
+is tried.  A cell's `ExperimentRow` stores that certificate alone; its basis
+size, its order, its ratios, whether it is precision-limited, and a grid's
+maxima and flagged cells are derived where printed.
 
 The handler of `ramlab auxsearch`, with its grid syntax and its JSON and CSV
 rows, is here too: only that command loads this module.
@@ -26,7 +27,7 @@ from math import comb
 
 from . import CliError
 from ._linalg import kernel_mod_p
-from .arith import InternalConsistencyError, Record, fraction_str
+from .arith import InternalConsistencyError, Record, fraction_str, variable_names
 from .forms import function_tuple
 from .ring import Monomial, Polynomial, SystemConfig, monomial_key, monomial_series
 from .series import Order
@@ -54,8 +55,8 @@ class DegreeBudget(Record):
 
 
 def operational_exponent(m: int) -> int:
-    """Number of non-z variables: 3 + ((m+1)/2)^2."""
-    return 3 + ((m + 1) // 2) ** 2
+    """Number of non-z variables, the nu of the basis size and the ratios."""
+    return len(variable_names(m)) - 1
 
 
 def paper_exponent(m: int) -> int:
@@ -67,11 +68,17 @@ class ExperimentRow(Record):
     m: int
     d0: int
     d: int
-    T: int  # monomial count
-    n_star: int  # maximal vanishing cutoff achieved (lower bound when flagged)
+    n_star: int  # maximal vanishing cutoff achieved; precision + 1 when limited
     witness: Polynomial
     precision: int
-    precision_limited: bool
+
+    @property
+    def T(self) -> int:  # the basis size
+        return expected_basis_size(DegreeBudget(self.d0, self.d), SystemConfig(self.m))
+
+    @property
+    def precision_limited(self) -> bool:  # the witness vanishes through every row
+        return self.n_star > self.precision
 
     @property
     def measured_ord(self) -> Order:
@@ -103,7 +110,7 @@ def monomial_basis(budget: DegreeBudget, cfg: SystemConfig) -> list[Monomial]:
 
 
 def expected_basis_size(budget: DegreeBudget, cfg: SystemConfig) -> int:
-    nu = cfg.nvars - 1
+    nu = operational_exponent(cfg.m)
     return (budget.d0 + 1) * comb(budget.d + nu, nu)
 
 
@@ -201,17 +208,8 @@ def _search(
     else:
         raise InternalConsistencyError(f"{failure} for every prime")
     witness = Polynomial(cfg, {mono: c for mono, c in zip(basis, kernel) if c != 0})
-    flagged = cutoff is None
-    return ExperimentRow(
-        m=cfg.m,
-        d0=budget.d0,
-        d=budget.d,
-        T=T,
-        n_star=precision + 1 if flagged else cutoff,
-        witness=witness,
-        precision=precision,
-        precision_limited=flagged,
-    )
+    n_star = precision + 1 if cutoff is None else cutoff
+    return ExperimentRow(cfg.m, budget.d0, budget.d, n_star, witness, precision)
 
 
 def experiment_grid(

@@ -302,7 +302,7 @@ def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
     `evaluate_numerators` with one Fraction (and its gcd) per coefficient."""
     from .series import TruncatedSeries
 
-    if len(p.terms) == 1 and 1 in p.terms.values() and tup.m == p.config.m:
+    if len(p.terms) == 1 and 1 in p.terms.values() and len(tup.series) == p.config.nvars:
         return monomial_series(next(iter(p.terms)), tup)
     den, total = evaluate_numerators(p, tup)
     return TruncatedSeries._of(tuple(Fraction(t, den) for t in total))
@@ -311,8 +311,9 @@ def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
 def evaluate_numerators(p: Polynomial, tup: FunctionTuple) -> tuple[int, list[int]]:
     """p at the function tuple as (den, nums), coefficient n being nums[n]/den,
     not reduced: the sum of c * monomial series in integers over one common
-    denominator."""
-    if tup.m != p.config.m:
+    denominator.  A tuple of another m, which has another number of series,
+    is refused."""
+    if len(tup.series) != p.config.nvars:
         raise ValueError("function tuple and polynomial have different m")
     scaled = [
         (c, integer_numerators(monomial_series(mono, tup).coeffs))

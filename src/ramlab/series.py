@@ -7,19 +7,48 @@ so a coefficient is stored only if it is actually known.
 A product of two series is one exact big-integer multiply (Kronecker
 substitution; Harvey, J. Symbolic Comput. 2009).  Each operand is scaled to
 integer numerators by the lcm of its denominators and packed into one
-integer, coefficient n in slot n of a fixed bit width.  The width is chosen
-so that every signed coefficient of the product fits in its slot, so the low
-P+1 slots of the integer product are read back exactly; the result is those
-integers over the product of the two denominators.  No floating point.
+integer (`pack`), coefficient n in slot n, each slot a whole number of
+bytes.  The width is chosen so that every signed coefficient of the product
+fits in its slot, so the low P+1 slots of the integer product are read back
+exactly (`unpack`); the result is those integers over the product of the
+two denominators.  `_linalg` packs its vectors with the same functions, so a
+sum of multiples of them is one big-integer operation too.  No floating
+point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Record, integer_numerators, pack, positive_power, slot_bytes, unpack
+from .arith import Record, integer_numerators, positive_power
 
-__all__ = ["Order", "TruncatedSeries"]
+__all__ = ["Order", "TruncatedSeries", "slot_bytes", "pack", "unpack"]
+
+
+def slot_bytes(bound: int) -> int:
+    """Whole bytes per slot so that every value with |x| <= bound fits signed."""
+    return bound.bit_length() // 8 + 1
+
+
+def pack(values: Sequence[int], nbytes: int) -> int:
+    """sum(x * 256**(nbytes*i) for i, x in enumerate(values)), each x fitting signed."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(nbytes, "little") for x in values)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(nbytes, "little") for x in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def unpack(packed: int, n: int, nbytes: int) -> list[int]:
+    """The low n signed slot values of a packed integer (the inverse of pack)."""
+    # the low slots are kept with a mask: % would be a long division
+    raw = (packed & (1 << 8 * nbytes * n) - 1).to_bytes(nbytes * n, "little")
+    out = []
+    borrow = 0
+    for start in range(0, len(raw), nbytes):
+        s = int.from_bytes(raw[start : start + nbytes], "little", signed=True)
+        out.append(s + borrow)
+        # a negative slot borrowed one unit from the slot above it
+        borrow = s < 0
+    return out
 
 
 class Order(Record):

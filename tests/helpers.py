@@ -266,7 +266,7 @@ def fraction_verify_system(m: int, precision: int, velocity=velocity) -> SystemR
     cfg = SystemConfig(m)
     series = [TruncatedSeries.z(precision)] + [sigma_table_eisenstein(k, precision) for k in (1, 2, 3)]
     series += [sigma_table_g_series(u, v, precision) for u, v in y_pairs(m)]
-    tup = FunctionTuple(m=m, precision=precision, series=tuple(series))
+    tup = FunctionTuple(tuple(series))
     names = variable_names(m)
 
     def check(name, lhs, rhs):
@@ -293,7 +293,7 @@ def fraction_verify_system(m: int, precision: int, velocity=velocity) -> SystemR
         )
         for v in range(3, m + 1, 2)
     ]
-    return SystemReport(m=m, precision=precision, equations=tuple(equations), errata=tuple(errata))
+    return SystemReport(equations=tuple(equations), errata=tuple(errata))
 
 
 @dataclass(frozen=True)
@@ -760,9 +760,7 @@ def reducer_search(budget, cfg, basis, precision, tup, reducer_cls=RowReducer) -
         m=cfg.m,
         d0=budget.d0,
         d=budget.d,
-        T=T,
         n_star=n_star,
         witness=witness,
         precision=precision,
-        precision_limited=flagged,
     )

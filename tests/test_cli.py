@@ -648,6 +648,33 @@ def test_oversized_requests_exit_2_at_once_stating_the_bound(capsys, argv, messa
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("series", "--which", "E200000", "--prec", "50"), "the weight 200000"),
+        (("series", "--which", "E8002", "--prec", "0"), "the weight 8002"),
+        (("ak", "--k", "341"), "k=341"),
+        (("ak", "--k", "100000", "--prec", "0"), "k=100000"),
+    ],
+)
+def test_an_eisenstein_index_over_its_bound_exits_2_before_any_work(capsys, monkeypatch, argv, bound):
+    # the Bernoulli numbers, the divisor sums and the Weierstrass recurrence
+    # are replaced, so a broken bound fails here and never starts them
+    from ramlab import _checks, forms
+
+    def refuse(*args):
+        raise AssertionError("the unbounded work started")
+
+    for module, name in [(forms, "bernoulli"), (forms, "divisor_power_sums"),
+                         (_checks, "bernoulli"), (_checks, "eisenstein_polynomial")]:
+        monkeypatch.setattr(module, name, refuse)
+    limit = forms.MAX_EISENSTEIN_WEIGHT if argv[0] == "series" else _checks.MAX_AK_INDEX
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {bound} is over the limit {limit}\n")
+
+
 def test_an_oversized_grid_is_refused_before_the_rest_of_it_is_built(capsys, monkeypatch):
     # 1,002,001 cells; the grid is read in order and stops at its first cell
     # over the limit, d0=0 d=7, so only the eight budgets up to it are built

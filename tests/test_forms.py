@@ -318,3 +318,25 @@ def test_eisenstein_and_g_equal_their_sigma_table_definitions(precision):
 def test_theta_is_delta_shifted_by_one(precision):
     # a shift, not a series product: the same series as z times Delta
     assert theta_series(precision) == TruncatedSeries.z(precision) * discriminant_series(precision)
+
+
+def test_the_eisenstein_bounds_admit_their_largest_index(monkeypatch):
+    # at the limit the work starts: here, replaced by a stub that stops it
+    from ramlab import forms
+
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(forms, "_eisenstein_numerators", started)
+    monkeypatch.setattr(_checks, "eisenstein_polynomial", started)
+    with pytest.raises(Started):
+        forms.eisenstein(forms.MAX_EISENSTEIN_WEIGHT // 2, 50)
+    with pytest.raises(Started):
+        _checks.ak_polynomial(_checks.MAX_AK_INDEX, 60)
+    with pytest.raises(ValueError, match="^the weight 8002 is over the limit 8000$"):
+        forms.eisenstein(forms.MAX_EISENSTEIN_WEIGHT // 2 + 1, 50)
+    with pytest.raises(ValueError, match="^k=341 is over the limit 340$"):
+        _checks.ak_polynomial(_checks.MAX_AK_INDEX + 1, 60)

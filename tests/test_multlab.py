@@ -150,16 +150,29 @@ def _stored_views(row):
     return measured, Fraction(row.n_star, denom), Fraction(row.n_star, denom_paper)
 
 
+def _grid(d0max, dmax):
+    return [DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1)]
+
+
 @pytest.mark.parametrize(
-    "budgets, precision",
-    [([DegreeBudget(d0, d) for d0 in range(3) for d in range(4)], None), ([DegreeBudget(1, 2)], 12)],
-    ids=["grid-2:3", "precision-limited"],
+    "m, budgets, precision, limited",
+    [
+        (1, _grid(1, 2), None, False),
+        (3, _grid(1, 1), None, False),
+        (5, [DegreeBudget(3, 1)], 57, False),
+        (1, _grid(2, 3), None, False),
+        (1, [DegreeBudget(1, 2)], 12, True),
+    ],
+    ids=["search-m1-1:2", "search-m3-1:1", "rank", "grid-2:3", "precision-limited"],
 )
-def test_derived_views_equal_the_formulas_once_stored(budgets, precision):
-    rows = experiment_grid(1, budgets, precision)
-    assert any(row.precision_limited for row in rows) == (precision is not None)
+def test_derived_views_equal_the_formulas_once_stored(m, budgets, precision, limited):
+    rows = experiment_grid(m, budgets, precision)
+    assert any(row.precision_limited for row in rows) == limited
     for row in rows:
         assert (row.measured_ord, row.ratio, row.ratio_paper) == _stored_views(row)
+        # the basis size and the flag the search stored before they became properties
+        assert row.T == len(monomial_basis(DegreeBudget(row.d0, row.d), SystemConfig(row.m)))
+        assert row.precision_limited == (row.n_star == row.precision + 1)
 
 
 def test_k0_independent_of_m():

@@ -39,6 +39,7 @@ from ramlab.ring import (
     Polynomial,
     SystemConfig,
     evaluate,
+    evaluate_numerators,
     format_polynomial,
     monomial_series,
     parse,
@@ -268,6 +269,19 @@ def test_evaluate_examples():
     assert evaluate(Polynomial.variable("E2", CFG1), tup) == tup.series[1]
     with pytest.raises(ValueError):
         evaluate(theta, function_tuple(3, 6))
+
+
+def test_a_tuple_of_another_m_is_refused():
+    # the tuple stores its series only; their count tells its m
+    tup = function_tuple(3, 6)
+    theta = Polynomial.variable("z", CFG1) * delta_poly(CFG1)
+    for p in (theta, Polynomial.variable("E2", CFG1), Polynomial.variable("g[0,1]", CFG1)):
+        with pytest.raises(ValueError, match="^function tuple and polynomial have different m$"):
+            evaluate(p, tup)
+        with pytest.raises(ValueError, match="^function tuple and polynomial have different m$"):
+            evaluate_numerators(p, tup)
+    with pytest.raises(ValueError, match="^function tuple and polynomial have different m$"):
+        evaluate(Polynomial.variable("g[2,3]", CFG3), function_tuple(1, 6))
 
 
 def test_evaluate_matches_naive_oracle_with_high_exponents():
