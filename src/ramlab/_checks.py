@@ -2,9 +2,10 @@
 checks D's velocity table by the chain rule on the generators, and
 `ak_polynomial` checks E_{2k} in E4 and E6, as `_system.eisenstein_polynomial`
 writes it, against the q-expansion of E_{2k}.  Both compare cross-multiplied
-integers, coefficient by coefficient, and build no Fraction.  `ak_polynomial`
-returns the checked polynomial, and an `EquationCheck` its first mismatch,
-from which its verdict `ok` is derived.
+integers, coefficient by coefficient, and build no Fraction: a polynomial's
+side is `forms.evaluate_side`, the evaluation core that `forms.evaluate`
+reads too.  `ak_polynomial` returns the checked polynomial, and an
+`EquationCheck` its first mismatch, from which its verdict `ok` is derived.
 
 Callers import these names from here.  `forms` forwards `verify_system` and
 `ak_polynomial` (`arith.forward_names`), only because the benchmark's trace
@@ -20,7 +21,8 @@ from itertools import repeat
 from . import forms
 from ._system import eisenstein_polynomial, velocity
 from .arith import InternalConsistencyError, Record, bernoulli, fraction_str, variable_names, y_pairs
-from .ring import SystemConfig, evaluate_numerators, monomial_series
+from .forms import evaluate_side
+from .ring import SystemConfig
 
 __all__ = ["ak_polynomial", "EquationCheck", "SystemReport", "verify_system"]
 
@@ -40,7 +42,8 @@ def ak_polynomial(k: int, precision: int) -> Polynomial:
         raise ValueError(f"k={k} is over the limit {MAX_AK_INDEX}")
     poly = eisenstein_polynomial(k)
     den, nums = forms._eisenstein_numerators(k, precision)
-    check = _compare(f"A_{k}", _at(poly, forms.function_tuple(1, precision)), (nums, repeat(den)), precision)
+    lhs = evaluate_side(poly, forms.function_tuple(1, precision))
+    check = _compare(f"A_{k}", lhs, (nums, repeat(den)), precision)
     if not check.ok:
         raise InternalConsistencyError(f"A_{k} verification failed at coefficient {check.first_mismatch}")
     return poly
@@ -76,25 +79,9 @@ def _compare(name: str, lhs, rhs, upto: int) -> EquationCheck:
     return EquationCheck(name, None)
 
 
-def _terms(s: TruncatedSeries):
-    """A stored series as a side, term by term."""
-    return [c.numerator for c in s.coeffs], [c.denominator for c in s.coeffs]
-
-
 def _delta(s: TruncatedSeries):
     """delta(s) = z ds/dz as a side: n*a/b at z^n, a/b the stored coefficient."""
-    nums, dens = _terms(s)
-    return [n * a for n, a in enumerate(nums)], dens
-
-
-def _at(poly, tup: FunctionTuple):
-    """poly at the function tuple as a side.  A monomial with coefficient 1 is
-    its stored series, term by term; any other polynomial is taken over one
-    denominator by `ring.evaluate_numerators`."""
-    if len(poly.terms) == 1 and 1 in poly.terms.values():
-        return _terms(monomial_series(next(iter(poly.terms)), tup))
-    den, nums = evaluate_numerators(poly, tup)
-    return nums, repeat(den)
+    return [n * c.numerator for n, c in enumerate(s.coeffs)], [c.denominator for c in s.coeffs]
 
 
 def _closing_rhs_literal(v: int, precision: int):
@@ -128,7 +115,7 @@ def verify_system(m: int, precision: int) -> SystemReport:
             labels.append(f"delta(g[{u},{v}]) = B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}")
     # each delta side is built when it is compared, so one is held at a time
     checks = [
-        _compare(label, _delta(s), _at(velocity(var, cfg), tup), upto)
+        _compare(label, _delta(s), evaluate_side(velocity(var, cfg), tup), upto)
         for label, var, s in zip(labels, variable_names(m)[1:], tup.series[1:])
     ]
     by_name = dict(zip(variable_names(m), tup.series))

@@ -48,7 +48,7 @@ from .series import pack, slot_bytes
 __all__ = ["solve_lifted_scaled", "rank_profile_mod_p", "kernel_mod_p"]
 
 # the trace shim's elimination spans, resolved from `_bareiss` on first use
-__getattr__ = forward_names(globals(), "_bareiss", ("RowReducer", "solve_square"))
+__getattr__ = forward_names(globals(), {"RowReducer": "_bareiss", "solve_square": "_bareiss"})
 
 
 def rank_profile_mod_p(

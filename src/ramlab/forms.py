@@ -1,5 +1,10 @@
 """Concrete series of the system: E_{2k}, g_{u,v}, Delta, Theta and its
-order k0, and the function tuple at which the ring is evaluated.
+order k0, the function tuple, and a polynomial's value at it.
+
+Evaluation lives beside the tuple, whose monomial cache it creates and
+fills: `evaluate_side` is the one core, p at the tuple as a pair
+(numerators, denominators), and `evaluate` reads its series from it.  `ring`
+forwards `evaluate` only because the benchmark's trace shim wraps it there.
 
 The system is defined once, as D's velocity table in `_system`, and E_{2k}
 is written in E4 and E6 once, by the Weierstrass recurrence there.  The two
@@ -16,10 +21,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 
 from . import CliError
 from .arith import Record, bernoulli, check_m, divisor_power_sums
-from .arith import forward_names, fraction_str, y_pairs
+from .arith import forward_names, fraction_str, integer_numerators, y_pairs
 from .series import Order, TruncatedSeries
 
 __all__ = [
@@ -31,10 +38,13 @@ __all__ = [
     "compute_k0",
     "FunctionTuple",
     "function_tuple",
+    "monomial_series",
+    "evaluate_side",
+    "evaluate",
 ]
 
 # the trace shim's two check spans, resolved from `_checks` on first use
-__getattr__ = forward_names(globals(), "_checks", ("verify_system", "ak_polynomial"))
+__getattr__ = forward_names(globals(), {"verify_system": "_checks", "ak_polynomial": "_checks"})
 
 
 # The largest weight 2k of an E_{2k}.  B_{2k} costs about k^3 time, and
@@ -112,7 +122,7 @@ class FunctionTuple(Record):
         return self.series[0].precision
 
     def __post_init__(self):
-        # monomial -> its series at this tuple; filled by ring.monomial_series.
+        # monomial -> its series at this tuple; filled by monomial_series.
         # Not a field, so it takes no part in ==, hash or repr.
         self.__dict__["monomial_cache"] = {}
 
@@ -123,6 +133,79 @@ def function_tuple(m: int, precision: int) -> FunctionTuple:
     series += [eisenstein(k, precision) for k in (1, 2, 3)]
     series += [g_series(u, v, precision) for u, v in y_pairs(m)]
     return FunctionTuple(tuple(series))
+
+
+# -- evaluation at the function tuple ---------------------------------------
+
+
+def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
+    """The series of one monomial at the function tuple, memoised on the tuple.
+
+    A z factor is a shift, and a generator is its own series.  Otherwise the
+    monomial is its graded parent (one unit of its first nonzero variable
+    removed) times that variable's series: one product when the parent is
+    cached, as it always is along a downward-closed basis taken in graded
+    order.  Without a cached parent, a pure power is built by squaring and
+    any other monomial as that power times the rest.
+    """
+    cache = tup.monomial_cache
+    found = cache.get(mono)
+    if found is not None:
+        return found
+    first = next(filter(None, mono), 0)  # the first nonzero exponent
+    if mono[0]:
+        result = monomial_series((0,) + mono[1:], tup).shift(mono[0])
+    elif not first:
+        result = TruncatedSeries.constant(1, tup.precision)
+    else:
+        i = mono.index(first)
+        degree = sum(mono)
+        if degree == 1:
+            result = tup.series[i]
+        elif (parent := mono[:i] + (first - 1,) + mono[i + 1 :]) in cache:
+            result = cache[parent] * tup.series[i]
+        elif degree > first:
+            power = (0,) * i + (first,) + (0,) * (len(mono) - i - 1)
+            rest = mono[:i] + (0,) + mono[i + 1 :]
+            result = monomial_series(power, tup) * monomial_series(rest, tup)
+        else:
+            result = tup.series[i] ** first
+    cache[mono] = result
+    return result
+
+
+def evaluate_side(p: Polynomial, tup: FunctionTuple):
+    """p at the function tuple as a side: a pair (numerators, denominators),
+    coefficient n being the n-th numerator over the n-th denominator, not
+    reduced.  A tuple of another m, which has another number of series, is
+    refused first.  A unit monomial (one term, coefficient 1) is its stored
+    series, term by term, in two lists: a g series over one common
+    denominator would need lcm(1..P)^(v-u).  Any other p is the sum of c *
+    monomial series in integers over one denominator, repeated."""
+    if len(tup.series) != p.config.nvars:
+        raise ValueError("function tuple and polynomial have different m")
+    if len(p.terms) == 1 and 1 in p.terms.values():
+        coeffs = monomial_series(next(iter(p.terms)), tup).coeffs
+        return [c.numerator for c in coeffs], [c.denominator for c in coeffs]
+    scaled = [(c, integer_numerators(monomial_series(mono, tup).coeffs)) for mono, c in p.terms.items()]
+    # c * col = c.numerator * nums / (c.denominator * d)
+    den = lcm(*(c.denominator * d for c, (d, _) in scaled))
+    total = [0] * (tup.precision + 1)
+    for c, (d, nums) in scaled:
+        weight = c.numerator * (den // (c.denominator * d))
+        total = [t + weight * x for t, x in zip(total, nums)]
+    return total, repeat(den)
+
+
+def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
+    """Substitute the function tuple into p; exact truncated series, read
+    from `evaluate_side`.  A unit monomial's side is term by term, and its
+    stored series is returned itself; any other side has one denominator,
+    and each coefficient is one Fraction (and its gcd)."""
+    nums, dens = evaluate_side(p, tup)
+    if isinstance(dens, repeat):
+        return TruncatedSeries._of(tuple(map(Fraction, nums, dens)))
+    return tup.monomial_cache[next(iter(p.terms))]
 
 
 # -- the handlers of series, k0 and ord (see cli._COMMANDS) -----------------
@@ -161,12 +244,11 @@ def k0_command(args, record) -> int:
 def ord_command(args, record) -> int:
     """`ramlab ord`: the order of the polynomial at the function tuple; with
     --strict, exit 1 when it is not resolved at --prec."""
-    from . import ring
     from ._parse import parse_argument
 
     poly = parse_argument(args.poly, args.m)
     if poly.is_zero():
         raise CliError("the zero polynomial has no order of vanishing")
-    order = ring.evaluate(poly, function_tuple(args.m, args.prec)).order()
+    order = evaluate(poly, function_tuple(args.m, args.prec)).order()
     record["payload"] = {"ord": str(order), "finite": order.is_finite}
     return 1 if args.strict and not order.is_finite else 0

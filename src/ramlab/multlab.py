@@ -28,8 +28,8 @@ from math import comb
 from . import CliError
 from ._linalg import kernel_mod_p
 from .arith import InternalConsistencyError, Record, fraction_str, variable_names
-from .forms import function_tuple
-from .ring import Monomial, Polynomial, SystemConfig, monomial_key, monomial_series
+from .forms import function_tuple, monomial_series
+from .ring import Monomial, Polynomial, SystemConfig, monomial_key
 from .series import Order
 
 __all__ = [

@@ -1,17 +1,16 @@
 """Sparse multivariate polynomials over exact rationals in the variables
 z, X1, X2, X3 (printed as z, E2, E4, E6) and Y_{u,v} (printed g[u,v]),
-with exact division, evaluation at the function tuple, and a text
-parser/printer.
+with exact division and a text parser/printer: the polynomial algebra
+alone.
 
-Loading this module loads only `arith`, and it compiles only what the
-search runs: the ring, evaluation and printing.  D, its velocity table and
-E_{2k} in E4 and E6 live in `_system`, and `parse` loads the parser,
-`_parse`, only when it runs.  The one name forwarded here is `derive`,
-which the benchmark's trace shim wraps as `ring.derive`; it loads
-`_system` when first looked up.  The q-series layer `series` is imported
-only inside `evaluate` and `monomial_series`, and nothing here or in
-`_system` imports `forms`: D writes E_{2k} in E4 and E6 itself, with no
-linear solve.
+Loading this module loads only `arith`, and `parse` loads the parser,
+`_parse`, only when it runs.  D, its velocity table and E_{2k} in E4 and E6
+live in `_system`; evaluation at the function tuple lives in `forms`, beside
+the tuple.  The two names forwarded here are `derive` and `evaluate`, which
+the benchmark's trace shim wraps as `ring.derive` and `ring.evaluate`; each
+loads its home, `_system` or `forms`, when first looked up.  Nothing here or
+in `_system` imports `forms` or `series`: D writes E_{2k} in E4 and E6
+itself, with no linear solve.
 """
 
 from __future__ import annotations
@@ -19,18 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import lcm
 from operator import add
 
-from .arith import Record, check_m, forward_names, int_str, integer_numerators
-from .arith import positive_power, variable_names
+from .arith import Record, check_m, forward_names, int_str, positive_power, variable_names
 
 __all__ = [
     "SystemConfig",
     "Polynomial",
-    "evaluate",
-    "evaluate_numerators",
-    "monomial_series",
     "parse",
     "format_polynomial",
     "ParseError",
@@ -38,8 +32,9 @@ __all__ = [
 
 Monomial = tuple[int, ...]  # exponents aligned with SystemConfig.names
 
-# the trace shim's `ring.derive` span, resolved from `_system` on first use
-__getattr__ = forward_names(globals(), "_system", ("derive",))
+# the trace shim's `ring.derive` and `ring.evaluate` spans, each resolved
+# from its home on first use
+__getattr__ = forward_names(globals(), {"derive": "_system", "evaluate": "forms"})
 
 
 class SystemConfig(Record):
@@ -252,80 +247,6 @@ def _products(pairs) -> dict[Monomial, Fraction]:
                     pair[0] = pair[0] * d + x * pair[1]
                     pair[1] *= d
     return {mono: Fraction(n, d) for mono, (n, d) in acc.items() if n}
-
-
-# -- evaluation ----------------------------------------------------------
-
-
-def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
-    """The series of one monomial at the function tuple, memoised on the tuple.
-
-    A z factor is a shift, and a generator is its own series.  Otherwise the
-    monomial is its graded parent (one unit of its first nonzero variable
-    removed) times that variable's series:
-    one product when the parent is cached, as it always is along a
-    downward-closed basis taken in graded order.  Without a cached parent, a
-    pure power is built by squaring and any other monomial as that power
-    times the rest.
-    """
-    cache = tup.monomial_cache
-    found = cache.get(mono)
-    if found is not None:
-        return found
-    first = next(filter(None, mono), 0)  # the first nonzero exponent
-    if mono[0]:
-        result = monomial_series((0,) + mono[1:], tup).shift(mono[0])
-    elif not first:
-        from .series import TruncatedSeries
-
-        result = TruncatedSeries.constant(1, tup.precision)
-    else:
-        i = mono.index(first)
-        degree = sum(mono)
-        if degree == 1:
-            result = tup.series[i]
-        elif (parent := mono[:i] + (first - 1,) + mono[i + 1 :]) in cache:
-            result = cache[parent] * tup.series[i]
-        elif degree > first:
-            power = (0,) * i + (first,) + (0,) * (len(mono) - i - 1)
-            rest = mono[:i] + (0,) + mono[i + 1 :]
-            result = monomial_series(power, tup) * monomial_series(rest, tup)
-        else:
-            result = tup.series[i] ** first
-    cache[mono] = result
-    return result
-
-
-def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
-    """Substitute the function tuple into p; exact truncated series.  A single
-    monomial with coefficient 1 is its cached series; any other p is
-    `evaluate_numerators` with one Fraction (and its gcd) per coefficient."""
-    from .series import TruncatedSeries
-
-    if len(p.terms) == 1 and 1 in p.terms.values() and len(tup.series) == p.config.nvars:
-        return monomial_series(next(iter(p.terms)), tup)
-    den, total = evaluate_numerators(p, tup)
-    return TruncatedSeries._of(tuple(Fraction(t, den) for t in total))
-
-
-def evaluate_numerators(p: Polynomial, tup: FunctionTuple) -> tuple[int, list[int]]:
-    """p at the function tuple as (den, nums), coefficient n being nums[n]/den,
-    not reduced: the sum of c * monomial series in integers over one common
-    denominator.  A tuple of another m, which has another number of series,
-    is refused."""
-    if len(tup.series) != p.config.nvars:
-        raise ValueError("function tuple and polynomial have different m")
-    scaled = [
-        (c, integer_numerators(monomial_series(mono, tup).coeffs))
-        for mono, c in p.terms.items()
-    ]
-    # c * col = c.numerator * nums / (c.denominator * d)
-    den = lcm(*(c.denominator * d for c, (d, _) in scaled))
-    total = [0] * (tup.precision + 1)
-    for c, (d, nums) in scaled:
-        weight = c.numerator * (den // (c.denominator * d))
-        total = [t + weight * x for t, x in zip(total, nums)]
-    return den, total
 
 
 # -- printing ------------------------------------------------------------

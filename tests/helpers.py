@@ -13,9 +13,9 @@ from ramlab._checks import EquationCheck, SystemReport
 from ramlab._linalg import solve_lifted_scaled
 from ramlab._system import derive, velocity
 from ramlab.arith import InternalConsistencyError, bernoulli, sigma_table, variable_names, y_pairs
-from ramlab.forms import FunctionTuple, eisenstein, function_tuple
+from ramlab.forms import FunctionTuple, eisenstein, evaluate, function_tuple, monomial_series
 from ramlab.multlab import ExperimentRow
-from ramlab.ring import Polynomial, SystemConfig, evaluate, monomial_series
+from ramlab.ring import Polynomial, SystemConfig
 from ramlab.series import TruncatedSeries
 
 
@@ -217,7 +217,7 @@ def naive_monomial_series(mono, tup: FunctionTuple) -> TruncatedSeries:
 
 
 def naive_evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
-    """Slow oracle for ring.evaluate: sum of c * naive_monomial_series."""
+    """Slow oracle for forms.evaluate: sum of c * naive_monomial_series."""
     total = TruncatedSeries.zero(tup.precision)
     for mono, c in p:
         total = total + naive_monomial_series(mono, tup).scale(c)
@@ -225,7 +225,7 @@ def naive_evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
 
 
 def fraction_sum_evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
-    """Slow oracle for ring.evaluate: one Fraction series sum per term."""
+    """Slow oracle for forms.evaluate: one Fraction series sum per term."""
     total = TruncatedSeries.zero(tup.precision)
     for mono, c in p:
         total = total + monomial_series(mono, tup).scale(c)
@@ -260,7 +260,7 @@ def sigma_table_g_series(u: int, v: int, precision: int) -> TruncatedSeries:
 def fraction_verify_system(m: int, precision: int, velocity=velocity) -> SystemReport:
     """Oracle for _checks.verify_system by Fraction series: over the tuple of
     the sigma_table definitions, delta of each generator's series against
-    ring.evaluate of `velocity` (D's table unless a test perturbs it), and
+    forms.evaluate of `velocity` (D's table unless a test perturbs it), and
     against the literal closing formula built as a series, compared
     coefficient by coefficient with ==."""
     cfg = SystemConfig(m)

@@ -22,15 +22,9 @@ from helpers import (
 from ramlab._checks import ak_polynomial, verify_system
 from ramlab._system import derive, velocity
 from ramlab.arith import bernoulli, fraction_str
-from ramlab.forms import compute_k0, eisenstein, function_tuple
+from ramlab.forms import compute_k0, eisenstein, evaluate, function_tuple
 from ramlab.multlab import DegreeBudget, _experiment_rows, experiment_grid
-from ramlab.ring import (
-    Polynomial,
-    SystemConfig,
-    evaluate,
-    format_polynomial,
-    parse,
-)
+from ramlab.ring import Polynomial, SystemConfig, format_polynomial, parse
 from ramlab.series import Order
 from ramlab.stability import principal_stability
 

@@ -39,8 +39,9 @@ def test_bernoulli_against_independent_oracle():
 
 
 def test_bernoulli_matches_the_defining_recurrence(monkeypatch):
-    # from an empty cache, B_2, B_4, ... in rising order, as the ring's
-    # velocities ask for them; each growth at least doubles the cache
+    # from an empty cache, B_2, B_4, ... in rising order, as D's velocities
+    # ask for them; each growth adds over a sixth to the cache, so the
+    # rising walk recomputes the tangent numbers a logarithmic number of times
     monkeypatch.setattr(arith, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
     oracle = bernoulli_recurrence(300)
     lengths = []
@@ -48,8 +49,18 @@ def test_bernoulli_matches_the_defining_recurrence(monkeypatch):
         assert bernoulli(n) == oracle[n]
         if len(arith._BERNOULLI) not in lengths:
             lengths.append(len(arith._BERNOULLI))
-    assert all(2 * a <= b for a, b in zip([2] + lengths, lengths))
+    assert all(a + a // 6 < b for a, b in zip([2] + lengths, lengths))
     assert [bernoulli(n) for n in range(301)] == oracle
+
+
+def test_bernoulli_overshoots_the_cache_by_a_bounded_fraction(monkeypatch):
+    # one step past the cache computes at most n/4 more values, where
+    # growing to twice the cache's length computed every B up to 806
+    monkeypatch.setattr(arith, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+    bernoulli(400)
+    assert len(arith._BERNOULLI) == 402
+    assert bernoulli(402) == bernoulli_recurrence(402)[402]
+    assert len(arith._BERNOULLI) <= 5 * 402 // 4 + 2
 
 
 def test_bernoulli_odd_zero_and_even_sign_alternation():

@@ -8,7 +8,7 @@ from ramlab import _checks
 from ramlab._checks import ak_polynomial, verify_system
 from ramlab._system import eisenstein_polynomial, velocity
 from ramlab.arith import MAX_M, InternalConsistencyError, bernoulli, variable_names
-from ramlab.forms import discriminant_series, eisenstein, function_tuple, g_series, theta_series
+from ramlab.forms import discriminant_series, eisenstein, function_tuple, g_series, monomial_series, theta_series
 from ramlab.ring import SystemConfig, parse
 from ramlab.series import Order, TruncatedSeries
 
@@ -287,22 +287,31 @@ def test_verify_system_equals_the_fraction_path_under_a_perturbed_velocity(
 
 
 def test_verify_system_reads_a_single_variable_velocity_term_by_term(monkeypatch):
-    # g[u,v] -> g[u+1,v] is compared with the stored series: over one common
-    # denominator it would need lcm(1..P)^(v-u)
-    from ramlab import ring
-
-    evaluated = []
-    original = ring.evaluate_numerators
+    # g[u,v] -> g[u+1,v] is compared with the stored series, term by term:
+    # over one common denominator it would need lcm(1..P)^(v-u)
+    cfg, precision = SystemConfig(7), 30
+    sides = []
+    original = _checks.evaluate_side
 
     def record(p, tup):
-        evaluated.append(p)
-        return original(p, tup)
+        nums, dens = original(p, tup)
+        sides.append((p, nums, [d for _, d in zip(nums, dens)]))
+        return sides[-1][1:]
 
-    monkeypatch.setattr(_checks, "evaluate_numerators", record)
-    assert verify_system(7, 30).ok
-    cfg = ring.SystemConfig(7)
+    monkeypatch.setattr(_checks, "evaluate_side", record)
+    assert verify_system(7, precision).ok
+    names = variable_names(7)[1:]
     closing = [f"g[{v - 1},{v}]" for v in (1, 3, 5, 7)]
-    assert evaluated == [velocity(var, cfg) for var in ["E2", "E4", "E6", *closing]]
+    assert [p for p, _, _ in sides] == [velocity(var, cfg) for var in names]
+    tup = function_tuple(7, precision)
+    for var, (p, nums, dens) in zip(names, sides):
+        if var in ["E2", "E4", "E6", *closing]:
+            assert len(set(dens)) == 1  # one common denominator
+        else:
+            [(mono, c)] = p
+            stored = monomial_series(mono, tup).coeffs
+            assert c == 1 and len(set(dens)) > 1
+            assert (nums, dens) == ([x.numerator for x in stored], [x.denominator for x in stored])
 
 
 @pytest.mark.parametrize("precision", [0, 1, 2, 100])

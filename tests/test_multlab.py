@@ -13,14 +13,8 @@ from helpers import (
 )
 from ramlab import multlab
 from ramlab.arith import InternalConsistencyError
-from ramlab.forms import PrecisionError, compute_k0, function_tuple
-from ramlab.ring import (
-    Polynomial,
-    SystemConfig,
-    evaluate,
-    format_polynomial,
-    monomial_series,
-)
+from ramlab.forms import PrecisionError, compute_k0, evaluate, function_tuple, monomial_series
+from ramlab.ring import Polynomial, SystemConfig, format_polynomial
 from ramlab.multlab import (
     DegreeBudget,
     experiment_grid,
@@ -441,18 +435,18 @@ def test_grid_shares_one_function_tuple_until_a_cell_escalates_past_it(monkeypat
 
 
 def _record_evaluations(monkeypatch) -> list[Polynomial]:
-    """Record every ring.evaluate call; the search holds no evaluate of its own."""
-    from ramlab import ring
+    """Record every forms.evaluate call; the search holds no evaluate of its own."""
+    from ramlab import forms
 
-    assert "evaluate" not in vars(multlab)
+    assert "evaluate" not in vars(multlab) and "evaluate_side" not in vars(multlab)
     evaluated = []
-    original = ring.evaluate
+    original = forms.evaluate
 
     def recording(poly, tup):
         evaluated.append(poly)
         return original(poly, tup)
 
-    monkeypatch.setattr(ring, "evaluate", recording)
+    monkeypatch.setattr(forms, "evaluate", recording)
     return evaluated
 
 

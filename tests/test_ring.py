@@ -33,17 +33,8 @@ from ramlab import _system, ring
 from ramlab._system import derive, velocity
 from ramlab.arith import bernoulli, y_pairs
 from ramlab._parse import MAX_NESTING, MAX_PARSED_TERMS, _position, _tokenize
-from ramlab.forms import discriminant_series, function_tuple
-from ramlab.ring import (
-    ParseError,
-    Polynomial,
-    SystemConfig,
-    evaluate,
-    evaluate_numerators,
-    format_polynomial,
-    monomial_series,
-    parse,
-)
+from ramlab.forms import discriminant_series, evaluate, evaluate_side, function_tuple, monomial_series
+from ramlab.ring import ParseError, Polynomial, SystemConfig, format_polynomial, parse
 from ramlab.series import Order
 
 CFG1 = SystemConfig(1)
@@ -272,16 +263,17 @@ def test_evaluate_examples():
 
 
 def test_a_tuple_of_another_m_is_refused():
-    # the tuple stores its series only; their count tells its m
+    # the tuple stores its series only; their count tells its m.  The core
+    # checks m before it reads a unit monomial's stored series
     tup = function_tuple(3, 6)
     theta = Polynomial.variable("z", CFG1) * delta_poly(CFG1)
-    for p in (theta, Polynomial.variable("E2", CFG1), Polynomial.variable("g[0,1]", CFG1)):
-        with pytest.raises(ValueError, match="^function tuple and polynomial have different m$"):
-            evaluate(p, tup)
-        with pytest.raises(ValueError, match="^function tuple and polynomial have different m$"):
-            evaluate_numerators(p, tup)
-    with pytest.raises(ValueError, match="^function tuple and polynomial have different m$"):
-        evaluate(Polynomial.variable("g[2,3]", CFG3), function_tuple(1, 6))
+    for p, at in [
+        *((p, tup) for p in (theta, Polynomial.variable("E2", CFG1), Polynomial.variable("g[0,1]", CFG1))),
+        (Polynomial.variable("g[2,3]", CFG3), function_tuple(1, 6)),
+    ]:
+        for evaluation in (evaluate, evaluate_side):
+            with pytest.raises(ValueError, match="^function tuple and polynomial have different m$"):
+                evaluation(p, at)
 
 
 def test_evaluate_matches_naive_oracle_with_high_exponents():

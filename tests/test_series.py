@@ -11,10 +11,11 @@ from ramlab.forms import (
     discriminant_series,
     eisenstein,
     function_tuple,
+    evaluate,
     g_series,
     theta_series,
 )
-from ramlab.ring import Polynomial, SystemConfig, evaluate
+from ramlab.ring import Polynomial, SystemConfig
 from ramlab.series import Order, TruncatedSeries
 
 rationals = st.fractions(

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from helpers import phi, power_identity, random_two_term_polynomial
-from ramlab.forms import function_tuple
-from ramlab.ring import Polynomial, SystemConfig, evaluate, format_polynomial
+from ramlab.forms import evaluate, function_tuple
+from ramlab.ring import Polynomial, SystemConfig, format_polynomial
 from ramlab.stability import principal_stability
 
 CFG = SystemConfig(1)

@@ -94,10 +94,11 @@ def imported_layers(path: Path) -> set[str]:
 
 
 def test_only_multlab_imports_linalg_and_ring_imports_no_upper_layer():
-    # the ring states D and E_{2k} by itself; checked in the source, because a
-    # lazy import that no test command reaches would not show in sys.modules
+    # the ring is the polynomial algebra alone, and _system states D and
+    # E_{2k} by itself; checked in the source, because a lazy import that no
+    # test command reaches would not show in sys.modules
     imports = {path.stem: imported_layers(path) for path in SOURCES}
-    assert imports["ring"] & {"forms", "multlab", "_linalg"} == set()
+    assert imports["ring"] <= {"arith", "_parse"}
     assert imports["_system"] & {"forms", "multlab", "_linalg"} == set()
     assert [name for name, layers in imports.items() if "_linalg" in layers] == ["multlab"]
     # the walk sees imports inside functions, in both relative forms
@@ -281,37 +282,44 @@ def test_the_front_end_runs_no_function_for_one_subcommand_alone(capsys):
     assert {name: sorted(commands) for name, commands in runs.items() if len(commands) == 1} == {}
 
 
-# each module that forwards names, and the module that defines them
-FORWARDS = {"ring": "_system", "forms": "_checks", "_linalg": "_bareiss"}
+# each module that forwards names, and the modules that define them
+FORWARDS = {"ring": ("_system", "forms"), "forms": ("_checks",), "_linalg": ("_bareiss",)}
 
 
 @pytest.mark.parametrize("old", FORWARDS)
 def test_each_module_forwards_exactly_the_trace_shims_targets(old):
     # the forwards serve only the shim, which wraps a name where it reads it;
     # every other caller imports a name from the module that defines it
-    from ramlab import _linalg
+    from ramlab import _linalg, forms
 
     module = importlib.import_module(f"ramlab.{old}")
-    home = importlib.import_module(f"ramlab.{FORWARDS[old]}")
     path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_shim.py"
     spec = importlib.util.spec_from_file_location("trace_shim", path)
     shim = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(shim)
     # the shim also reads the class whose methods it wraps as _linalg.RowReducer
     targets = set(shim.SPANS.values()) | {(_linalg, "RowReducer")}
-    defined = {name for name, value in vars(home).items()
-               if getattr(value, "__module__", None) == home.__name__}
-    forwarded = {name for name in defined if hasattr(module, name)}
-    assert forwarded == {attr for owner, attr in targets if owner is module} & defined
-    assert forwarded and all(getattr(module, name) is getattr(home, name) for name in forwarded)
+    for home in map(importlib.import_module, (f"ramlab.{name}" for name in FORWARDS[old])):
+        defined = {name for name, value in vars(home).items()
+                   if getattr(value, "__module__", None) == home.__name__}
+        forwarded = {name for name in defined if hasattr(module, name)}
+        assert forwarded == {attr for owner, attr in targets if owner is module} & defined
+        assert forwarded and all(getattr(module, name) is getattr(home, name) for name in forwarded)
     with pytest.raises(AttributeError, match="no_such_name"):
         module.no_such_name
+    if old == "ring":
+        assert module.evaluate is forms.evaluate
 
 
 @pytest.mark.parametrize("old", FORWARDS)
 def test_importing_a_module_loads_none_of_the_modules_it_resolves_names_from(old):
-    homes = {f"ramlab.{home}" for home in FORWARDS.values()}
-    assert homes & set(loaded_after(f"import ramlab.{old}")) == set()
+    # nor any other forwarding module's home (forms is one, of ring.evaluate);
+    # and the ring loads no q-series layer
+    homes = {f"ramlab.{home}" for homes in FORWARDS.values() for home in homes}
+    loaded = set(loaded_after(f"import ramlab.{old}"))
+    assert (homes - {f"ramlab.{old}"}) & loaded == set()
+    if old == "ring":
+        assert loaded & {"ramlab.forms", "ramlab.series"} == set()
 
 
 @pytest.fixture(scope="module")

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from ramlab._checks import EquationCheck, SystemReport, verify_system
-from ramlab.forms import FunctionTuple, function_tuple
+from ramlab.forms import FunctionTuple, function_tuple, monomial_series
 from ramlab.multlab import DegreeBudget, ExperimentRow, max_vanishing_search
-from ramlab.ring import Polynomial, SystemConfig, monomial_series, parse
+from ramlab.ring import Polynomial, SystemConfig, parse
 from ramlab.series import Order, TruncatedSeries
 from ramlab.stability import StabilityVerdict
 
