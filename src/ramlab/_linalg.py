@@ -8,7 +8,9 @@ over Q, since a minor that is nonzero mod p is nonzero.  `kernel_mod_p`
 turns that profile into one certificate: a vector that is 1 at the first
 free column mod p and 0 past it, solved exactly from the rows whose pivots
 come before that column, and the index of the first row read that the
-vector is not orthogonal to over Q.
+vector is not orthogonal to over Q.  That square system is lifted without
+its columns that have one nonzero entry (`_solve_peeled`); in the search
+these are the monomials z^k.
 
 `solve_lifted_scaled` solves a square integer system that is nonsingular
 mod p by Dixon's p-adic lifting (Numer. Math. 1982): one inverse mod p, then
@@ -28,18 +30,19 @@ the lifting's residue is read mod p after adding a multiple of p that makes
 its slots nonnegative.  The rows of M are packed in bands, each at the
 width of its own entries.
 
-Only `multlab` imports this module, and the search calls only
-`kernel_mod_p`.  The fraction-free elimination `RowReducer` and
-`solve_square`, which no command calls, live in `_bareiss`.  They are the
-names forwarded here, because the benchmark's trace shim wraps them as
-`_linalg.RowReducer` and `_linalg.solve_square`; they load `_bareiss` when
-first looked up.
+Only `multlab` imports this module.  The search calls `kernel_mod_p`
+for a witness, and `rank_profile_mod_p` alone for a row that prints none
+and whose cutoff is T-1 (see `multlab._search`).  The fraction-free
+elimination `RowReducer` and `solve_square`, which no command calls, live
+in `_bareiss`.  They are the names forwarded here, because the
+benchmark's trace shim wraps them as `_linalg.RowReducer` and
+`_linalg.solve_square`; they load `_bareiss` when first looked up.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .arith import InternalConsistencyError, forward_names, integer_numerators
@@ -104,20 +107,63 @@ def kernel_mod_p(
     0..f-1, a square system nonsingular mod p; then its first nonzero
     coordinate is normalised to 1.  The order is the index of the first row
     read that the vector is not orthogonal to over Q, or None.  The system's
-    rows are orthogonal by `solve_lifted_scaled`'s exact check, and every
-    other row read is multiplied out.
+    rows are orthogonal by `_solve_peeled`'s exact check, and every other
+    row read is multiplied out.
     """
     cutoff, pivots, scaled = rank_profile_mod_p(rows, T, p)
     pivot_set = set(pivots.values())
     f = next(c for c in range(T) if c not in pivot_set)
     system = [i for i, col in pivots.items() if col < f]
-    nums, den = solve_lifted_scaled([scaled[i][:f] for i in system], [-scaled[i][f] for i in system], p)
+    nums, den = _solve_peeled([scaled[i][:f] for i in system], [-scaled[i][f] for i in system], p)
     # the vector times den, in integers, so each coordinate is one Fraction
     vector = nums + [den]
     solved = set(system)
     order = next((i for i, row in enumerate(scaled) if i not in solved and sum(map(mul, row, vector))), None)
     lead = next(v for v in vector if v)
     return cutoff, [Fraction(v, lead) for v in vector + [0] * (T - f - 1)], order
+
+
+def _solve_peeled(matrix: list[list[int]], rhs: list[int], p: int) -> tuple[list[int], int]:
+    """`solve_lifted_scaled`'s (numerators, d) for M x = b, with the columns
+    that have a single nonzero entry taken out before the lift.
+
+    With column c nonzero in row i alone, det M = +-M_ic * det M', where M'
+    is M less row i and column c.  So M' is nonsingular mod p whenever M is,
+    the rest of x solves M' (lifted), and x_c = (b_i - sum_j M_ij x_j) / M_ic
+    is read off row i exactly.  A row gives up one column at most: with two,
+    M is singular, and the one it keeps is a zero column that the lift
+    refuses.  In the search these are the columns of the monomials z^k,
+    whose series is z^k.  The solution is unique, so it is the one the whole
+    system would give; it is checked exactly against the whole system.
+    Raises ValueError if M is singular mod p.
+    """
+    n = len(matrix)
+    peeled: dict[int, int] = {}  # row -> the column nonzero in it alone
+    for c, column in enumerate(zip(*matrix)):
+        nonzero = [i for i, a in enumerate(column) if a]
+        if len(nonzero) == 1:
+            if column[nonzero[0]] % p == 0:
+                raise ValueError("singular matrix modulo p")
+            peeled[nonzero[0]] = c
+    rest = [i for i in range(n) if i not in peeled]
+    taken = set(peeled.values())
+    kept = [c for c in range(n) if c not in taken]
+    sub, den = solve_lifted_scaled([[matrix[i][c] for c in kept] for i in rest], [rhs[i] for i in rest], p)
+    x = [0] * n  # x times den, the peeled coordinates still 0
+    for c, v in zip(kept, sub):
+        x[c] = v
+    # x_c * den = num / q; the sum reads only kept columns, as row i is 0 in
+    # every other peeled column.  scale, a positive multiple of each reduced
+    # q, makes every num * scale / q an integer
+    parts = {c: (rhs[i] * den - sum(map(mul, matrix[i], x)), matrix[i][c]) for i, c in peeled.items()}
+    scale = lcm(*(q // gcd(num, q) for num, q in parts.values()))
+    x = [v * scale for v in x]
+    for c, (num, q) in parts.items():
+        x[c] = num * scale // q
+    den *= scale
+    if not all(sum(map(mul, row, x)) == den * b for row, b in zip(matrix, rhs)):
+        raise InternalConsistencyError("the peeled solution does not solve the whole system")
+    return x, den
 
 
 def _pack_residues(values: list[int], nbytes: int) -> int:

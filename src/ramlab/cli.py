@@ -82,6 +82,24 @@ _COMMANDS = {
 }
 
 
+class _Subparser:
+    """One subcommand's parser, built only when its subcommand is parsed.
+
+    `add_parser` passes its keywords here, and argparse calls nothing on the
+    chosen subparser but `parse_known_args` (3.13 also warns through it for
+    a subcommand declared deprecated, which none is), so the other
+    subcommands' options are never built."""
+
+    def __init__(self, options: dict, **kwargs):
+        self.options, self.kwargs = options, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        for option, kwargs in self.options.items():
+            parser.add_argument(f"--{option}", **kwargs)
+        return parser.parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # global options, also accepted after the subcommand: one set of actions
     # shared by the top-level parser and every subcommand.  Their SUPPRESS
@@ -103,11 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations around the extended Ramanujan system.",
         parents=[common],
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subparser)
     for name, (summary, options, _) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=summary)
-        for option, kwargs in options.items():
-            p.add_argument(f"--{option}", **kwargs)
+        sub.add_parser(name, parents=[common], help=summary, options=options)
     return parser
 
 

@@ -10,9 +10,11 @@ vector's exact order of vanishing (`_linalg.kernel_mod_p`).  The rank mod p
 is at most the rank over Q, so the cutoff n*_p it finds is at least the
 true n*; a witness polynomial whose exact order of vanishing is n*_p proves
 n* >= n*_p, hence equality.  If the order and n*_p disagree, the next prime
-is tried.  A cell's `ExperimentRow` stores that certificate alone; its basis
-size, its order, its ratios, whether it is precision-limited, and a grid's
-maxima and flagged cells are derived where printed.
+is tried.  A row that prints no witness (CSV) is certified by n*_p = T-1
+alone when it holds (see `_search`).  A cell's `ExperimentRow` stores that
+certificate alone; its basis size, its order, its ratios, whether it is
+precision-limited, and a grid's maxima and flagged cells are derived where
+printed.
 
 The handler of `ramlab auxsearch`, with its grid syntax and its JSON and CSV
 rows, is here too: only that command loads this module.
@@ -26,7 +28,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from . import CliError
-from ._linalg import kernel_mod_p
+from ._linalg import kernel_mod_p, rank_profile_mod_p
 from .arith import InternalConsistencyError, Record, fraction_str, variable_names
 from .forms import function_tuple, monomial_series
 from .ring import Monomial, Polynomial, SystemConfig, monomial_key
@@ -69,7 +71,7 @@ class ExperimentRow(Record):
     d0: int
     d: int
     n_star: int  # maximal vanishing cutoff achieved; precision + 1 when limited
-    witness: Polynomial
+    witness: Polynomial | None  # None when certified from the rank alone
     precision: int
 
     @property
@@ -118,9 +120,11 @@ def expected_basis_size(budget: DegreeBudget, cfg: SystemConfig) -> int:
 # certifies the cutoff; 2**61 - 1 is a Mersenne prime
 PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
-# The largest basis size T a cell may have.  Lifting the witness costs about
-# T**3 times the squared entry bits, which grow with T; the T=240 cell
-# (m=3, d0=1, d=3) takes 70-80 s on 2 vCPUs.
+# The largest basis size T a cell may have.  It prices the witness path:
+# lifting the witness costs about T**3 times the squared entry bits, which
+# grow with T, and the T=240 cell (m=3, d0=1, d=3) takes about a minute on
+# 2 vCPUs in text or JSON.  Under CSV a cell certified at T-1 skips the lift
+# (about 2 s at T=240), but the cap is the same.
 MAX_BASIS_SIZE = 240
 
 # Adaptive precision starts this many coefficients past the basis size T.
@@ -133,6 +137,7 @@ def max_vanishing_search(
     cfg: SystemConfig,
     precision: int | None = None,
     tup: FunctionTuple | None = None,
+    witness: bool = True,
 ) -> ExperimentRow:
     """Find the highest-vanishing combination of the budgeted monomials.
 
@@ -151,6 +156,9 @@ def max_vanishing_search(
     the caller is shared: an attempt at a precision up to tup's reads its
     columns from tup's monomial cache, and fills it for the next caller;
     only an attempt past it builds a tuple of its own.
+
+    With witness false, a cell whose cutoff mod p is T-1 is certified by
+    the rank alone and its row has no witness (see `_search`).
     """
     basis = monomial_basis(budget, cfg)
     T = len(basis)
@@ -159,8 +167,8 @@ def max_vanishing_search(
 
     def search(precision: int) -> ExperimentRow:
         if tup is None or tup.precision < precision:
-            return _search(budget, cfg, basis, precision, function_tuple(cfg.m, precision))
-        return _search(budget, cfg, basis, precision, tup)
+            return _search(budget, cfg, basis, precision, function_tuple(cfg.m, precision), witness)
+        return _search(budget, cfg, basis, precision, tup, witness)
 
     if precision is not None:
         return search(precision)
@@ -179,7 +187,8 @@ def _first_precision(T: int) -> int:
 
 
 def _search(
-    budget: DegreeBudget, cfg: SystemConfig, basis: list[Monomial], precision: int, tup: FunctionTuple
+    budget: DegreeBudget, cfg: SystemConfig, basis: list[Monomial], precision: int, tup: FunctionTuple,
+    witness: bool = True,
 ) -> ExperimentRow:
     """The search at one fixed precision, on a function tuple at that
     precision or above; it reads rows 0..precision only.
@@ -188,14 +197,25 @@ def _search(
     computes exactly: order == cutoff proves n* = cutoff, and in a
     precision-limited cell (no cutoff) a vector that vanishes through every
     row proves n* > precision.
+
+    With witness false, a cutoff of T-1 mod p is the certificate.  T-1
+    conditions on T unknowns always leave a nonzero solution, so n* >= T-1;
+    rows 0..T-1 of rank T mod p have a T x T minor that is nonzero mod p,
+    hence over Z, so no nonzero vector over Q vanishes through row T-1.  This
+    holds at every prime, and the row has no witness.  Any other cutoff takes
+    the witness path at the same prime, which reduces the rows again.
     """
     T = len(basis)
     # basis order is graded, so each column is one product off a cached parent
     columns = [monomial_series(mono, tup) for mono in basis]
 
+    def rows():
+        return ([col.coeffs[r] for col in columns] for r in range(precision + 1))
+
     for p in PRIMES:
-        rows = ([col.coeffs[r] for col in columns] for r in range(precision + 1))
-        cutoff, kernel, order = kernel_mod_p(rows, T, p)
+        if not witness and rank_profile_mod_p(rows(), T, p)[0] == T - 1:
+            return ExperimentRow(cfg.m, budget.d0, budget.d, T - 1, None, precision)
+        cutoff, kernel, order = kernel_mod_p(rows(), T, p)
         if order == cutoff:
             break
         if cutoff is None:
@@ -207,13 +227,13 @@ def _search(
             failure = f"witness order {order} disagrees with search cutoff {cutoff}"
     else:
         raise InternalConsistencyError(f"{failure} for every prime")
-    witness = Polynomial(cfg, {mono: c for mono, c in zip(basis, kernel) if c != 0})
+    terms = {mono: c for mono, c in zip(basis, kernel) if c != 0}
     n_star = precision + 1 if cutoff is None else cutoff
-    return ExperimentRow(cfg.m, budget.d0, budget.d, n_star, witness, precision)
+    return ExperimentRow(cfg.m, budget.d0, budget.d, n_star, Polynomial(cfg, terms), precision)
 
 
 def experiment_grid(
-    m: int, budgets: Iterable[DegreeBudget], precision: int | None = None
+    m: int, budgets: Iterable[DegreeBudget], precision: int | None = None, witness: bool = True
 ) -> list[ExperimentRow]:
     """Run the search over a grid of budgets; deterministic row order.
 
@@ -223,7 +243,8 @@ def experiment_grid(
     largest precision any cell starts at (see `max_vanishing_search`): a
     grid's bases nest, so each column series is built once per grid, not
     once per cell, and a cell builds a tuple of its own only when it
-    escalates past the shared one.
+    escalates past the shared one.  `witness` is passed on to each cell's
+    `max_vanishing_search`.
     """
     cfg = SystemConfig(m)
     cells, starts = [], []
@@ -237,7 +258,7 @@ def experiment_grid(
         cells.append(b)
         starts.append(_first_precision(T) if precision is None else precision)
     tup = function_tuple(m, max(starts)) if starts else None
-    return [max_vanishing_search(b, cfg, precision, tup) for b in cells]
+    return [max_vanishing_search(b, cfg, precision, tup, witness) for b in cells]
 
 
 # -- the handler of auxsearch (see cli._COMMANDS) --------------------------
@@ -246,12 +267,14 @@ def experiment_grid(
 def auxsearch_command(args, record) -> int:
     """`ramlab auxsearch` on one budget (--d0 and --d) or a --grid, which
     `cli` has checked are not both given; with --strict, exit 1 when a cell
-    is precision-limited.  The params list the budgets searched."""
+    is precision-limited.  The params list the budgets searched.  CSV
+    prints no witness, so its cells are searched without one where the rank
+    alone certifies them."""
     if args.grid is None:
         budgets = [DegreeBudget(args.d0, args.d)]
     else:
         budgets = _parse_grid(args.grid)
-    rows = experiment_grid(args.m, budgets, args.prec)
+    rows = experiment_grid(args.m, budgets, args.prec, witness=args.format != "csv")
     record["params"] = {"m": args.m, "budgets": [{"d0": r.d0, "d": r.d} for r in rows], "prec": args.prec}
     record["payload"] = _rows_to_csv(rows) if args.format == "csv" else _experiment_rows(args.m, rows)
     return 1 if args.strict and any(r.precision_limited for r in rows) else 0

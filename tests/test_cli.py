@@ -818,3 +818,24 @@ def test_ord_refuses_the_zero_polynomial(capsys, poly):
     # its order is infinite at every precision, so no --prec resolves it
     code, out, err = invoke(capsys, "ord", "--poly", poly, "--m", "1", "--prec", "3")
     assert (code, out, err) == (2, "", "error: the zero polynomial has no order of vanishing\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("deriv", "--poly", "E2", "--m", "1"), ("k0", "--m", "1", "--prec", "5"),
+     ("auxsearch", "--m", "1", "--d0", "0", "--d", "0")],
+)
+def test_only_the_named_subcommand_builds_its_options(capsys, monkeypatch, argv):
+    import argparse
+
+    added = []
+    original = argparse.ArgumentParser.add_argument
+
+    def recording(self, *args, **kwargs):
+        added.extend(arg for arg in args if arg.startswith("--"))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    assert invoke(capsys, *argv)[0] == 0
+    own = {f"--{option}" for option in cli._COMMANDS[argv[0]][1]}
+    assert set(added) - {"--help", "--format", "--out", "--strict"} == own

@@ -403,3 +403,88 @@ def test_reconstruct_agrees_with_plain_euclid(monkeypatch, min_bits, margin, lar
                 found += expected is not None
                 missed += expected is None
     assert found > 10 and missed > 10
+
+
+def _record_lifted_sizes(monkeypatch) -> list[int]:
+    sizes = []
+    solve = _linalg.solve_lifted_scaled
+
+    def recording(matrix, rhs, p):
+        sizes.append(len(matrix))
+        return solve(matrix, rhs, p)
+
+    monkeypatch.setattr(_linalg, "solve_lifted_scaled", recording)
+    return sizes
+
+
+def _plant_single_entry_columns(rng: random.Random, matrix, count: int) -> list[int]:
+    """Make `count` columns nonzero in one row each, the rows distinct; returns the columns."""
+    n = len(matrix)
+    columns = rng.sample(range(n), count)
+    for c, i in zip(columns, rng.sample(range(n), count)):
+        for r in range(n):
+            matrix[r][c] = 0
+        matrix[i][c] = rng.choice([-1, 1]) * rng.randint(1, 2**rng.choice([2, 40, 200]))
+    return columns
+
+
+def _solve_peeled(matrix, rhs, p) -> list[Fraction]:
+    nums, den = _linalg._solve_peeled(matrix, rhs, p)
+    assert den > 0
+    return [Fraction(v, den) for v in nums]
+
+
+def test_peeled_solve_matches_gauss_jordan(monkeypatch):
+    sizes = _record_lifted_sizes(monkeypatch)
+    rng = random.Random(83)
+    solved = every_column = 0
+    while solved < 200:
+        n = rng.randint(1, 9)
+        matrix, rhs = random_integer_system(rng, n)
+        planted = rng.randint(1, n)
+        _plant_single_entry_columns(rng, matrix, planted)
+        try:
+            expected = gauss_jordan_solve(matrix, rhs)
+        except ValueError:
+            continue
+        p = rng.choice([P61, 2**61 - 31, 101])
+        sizes.clear()
+        try:
+            got = _solve_peeled(matrix, rhs, p)
+        except ValueError:
+            assert p == 101  # singular mod a small prime only
+            continue
+        assert got == expected
+        # the planted columns are peeled, so the lifted system is smaller;
+        # with every column planted nothing is left to lift
+        assert sizes == [sizes[0]] and sizes[0] <= n - planted
+        every_column += sizes[0] == 0
+        solved += 1
+    assert every_column > 20
+
+
+def test_peeled_solve_refuses_a_singular_system(monkeypatch):
+    sizes = _record_lifted_sizes(monkeypatch)
+    # two columns nonzero in row 0 alone: singular over Q
+    matrix = [[2, 3, 1], [0, 0, 5], [0, 0, 7]]
+    with pytest.raises(ValueError):
+        gauss_jordan_solve(matrix, [1, 1, 1])
+    with pytest.raises(ValueError, match="singular"):
+        _linalg._solve_peeled(matrix, [1, 1, 1], P61)
+    # a single-entry column whose entry is 0 mod p: singular mod p, not over Q
+    matrix = [[14, 1, 2], [0, 3, 5], [0, 1, 1]]
+    assert _solve_peeled(matrix, [1, 2, 3], P61) == gauss_jordan_solve(matrix, [1, 2, 3])
+    sizes.clear()
+    with pytest.raises(ValueError, match="singular"):
+        _linalg._solve_peeled(matrix, [1, 2, 3], 7)
+    assert sizes == []  # refused before any lift
+
+
+def test_peeled_solve_checks_the_whole_system(monkeypatch):
+    # column 0 is peeled, and the lift of [[2]] x = [b_1] always answers 1:
+    # right for b_1 = 2, and caught by the check on the whole system otherwise
+    matrix = [[3, 1], [0, 2]]
+    monkeypatch.setattr(_linalg, "solve_lifted_scaled", lambda m, b, p: ([1], 1))
+    assert _solve_peeled(matrix, [3, 2], P61) == [Fraction(2, 3), Fraction(1)]
+    with pytest.raises(InternalConsistencyError, match="whole system"):
+        _linalg._solve_peeled(matrix, [3, 4], P61)

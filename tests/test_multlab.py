@@ -13,7 +13,14 @@ from helpers import (
 )
 from ramlab import multlab
 from ramlab.arith import InternalConsistencyError
-from ramlab.forms import PrecisionError, compute_k0, evaluate, function_tuple, monomial_series
+from ramlab.forms import (
+    FunctionTuple,
+    PrecisionError,
+    compute_k0,
+    evaluate,
+    function_tuple,
+    monomial_series,
+)
 from ramlab.ring import Polynomial, SystemConfig, format_polynomial
 from ramlab.multlab import (
     DegreeBudget,
@@ -23,7 +30,7 @@ from ramlab.multlab import (
     operational_exponent,
     paper_exponent,
 )
-from ramlab.series import Order
+from ramlab.series import Order, TruncatedSeries
 
 CFG1 = SystemConfig(1)
 CFG3 = SystemConfig(3)
@@ -236,7 +243,7 @@ def test_adaptive_precision_doubles_while_precision_limited(monkeypatch):
 def test_adaptive_precision_stops_at_3t(monkeypatch):
     tried = []
 
-    def always_limited(budget, cfg, basis, precision, tup):
+    def always_limited(budget, cfg, basis, precision, tup, witness):
         tried.append(precision)
         return SimpleNamespace(precision_limited=True, precision=precision)
 
@@ -481,8 +488,10 @@ def _grid(d0max, dmax):
 )
 def test_certified_order_is_the_witness_order(monkeypatch, m, budgets, precision):
     # every cell here has n* = T-1 and a witness using the last basis
-    # monomial: the lifted system is all of rows 0..T-2, so only the cutoff
-    # row is multiplied out, and nothing is evaluated
+    # monomial: the solved system is all of rows 0..T-2, so only the cutoff
+    # row is multiplied out, and nothing is evaluated; the lift runs on it
+    # less the columns z^k before the last, each nonzero in row k alone
+    # (d0+1 of them when d >= 1)
     evaluated = _record_evaluations(monkeypatch)
     certificates, systems = _record_certificates(monkeypatch)
     cfg = SystemConfig(m)
@@ -490,9 +499,11 @@ def test_certified_order_is_the_witness_order(monkeypatch, m, budgets, precision
         certificates.clear()
         systems.clear()
         row = max_vanishing_search(budget, cfg, precision)
+        basis = monomial_basis(budget, cfg)
         assert row.n_star == row.T - 1
-        assert monomial_basis(budget, cfg)[-1] in row.witness.terms
-        assert systems == [row.T - 1]
+        assert basis[-1] in row.witness.terms
+        powers_of_z = sum(1 for mono in basis[:-1] if not any(mono[1:]))
+        assert systems == [row.T - 1 - powers_of_z]
         [(cutoff, kernel, order)] = certificates
         assert cutoff == order == row.n_star and kernel[-1]
         assert evaluated == []
@@ -515,3 +526,74 @@ def test_uncertified_cells_evaluate_the_witness(monkeypatch):
     with pytest.raises(InternalConsistencyError, match="disagrees"):
         max_vanishing_search(DegreeBudget(1, 1), CFG1)
     assert primes == list(multlab.PRIMES)
+
+
+PRECISION_LIMITED = (1, [DegreeBudget(1, 2)], 12)  # T = 30, the CI's --strict cell
+
+
+@pytest.mark.parametrize(
+    "m, budgets, precision",
+    [(*CRITERION_8_GRID, None), (*M3_GRID, None), (1, _grid(2, 3), None), RANK_CELL,
+     PRECISION_LIMITED, LIMITED_CELL],
+    ids=["search-m1-1:2", "search-m3-1:1", "grid-2:3", "rank", "precision-limited", "limited-T15"],
+)
+def test_rank_only_rows_print_the_csv_of_the_witness_path(monkeypatch, m, budgets, precision):
+    full = experiment_grid(m, budgets, precision)
+    _, systems = _record_certificates(monkeypatch)
+    rows = experiment_grid(m, budgets, precision, witness=False)
+    assert multlab._rows_to_csv(rows) == multlab._rows_to_csv(full)
+    for row, witnessed in zip(rows, full):
+        # a cell certified at T-1 has no witness; any other is the witness path's row
+        if row.n_star == row.T - 1:
+            assert row.witness is None
+        else:
+            assert row == witnessed
+    lifted = any(row.witness is not None for row in rows)
+    assert bool(systems) == lifted == any(row.precision_limited for row in full)
+
+
+def test_a_cutoff_past_t_minus_1_takes_the_witness_path(monkeypatch):
+    # E4 replaced by E2 + q^8, so E4 - E2 vanishes to order 8, past T-1 = 4
+    precision = 20
+    series = list(function_tuple(1, precision).series)
+    series[2] = series[1] + TruncatedSeries([0] * 8 + [1] + [0] * (precision - 8))
+    budget = DegreeBudget(0, 1)
+    full = max_vanishing_search(budget, CFG1, precision, FunctionTuple(tuple(series)))
+    certificates, systems = _record_certificates(monkeypatch)
+    row = max_vanishing_search(budget, CFG1, precision, FunctionTuple(tuple(series)), witness=False)
+    assert row == full
+    assert row.T - 1 < row.n_star <= precision
+    assert [c[0] for c in certificates] == [row.n_star] and len(systems) == 1
+
+
+def test_a_prime_that_drops_the_rank_takes_the_witness_path(monkeypatch):
+    # mod 7 the rank of some cells drops, so their cutoff mod 7 is past T-1:
+    # the witness path runs at 7 and fails its order check, and the next
+    # prime certifies the cell at T-1 from the rank alone
+    m, budgets = CRITERION_8_GRID
+    full = experiment_grid(m, budgets)
+    big = multlab.PRIMES[0]
+    primes = _record_primes(monkeypatch)
+    monkeypatch.setattr(multlab, "PRIMES", (7, big))
+    rows = experiment_grid(m, budgets, witness=False)
+    assert multlab._rows_to_csv(rows) == multlab._rows_to_csv(full)
+    assert all(row.witness is None for row in rows)
+    assert primes and set(primes) == {7}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--m", "5", "--d0", "3", "--d", "1", "--prec", "57"), ("--m", "1", "--grid", "1:2"),
+     ("--m", "3", "--grid", "1:1")],
+)
+def test_a_csv_cell_certified_at_t_minus_1_lifts_nothing(monkeypatch, capsys, argv):
+    from ramlab import _linalg
+    from ramlab.cli import run
+
+    monkeypatch.setattr(_linalg, "solve_lifted_scaled", lambda *args: pytest.fail("lifted"))
+    assert run(["--format", "csv", "auxsearch", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        cell = dict(zip(header, line.split(",")))
+        assert int(cell["n_star"]) == int(cell["T"]) - 1
