@@ -1,5 +1,5 @@
 """The two checks of the system against the q-expansions: `verify_system`
-checks D's velocity table by the chain rule on the generators, and
+checks D's velocities by the chain rule on the generators, and
 `ak_polynomial` checks E_{2k} in E4 and E6, as `_system.eisenstein_polynomial`
 writes it, against the q-expansion of E_{2k}.  Both compare cross-multiplied
 integers, coefficient by coefficient, and build no Fraction: a polynomial's
@@ -20,9 +20,9 @@ from itertools import repeat
 # `forms.function_tuple` is looked up at each call, so the trace shim's span counts it
 from . import forms
 from ._system import eisenstein_polynomial, velocity
-from .arith import InternalConsistencyError, Record, bernoulli, fraction_str, variable_names, y_pairs
+from .arith import InternalConsistencyError, Record, bernoulli, fraction_str, y_pairs
 from .forms import evaluate_side
-from .ring import SystemConfig
+from .ring import SystemConfig, _unit
 
 __all__ = ["ak_polynomial", "EquationCheck", "SystemReport", "verify_system"]
 
@@ -93,41 +93,42 @@ def _closing_rhs_literal(v: int, precision: int):
 
 
 def verify_system(m: int, precision: int) -> SystemReport:
-    """Check D's velocity table coefficient-by-coefficient, by the chain rule.
+    """Check D's velocities coefficient-by-coefficient, by the chain rule.
 
     For every generator x but z, delta(x) must equal D(x) evaluated at the
     function tuple, through z^(precision-1).  The literal textbook variant
     of each closing equation is re-checked alongside and its verdict
-    recorded as errata evidence.
+    recorded as errata evidence.  The equations run in variable order, and
+    each g series leaves the tuple's cache once its own equations are
+    checked, so at most two are held; E2, E4, E6 and the products of E4 and
+    E6 that the closings share stay.
     """
     cfg = SystemConfig(m)
     tup = forms.function_tuple(m, precision)
-    upto = precision - 1
-    labels = [
-        "delta(E2) = (E2^2 - E4)/12",
-        "delta(E4) = (E2*E4 - E6)/3",
-        "delta(E6) = (E2*E6 - E4^2)/2",
-    ]
+    checks, errata, upto = [], [], precision - 1
+
+    def check(var: str, rhs: str) -> list:
+        """Compare delta(var) with D(var); return the delta side."""
+        unit = _unit(m, var)
+        side = evaluate_side(velocity(var, cfg), tup)
+        delta = _delta(forms.monomial_series(unit, tup))
+        checks.append(_compare(f"delta({var}) = {rhs}", delta, side, upto))
+        if var[0] == "g":  # no later equation reads g[u,v]
+            del tup.monomial_cache[unit]
+        return delta
+
+    check("E2", "(E2^2 - E4)/12")
+    check("E4", "(E2*E4 - E6)/3")
+    check("E6", "(E2*E6 - E4^2)/2")
     for u, v in y_pairs(m):
+        var = f"g[{u},{v}]"
         if u < v - 1:
-            labels.append(f"delta(g[{u},{v}]) = g[{u + 1},{v}]")
+            check(var, f"g[{u + 1},{v}]")
         else:
-            labels.append(f"delta(g[{u},{v}]) = B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}")
-    # each delta side is built when it is compared, so one is held at a time
-    checks = [
-        _compare(label, _delta(s), evaluate_side(velocity(var, cfg), tup), upto)
-        for label, var, s in zip(labels, variable_names(m)[1:], tup.series[1:])
-    ]
-    by_name = dict(zip(variable_names(m), tup.series))
-    errata = [
-        _compare(
-            f"literal: delta(g[{v - 1},{v}]) = B_{2 * v + 2}*(A_{v + 1} - 1)/{2 * v + 2}",
-            _delta(by_name[f"g[{v - 1},{v}]"]),
-            _closing_rhs_literal(v, precision),
-            upto,
-        )
-        for v in range(3, m + 1, 2)
-    ]
+            delta = check(var, f"B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}")
+            if v > 1:
+                literal = f"literal: delta({var}) = B_{2 * v + 2}*(A_{v + 1} - 1)/{2 * v + 2}"
+                errata.append(_compare(literal, delta, _closing_rhs_literal(v, precision), upto))
     return SystemReport(tuple(checks), tuple(errata))
 
 

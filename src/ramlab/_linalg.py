@@ -30,9 +30,9 @@ the lifting's residue is read mod p after adding a multiple of p that makes
 its slots nonnegative.  The rows of M are packed in bands, each at the
 width of its own entries.
 
-Only `multlab` imports this module.  The search calls `kernel_mod_p`
-for a witness, and `rank_profile_mod_p` alone for a row that prints none
-and whose cutoff is T-1 (see `multlab._search`).  The fraction-free
+Only `multlab` imports this module.  The search reduces its rows once per
+prime (`rank_profile_mod_p`), and `kernel_mod_p` reads that profile for a
+witness (see `multlab._search`).  The fraction-free
 elimination `RowReducer` and `solve_square`, which no command calls, live
 in `_bareiss`.  They are the names forwarded here, because the
 benchmark's trace shim wraps them as `_linalg.RowReducer` and
@@ -96,12 +96,10 @@ def rank_profile_mod_p(
     return None, pivots, scaled
 
 
-def kernel_mod_p(
-    rows: Iterable[Sequence[Fraction]], T: int, p: int
-) -> tuple[int | None, list[Fraction], int | None]:
-    """(cutoff, kernel vector, its order) of rational rows with T columns.
+def kernel_mod_p(profile: tuple, T: int, p: int) -> tuple[int | None, list[Fraction], int | None]:
+    """(cutoff, kernel vector, its order) from `rank_profile_mod_p(rows, T, p)`.
 
-    The cutoff is `rank_profile_mod_p`'s at target rank T.  With f the first
+    The cutoff is the profile's, at target rank T.  With f the first
     column that is not a pivot mod p, the vector is 0 past f and 1 at f, and
     its first f coordinates solve the rows with pivot before f on columns
     0..f-1, a square system nonsingular mod p; then its first nonzero
@@ -110,7 +108,7 @@ def kernel_mod_p(
     rows are orthogonal by `_solve_peeled`'s exact check, and every other
     row read is multiplied out.
     """
-    cutoff, pivots, scaled = rank_profile_mod_p(rows, T, p)
+    cutoff, pivots, scaled = profile
     pivot_set = set(pivots.values())
     f = next(c for c in range(T) if c not in pivot_set)
     system = [i for i, col in pivots.items() if col < f]

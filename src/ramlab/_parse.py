@@ -15,7 +15,7 @@ from operator import add
 
 from . import CliError, ring
 from .arith import integer_numerators, power_work
-from .ring import ParseError, Polynomial, SystemConfig, _units
+from .ring import ParseError, Polynomial, SystemConfig, _slots, _unit
 
 __all__ = [
     "MAX_PARSED_TERMS",
@@ -104,7 +104,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # parentheses open at the current token
         self.cfg = cfg
-        self.units = _units(cfg.m)
+        self.one = (0,) * cfg.nvars  # the monomial 1
 
     def peek(self) -> str:
         """The next token's kind."""
@@ -199,12 +199,12 @@ class _Parser:
         kind, word, _ = tok = self.next()
         if kind == "NUM":
             if self.peek() != "/":
-                return self.units[""], int(word)
+                return self.one, int(word)
             self.next()
             den_tok = self.expect("NUM")
             if int(den_tok[1]) == 0:
                 raise self.error("zero denominator", den_tok)
-            return self.units[""], Fraction(int(word), int(den_tok[1]))
+            return self.one, Fraction(int(word), int(den_tok[1]))
         if kind == "(":
             # each level costs four frames of this recursion
             self.depth += 1
@@ -212,15 +212,15 @@ class _Parser:
             inner = self.parse_expression()
             self.expect(")")
             self.depth -= 1
-            return inner if len(inner.terms) > 1 else next(iter(inner.terms.items()), (self.units[""], 0))
+            return inner if len(inner.terms) > 1 else next(iter(inner.terms.items()), (self.one, 0))
         if kind == "NAME":
             return self.parse_variable(tok)
         raise self.error(f"expected a number, variable or '(', found {word or 'end of input'!r}", tok)
 
     def parse_variable(self, tok: tuple[str, str, int]) -> tuple[Monomial, int]:
         name = tok[1]
-        if name in self.units:
-            return self.units[name], 1
+        if name in _slots(self.cfg.m):
+            return _unit(self.cfg.m, name), 1
         if name == "g":
             self.expect("[")
             u = self.expect("NUM")[1]
@@ -232,9 +232,9 @@ class _Parser:
         else:
             raise self.error(f"unknown variable {name!r}", tok)
         name = f"g[{int(u)},{int(v)}]"
-        if name not in self.units:
+        if name not in _slots(self.cfg.m):
             raise self.error(f"{name} is out of range for m={self.cfg.m}", tok)
-        return self.units[name], 1
+        return _unit(self.cfg.m, name), 1
 
 
 def parse_polynomial(text: str, cfg: SystemConfig) -> Polynomial:

@@ -1,6 +1,6 @@
-"""The derivation D of the extended Ramanujan system: its velocity table,
-the one statement of the system, and E_{2k} written in E4 and E6 by the
-Weierstrass recurrence, which the closing velocities read.
+"""The derivation D of the extended Ramanujan system: the velocity of each
+variable, built when it is read, which is the one statement of the system,
+and E_{2k} in E4 and E6 by the Weierstrass recurrence, for the closings.
 
 Callers import these names from here.  `ring` forwards `derive` alone
 (`arith.forward_names`), only because the benchmark's trace shim wraps it
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .arith import bernoulli, y_pairs
+from .arith import bernoulli
 from .ring import Polynomial, SystemConfig, _products, _slots
 
 __all__ = ["eisenstein_polynomial", "velocity", "derive"]
@@ -58,54 +58,53 @@ def eisenstein_polynomial(k: int) -> Polynomial:
     return Polynomial(cfg, {(0, 0, i, j, 0): n * w2**i * w3**j / (den * wk) for (i, j), n, _ in terms})
 
 
-@lru_cache(maxsize=None)
-def _velocities(m: int) -> tuple[Polynomial, ...]:
-    """D applied to each variable, in canonical variable order.  This table is
-    the one definition of the system; `_checks.verify_system` checks it."""
-    cfg = SystemConfig(m)
-    z = Polynomial.variable("z", cfg)
-    x1 = Polynomial.variable("E2", cfg)
-    x2 = Polynomial.variable("E4", cfg)
-    x3 = Polynomial.variable("E6", cfg)
-    vels = [
-        z,
-        (x1 * x1 - x2).scale(Fraction(1, 12)),
-        (x1 * x2 - x3).scale(Fraction(1, 3)),
-        (x1 * x3 - x2 * x2).scale(Fraction(1, 2)),
-    ]
-    pad = (0,) * (cfg.nvars - 4)
-    for u, v in y_pairs(m):
-        if u < v - 1:
-            vels.append(Polynomial.variable(f"g[{u + 1},{v}]", cfg))
-        else:
-            # closing coefficient (B_{v+1}/(2v+2)) * (1 - E_{v+1}), built for m = 1,
-            # whose z, E2, E4, E6 lead every m's variables, and padded with zeros
-            closing = (1 - eisenstein_polynomial((v + 1) // 2)).scale(bernoulli(v + 1) / (2 * v + 2))
-            vels.append(Polynomial(cfg, {mono[:4] + pad: c for mono, c in closing}))
-    return tuple(vels)
-
-
-@lru_cache(maxsize=None)
-def _shifted_velocities(m: int) -> tuple[int, tuple]:
-    """_velocities over one denominator: (den, per variable x the terms of
-    D(x)/x as (shift, numerator, 1)); a shift may have an exponent -1."""
-    vels = _velocities(m)
-    den = lcm(*(c.denominator for v in vels for c in v.terms.values()))
-    return den, tuple(tuple((mono[:i] + (mono[i] - 1,) + mono[i + 1 :], c.numerator * den // c.denominator, 1)
-                            for mono, c in v) for i, v in enumerate(vels))
-
-
 def velocity(name: str, cfg: SystemConfig) -> Polynomial:
-    """D applied to a single variable."""
-    return _velocities(cfg.m)[_slots(cfg.m)[name]]
+    """D applied to one variable, built when it is read.  This is the one
+    definition of the system; `derive` reads it, and `_checks.verify_system`
+    checks it.  KeyError if no variable has this name."""
+    if _slots(cfg.m)[name] < 4:
+        z, x1, x2, x3 = (Polynomial.variable(x, cfg) for x in ("z", "E2", "E4", "E6"))
+        return {
+            "z": lambda: z,
+            "E2": lambda: (x1 * x1 - x2).scale(Fraction(1, 12)),
+            "E4": lambda: (x1 * x2 - x3).scale(Fraction(1, 3)),
+            "E6": lambda: (x1 * x3 - x2 * x2).scale(Fraction(1, 2)),
+        }[name]()
+    u, v = map(int, name[2:-1].split(","))
+    if u < v - 1:
+        return Polynomial.variable(f"g[{u + 1},{v}]", cfg)
+    # z, E2, E4, E6 lead every m's variables, so the m = 1 terms are padded with zeros
+    pad = (0,) * (cfg.nvars - 4)
+    return Polynomial(cfg, {mono[:4] + pad: c for mono, c in _closing(v)})
+
+
+def _closing(v: int) -> Polynomial:
+    """D(g[v-1,v]) at m = 1: (B_{v+1}/(2v+2)) * (1 - E_{v+1})."""
+    return (1 - eisenstein_polynomial((v + 1) // 2)).scale(bernoulli(v + 1) / (2 * v + 2))
+
+
+@lru_cache(maxsize=None)
+def _denominator(m: int) -> int:
+    """One denominator for every velocity at m; 12 clears E2's, E4's and E6's."""
+    return lcm(12, *(c.denominator for v in range(1, m + 1, 2) for c in _closing(v).terms.values()))
+
+
+@lru_cache(maxsize=None)
+def _shifted(m: int, i: int) -> tuple:
+    """D(x_i)/x_i at m as terms (shift, numerator, 1) over `_denominator(m)`;
+    a shift may have an exponent -1.  Built when `derive` first reads it."""
+    cfg, den = SystemConfig(m), _denominator(m)
+    return tuple((mono[:i] + (mono[i] - 1,) + mono[i + 1 :], c.numerator * den // c.denominator, 1)
+                 for mono, c in velocity(cfg.names[i], cfg))
 
 
 def derive(p: Polynomial) -> Polynomial:
     """The derivation D = z d/dz + sum of coefficient polynomials times d/dx."""
-    den, shifts = _shifted_velocities(p.config.m)
+    m = p.config.m
+    den = _denominator(m)
     # (c*e) * mono * (D(x_i)/x_i) for each variable x_i of each term
     pairs = (
-        (((mono, c.numerator * e, c.denominator * den),), shifts[i])
+        (((mono, c.numerator * e, c.denominator * den),), _shifted(m, i))
         for mono, c in p.terms.items() for i, e in enumerate(mono) if e
     )
     return Polynomial(p.config, _products(pairs))

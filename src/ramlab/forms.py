@@ -1,12 +1,12 @@
 """Concrete series of the system: E_{2k}, g_{u,v}, Delta, Theta and its
 order k0, the function tuple, and a polynomial's value at it.
 
-Evaluation lives beside the tuple, whose monomial cache it creates and
-fills: `evaluate_side` is the one core, p at the tuple as a pair
-(numerators, denominators), and `evaluate` reads its series from it.  `ring`
-forwards `evaluate` only because the benchmark's trace shim wraps it there.
+A tuple is (m, precision), and each generator's series is built on its
+first read, into the monomial cache, which evaluation fills: `evaluate_side`
+is the one core, p at the tuple as (numerators, denominators), and
+`evaluate` reads it.  `ring` forwards `evaluate` for the trace shim alone.
 
-The system is defined once, as D's velocity table in `_system`, and E_{2k}
+The system is defined once, by D's velocities in `_system`, and E_{2k}
 is written in E4 and E6 once, by the Weierstrass recurrence there.  The two
 checks of these against the q-expansions, `verify_system` and
 `ak_polynomial`, live in `_checks`.  The names forwarded here are those two
@@ -22,11 +22,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import isqrt, lcm
 
 from . import CliError
 from .arith import Record, bernoulli, check_m, divisor_power_sums
-from .arith import forward_names, fraction_str, integer_numerators, y_pairs
+from .arith import forward_names, fraction_str, integer_numerators
 from .series import Order, TruncatedSeries
 
 __all__ = [
@@ -112,27 +112,30 @@ def compute_k0(m: int, precision: int) -> Order:
 
 
 class FunctionTuple(Record):
-    """The series of `arith.variable_names(m)`: (z, E2, E4, E6, g_{0,1}, ...),
-    so their count fixes m."""
+    """The series of `arith.variable_names(m)` through z^precision, each built
+    on its first read into the monomial cache (see `monomial_series`)."""
 
-    series: tuple[TruncatedSeries, ...]
-
-    @property
-    def precision(self) -> int:
-        return self.series[0].precision
+    m: int
+    precision: int
 
     def __post_init__(self):
+        check_m(self.m)
         # monomial -> its series at this tuple; filled by monomial_series.
         # Not a field, so it takes no part in ==, hash or repr.
         self.__dict__["monomial_cache"] = {}
 
 
 def function_tuple(m: int, precision: int) -> FunctionTuple:
-    check_m(m)
-    series = [TruncatedSeries.z(precision)]
-    series += [eisenstein(k, precision) for k in (1, 2, 3)]
-    series += [g_series(u, v, precision) for u, v in y_pairs(m)]
-    return FunctionTuple(tuple(series))
+    return FunctionTuple(m, precision)
+
+
+def _generator_series(i: int, precision: int) -> TruncatedSeries:
+    """The series of the variable in slot i: z, E2, E4, E6, then g[u,v] in
+    `y_pairs` order, where the v pairs follow the ((v-1)/2)^2 of smaller v."""
+    if i < 4:
+        return eisenstein(i, precision) if i else TruncatedSeries.z(precision)
+    r = isqrt(i - 4)
+    return g_series(i - 4 - r * r, 2 * r + 1, precision)
 
 
 # -- evaluation at the function tuple ---------------------------------------
@@ -141,12 +144,13 @@ def function_tuple(m: int, precision: int) -> FunctionTuple:
 def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
     """The series of one monomial at the function tuple, memoised on the tuple.
 
-    A z factor is a shift, and a generator is its own series.  Otherwise the
-    monomial is its graded parent (one unit of its first nonzero variable
-    removed) times that variable's series: one product when the parent is
-    cached, as it always is along a downward-closed basis taken in graded
-    order.  Without a cached parent, a pure power is built by squaring and
-    any other monomial as that power times the rest.
+    A z factor is a shift, and a generator's series is built here, on its
+    first read (`_generator_series`).  Otherwise the monomial is its graded
+    parent (one unit of its first nonzero variable removed) times that
+    variable's series: one product when the parent is cached, as it always
+    is along a downward-closed basis taken in graded order.  Without a cached
+    parent, a pure power is built by squaring and any other monomial as that
+    power times the rest.
     """
     cache = tup.monomial_cache
     found = cache.get(mono)
@@ -159,17 +163,17 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
         result = TruncatedSeries.constant(1, tup.precision)
     else:
         i = mono.index(first)
-        degree = sum(mono)
-        if degree == 1:
-            result = tup.series[i]
+        unit = (0,) * i + (1,) + (0,) * (len(mono) - i - 1)
+        if mono == unit:
+            result = _generator_series(i, tup.precision)
         elif (parent := mono[:i] + (first - 1,) + mono[i + 1 :]) in cache:
-            result = cache[parent] * tup.series[i]
-        elif degree > first:
-            power = (0,) * i + (first,) + (0,) * (len(mono) - i - 1)
+            result = cache[parent] * monomial_series(unit, tup)
+        elif sum(mono) > first:
+            power = unit[:i] + (first,) + unit[i + 1 :]
             rest = mono[:i] + (0,) + mono[i + 1 :]
             result = monomial_series(power, tup) * monomial_series(rest, tup)
         else:
-            result = tup.series[i] ** first
+            result = monomial_series(unit, tup) ** first
     cache[mono] = result
     return result
 
@@ -177,12 +181,11 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
 def evaluate_side(p: Polynomial, tup: FunctionTuple):
     """p at the function tuple as a side: a pair (numerators, denominators),
     coefficient n being the n-th numerator over the n-th denominator, not
-    reduced.  A tuple of another m, which has another number of series, is
-    refused first.  A unit monomial (one term, coefficient 1) is its stored
-    series, term by term, in two lists: a g series over one common
-    denominator would need lcm(1..P)^(v-u).  Any other p is the sum of c *
+    reduced.  A tuple of another m is refused first.  A unit monomial (one
+    term, coefficient 1) is its cached series, term by term, in two lists:
+    a g series over one common denominator would need lcm(1..P)^(v-u).  Any other p is the sum of c *
     monomial series in integers over one denominator, repeated."""
-    if len(tup.series) != p.config.nvars:
+    if tup.m != p.config.m:
         raise ValueError("function tuple and polynomial have different m")
     if len(p.terms) == 1 and 1 in p.terms.values():
         coeffs = monomial_series(next(iter(p.terms)), tup).coeffs
@@ -200,7 +203,7 @@ def evaluate_side(p: Polynomial, tup: FunctionTuple):
 def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
     """Substitute the function tuple into p; exact truncated series, read
     from `evaluate_side`.  A unit monomial's side is term by term, and its
-    stored series is returned itself; any other side has one denominator,
+    cached series is returned itself; any other side has one denominator,
     and each coefficient is one Fraction (and its gcd)."""
     nums, dens = evaluate_side(p, tup)
     if isinstance(dens, repeat):

@@ -203,7 +203,7 @@ def _search(
     rows 0..T-1 of rank T mod p have a T x T minor that is nonzero mod p,
     hence over Z, so no nonzero vector over Q vanishes through row T-1.  This
     holds at every prime, and the row has no witness.  Any other cutoff takes
-    the witness path at the same prime, which reduces the rows again.
+    the witness path at the same prime, from the same profile.
     """
     T = len(basis)
     # basis order is graded, so each column is one product off a cached parent
@@ -213,9 +213,10 @@ def _search(
         return ([col.coeffs[r] for col in columns] for r in range(precision + 1))
 
     for p in PRIMES:
-        if not witness and rank_profile_mod_p(rows(), T, p)[0] == T - 1:
+        profile = rank_profile_mod_p(rows(), T, p)
+        if not witness and profile[0] == T - 1:
             return ExperimentRow(cfg.m, budget.d0, budget.d, T - 1, None, precision)
-        cutoff, kernel, order = kernel_mod_p(rows(), T, p)
+        cutoff, kernel, order = kernel_mod_p(profile, T, p)
         if order == cutoff:
             break
         if cutoff is None:

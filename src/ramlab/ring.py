@@ -4,13 +4,13 @@ with exact division and a text parser/printer: the polynomial algebra
 alone.
 
 Loading this module loads only `arith`, and `parse` loads the parser,
-`_parse`, only when it runs.  D, its velocity table and E_{2k} in E4 and E6
-live in `_system`; evaluation at the function tuple lives in `forms`, beside
-the tuple.  The two names forwarded here are `derive` and `evaluate`, which
-the benchmark's trace shim wraps as `ring.derive` and `ring.evaluate`; each
-loads its home, `_system` or `forms`, when first looked up.  Nothing here or
-in `_system` imports `forms` or `series`: D writes E_{2k} in E4 and E6
-itself, with no linear solve.
+`_parse`, only when it runs.  A unit monomial is built when it is read.
+D, its velocities and E_{2k} in E4 and E6 live in `_system`; evaluation at
+the function tuple lives in `forms`, beside the tuple.  The names forwarded
+here, `derive` and `evaluate`, which the trace shim wraps as `ring.derive`
+and `ring.evaluate`, each load their home, `_system` or `forms`, when first
+looked up.  Nothing here or in `_system` imports `forms` or `series`: D
+writes E_{2k} in E4 and E6 itself, with no linear solve.
 """
 
 from __future__ import annotations
@@ -63,11 +63,10 @@ def _slots(m: int) -> dict[str, int]:
     return {x: i for i, x in enumerate(_names(m))}
 
 
-@lru_cache(maxsize=None)
-def _units(m: int) -> dict[str, Monomial]:
-    """Each variable's monomial by name, and the monomial 1 under ""."""
-    n = len(_names(m))
-    return {"": (0,) * n} | {x: (0,) * i + (1,) + (0,) * (n - i - 1) for x, i in _slots(m).items()}
+def _unit(m: int, name: str) -> Monomial:
+    """A variable's monomial, built when it is read; KeyError if no such name."""
+    i = _slots(m)[name]
+    return (0,) * i + (1,) + (0,) * (len(_names(m)) - i - 1)
 
 
 def monomial_key(mono: Monomial) -> tuple:
@@ -104,10 +103,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, name: str, config: SystemConfig) -> "Polynomial":
-        units = _units(config.m)
-        if not name or name not in units:  # "" is the monomial 1, not a variable
+        if name not in _slots(config.m):
             raise KeyError(f"unknown variable {name!r} for m={config.m}")
-        return cls(config, {units[name]: Fraction(1)})
+        return cls(config, {_unit(config.m, name): Fraction(1)})
 
     # -- basic structure ----------------------------------------------
 

@@ -13,7 +13,7 @@ from ramlab._checks import EquationCheck, SystemReport
 from ramlab._linalg import solve_lifted_scaled
 from ramlab._system import derive, velocity
 from ramlab.arith import InternalConsistencyError, bernoulli, sigma_table, variable_names, y_pairs
-from ramlab.forms import FunctionTuple, eisenstein, evaluate, function_tuple, monomial_series
+from ramlab.forms import FunctionTuple, eisenstein, evaluate, function_tuple, g_series, monomial_series
 from ramlab.multlab import ExperimentRow
 from ramlab.ring import Polynomial, SystemConfig
 from ramlab.series import TruncatedSeries
@@ -207,10 +207,26 @@ def naive_exact_divide(p: Polynomial, q: Polynomial):
     return Polynomial(p.config, quotient)
 
 
+def eager_generators(m: int, precision: int) -> list[TruncatedSeries]:
+    """Eager oracle for the series a function tuple builds on first read:
+    all of them, in variable order, from eisenstein and g_series."""
+    series = [TruncatedSeries.z(precision)] + [eisenstein(k, precision) for k in (1, 2, 3)]
+    return series + [g_series(u, v, precision) for u, v in y_pairs(m)]
+
+
+def seeded_tuple(m: int, series) -> FunctionTuple:
+    """A function tuple whose generators are `series`, in variable order,
+    each put into its monomial cache before anything is read."""
+    tup = FunctionTuple(m, series[0].precision)
+    tup.monomial_cache.update(zip(generator_units(m).values(), series))
+    return tup
+
+
 def naive_monomial_series(mono, tup: FunctionTuple) -> TruncatedSeries:
-    """Slow oracle: one series product per unit of every exponent, no cache."""
+    """Slow oracle: one series product per unit of every exponent, no cache,
+    over the eager generators."""
     result = TruncatedSeries.constant(1, tup.precision)
-    for gen, e in zip(tup.series, mono):
+    for gen, e in zip(eager_generators(tup.m, tup.precision), mono):
         for _ in range(e):
             result = result * gen
     return result
@@ -266,7 +282,7 @@ def fraction_verify_system(m: int, precision: int, velocity=velocity) -> SystemR
     cfg = SystemConfig(m)
     series = [TruncatedSeries.z(precision)] + [sigma_table_eisenstein(k, precision) for k in (1, 2, 3)]
     series += [sigma_table_g_series(u, v, precision) for u, v in y_pairs(m)]
-    tup = FunctionTuple(tuple(series))
+    tup = seeded_tuple(m, series)
     names = variable_names(m)
 
     def check(name, lhs, rhs):
@@ -279,7 +295,7 @@ def fraction_verify_system(m: int, precision: int, velocity=velocity) -> SystemR
         else f"delta(g[{u},{v}]) = B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}"
         for u, v in y_pairs(m)
     ]
-    deltas = dict(zip(names[1:], map(delta, tup.series[1:])))
+    deltas = dict(zip(names[1:], map(delta, series[1:])))
     equations = [
         check(label, deltas[var], evaluate(velocity(var, cfg), tup))
         for label, var in zip(labels, names[1:])
@@ -665,10 +681,11 @@ def recursive_monomial_basis(budget, cfg: SystemConfig) -> list:
 
 
 def generator_units(m: int) -> dict:
-    """Oracle for ring._units: each unit exponent tuple built slot by slot."""
-    names = SystemConfig(m).names
+    """Oracle for ring._unit: each variable's unit exponent tuple, by name,
+    built slot by slot."""
+    names = variable_names(m)
     n = len(names)
-    return {"": (0,) * n} | {x: tuple(int(j == i) for j in range(n)) for i, x in enumerate(names)}
+    return {x: tuple(int(j == i) for j in range(n)) for i, x in enumerate(names)}
 
 
 class FractionRowReducer:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -709,20 +710,51 @@ def test_an_oversized_grid_is_refused_before_the_rest_of_it_is_built(capsys, mon
     ids=lambda argv: argv[0],
 )
 def test_every_command_refuses_the_same_m_before_building_its_variables(capsys, monkeypatch, argv):
-    from ramlab import _system, forms, multlab, ring
+    from ramlab import _checks, _parse, _system, forms, multlab, ring
     from ramlab.arith import MAX_M
 
     def refuse(*args):
-        raise AssertionError("function_tuple ran")
+        raise AssertionError("a variable, velocity, series or tuple was built")
 
-    monkeypatch.setattr(forms, "function_tuple", refuse)
-    monkeypatch.setattr(multlab, "function_tuple", refuse)
-    built = ring._units.cache_info().misses, _system._velocities.cache_info().misses
+    # every per-name builder, under each name a module imports it by
+    for module, name in [(forms, "function_tuple"), (multlab, "function_tuple"), (forms, "_generator_series"),
+                         (ring, "_unit"), (_parse, "_unit"), (_checks, "_unit"),
+                         (_system, "velocity"), (_checks, "velocity")]:
+        monkeypatch.setattr(module, name, refuse)
     start = time.perf_counter()
     code, out, err = invoke(capsys, *argv, "--m", str(MAX_M + 2))
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", f"error: m={MAX_M + 2} is over the limit {MAX_M}\n")
-    assert (ring._units.cache_info().misses, _system._velocities.cache_info().misses) == built
+
+
+# a child that runs the CLI under an address-space limit
+BOUNDED_CHILD = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+    "from ramlab.cli import run; sys.exit(run(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("deriv", "--poly", "E2", "--m", "199"),
+         'subcommand: deriv\n  poly: E2\n  m: 199\n{\n  "derivative": "1/12*E2^2 - 1/12*E4"\n}\n'),
+        (("stable", "--poly", "E4^3-E6^2", "--m", "199"),
+         'subcommand: stable\n  poly: E4^3-E6^2\n  m: 199\n{\n  "stable": true,\n  "cofactor": "E2"\n}\n'),
+        (("ord", "--poly", "E2", "--m", "199", "--prec", "300"),
+         'subcommand: ord\n  poly: E2\n  m: 199\n  prec: 300\n{\n  "ord": "0",\n  "finite": true\n}\n'),
+    ],
+    ids=["deriv", "stable", "ord"],
+)
+def test_a_command_at_the_largest_m_builds_only_what_it_reads(argv, expected):
+    # 10,004 variables: a table over all of them, of units, velocities or
+    # series, takes 1.7-1.9 GiB; the variables these commands read, 18 MiB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", BOUNDED_CHILD.format(limit=512 << 20), *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
 
 @pytest.mark.parametrize("m", [63, 199])

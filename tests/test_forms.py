@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ak_by_linear_solve, ak_coefficients, ak_evaluate, delta, fraction_verify_system, sigma
+from helpers import ak_by_linear_solve, ak_coefficients, ak_evaluate, delta, eager_generators, fraction_verify_system
+from helpers import generator_units, sigma
 from helpers import sigma_table_eisenstein, sigma_table_g_series
 from ramlab import _checks
 from ramlab._checks import ak_polynomial, verify_system
@@ -133,8 +134,10 @@ def test_discriminant_and_theta():
 def test_function_tuple_shape():
     for m, count in ((1, 5), (3, 8), (5, 13)):
         tup = function_tuple(m, 10)
-        assert len(tup.series) == count
-        assert all(s.precision == 10 for s in tup.series)
+        assert (tup.m, tup.precision, tup.monomial_cache) == (m, 10, {})
+        units = generator_units(m).values()
+        assert len(units) == count
+        assert all(monomial_series(unit, tup).precision == 10 for unit in units)
     with pytest.raises(ValueError):
         function_tuple(2, 10)
     with pytest.raises(ValueError):
@@ -147,11 +150,30 @@ def test_function_tuple_constant_terms_and_order():
     tup = function_tuple(3, 8)
     names = variable_names(3)
     assert names == ("z", "E2", "E4", "E6", "g[0,1]", "g[0,3]", "g[1,3]", "g[2,3]")
-    assert len(tup.series) == len(names)
-    assert tup.series[0].coeffs[0] == 0
-    assert tup.series[0].coeffs[1] == 1
-    for name, s in zip(names, tup.series):
+    series = [monomial_series(unit, tup) for unit in generator_units(3).values()]
+    assert series[0].coeffs[:2] == (0, 1)
+    for name, s in zip(names, series):
         assert s.coeffs[0] == (1 if name.startswith("E") else 0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_each_generator_is_built_on_first_read_as_the_eager_oracle(m):
+    tup = function_tuple(m, 30)
+    for unit, eager in zip(generator_units(m).values(), eager_generators(m, 30)):
+        assert monomial_series(unit, tup) == eager
+        assert tup.monomial_cache[unit] == eager
+
+
+def test_a_generator_at_m_199_is_built_alone():
+    # the eager oracle builds all 10,004 series; the tuple builds the one read
+    names = variable_names(199)
+    eager = eager_generators(199, 20)
+    for name in ("g[0,199]", "g[198,199]"):
+        tup = function_tuple(199, 20)
+        i = names.index(name)
+        unit = tuple(int(j == i) for j in range(len(names)))
+        assert monomial_series(unit, tup) == eager[i]
+        assert list(tup.monomial_cache) == [unit]
 
 
 def test_delta_of_g_is_next_g():
@@ -287,7 +309,7 @@ def test_verify_system_equals_the_fraction_path_under_a_perturbed_velocity(
 
 
 def test_verify_system_reads_a_single_variable_velocity_term_by_term(monkeypatch):
-    # g[u,v] -> g[u+1,v] is compared with the stored series, term by term:
+    # g[u,v] -> g[u+1,v] is compared with the cached series, term by term:
     # over one common denominator it would need lcm(1..P)^(v-u)
     cfg, precision = SystemConfig(7), 30
     sides = []
@@ -312,6 +334,21 @@ def test_verify_system_reads_a_single_variable_velocity_term_by_term(monkeypatch
             stored = monomial_series(mono, tup).coeffs
             assert c == 1 and len(set(dens)) > 1
             assert (nums, dens) == ([x.numerator for x in stored], [x.denominator for x in stored])
+
+
+def test_verify_system_holds_at_most_two_g_series_at_a_time(monkeypatch):
+    # g[u,v] leaves the tuple's cache once its own equations are checked
+    held = []
+    original = _checks.evaluate_side
+
+    def record(p, tup):
+        side = original(p, tup)
+        held.append(sum(1 for mono in tup.monomial_cache if any(mono[4:])))
+        return side
+
+    monkeypatch.setattr(_checks, "evaluate_side", record)
+    assert verify_system(7, 30).ok
+    assert max(held) == 2 and len(held) == len(variable_names(7)) - 1
 
 
 @pytest.mark.parametrize("precision", [0, 1, 2, 100])

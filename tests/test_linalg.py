@@ -316,8 +316,9 @@ def test_kernel_mod_p_matches_fraction_oracle():
         # denominators divisible by 7 make the rank mod 7 drop off the top
         rows = [[x / 7 ** rng.randint(0, 2) for x in row] for row in rows]
         for p in (P61, 7):
-            cutoff, kernel, order = kernel_mod_p(iter(rows), ncols, p)
-            profile_cutoff, pivots, _ = rank_profile_mod_p(iter(rows), ncols, p)
+            profile = rank_profile_mod_p(iter(rows), ncols, p)
+            cutoff, kernel, order = kernel_mod_p(profile, ncols, p)
+            profile_cutoff, pivots, _ = profile
             assert cutoff == profile_cutoff
             # the rows with pivot mod p before the first free column f, on
             # columns 0..f: their kernel over Q has f free, the first nonzero 1

@@ -7,14 +7,15 @@ import pytest
 from helpers import (
     FractionRowReducer,
     count_series_products,
+    eager_generators,
     naive_monomial_series,
     recursive_monomial_basis,
     reducer_search,
+    seeded_tuple,
 )
 from ramlab import multlab
 from ramlab.arith import InternalConsistencyError
 from ramlab.forms import (
-    FunctionTuple,
     PrecisionError,
     compute_k0,
     evaluate,
@@ -258,13 +259,11 @@ def _constant_witness(monkeypatch) -> list[int]:
     its order over the rows (0, as the series of 1 is 1); keep the cutoff.
     Returns the primes tried."""
     primes = []
-    real = multlab.kernel_mod_p
 
-    def constant(rows, T, p):
+    def constant(profile, T, p):
         primes.append(p)
-        rows = list(rows)
-        cutoff, _, _ = real(iter(rows), T, p)
-        order = next((r for r, row in enumerate(rows) if row[0]), None)
+        cutoff, _, scaled = profile
+        order = next((r for r, row in enumerate(scaled) if row[0]), None)
         return cutoff, [Fraction(1)] + [Fraction(0)] * (T - 1), order
 
     monkeypatch.setattr(multlab, "kernel_mod_p", constant)
@@ -333,9 +332,9 @@ def _record_primes(monkeypatch) -> list[int]:
     primes = []
     kernel = multlab.kernel_mod_p
 
-    def recording(rows, T, p):
+    def recording(profile, T, p):
         primes.append(p)
-        return kernel(rows, T, p)
+        return kernel(profile, T, p)
 
     monkeypatch.setattr(multlab, "kernel_mod_p", recording)
     return primes
@@ -465,8 +464,8 @@ def _record_certificates(monkeypatch) -> tuple[list, list[int]]:
     certificates, systems = [], []
     kernel, solve = multlab.kernel_mod_p, _linalg.solve_lifted_scaled
 
-    def recording_kernel(rows, T, p):
-        certificates.append(kernel(rows, T, p))
+    def recording_kernel(profile, T, p):
+        certificates.append(kernel(profile, T, p))
         return certificates[-1]
 
     def recording_solve(matrix, rhs, p):
@@ -554,16 +553,28 @@ def test_rank_only_rows_print_the_csv_of_the_witness_path(monkeypatch, m, budget
 
 def test_a_cutoff_past_t_minus_1_takes_the_witness_path(monkeypatch):
     # E4 replaced by E2 + q^8, so E4 - E2 vanishes to order 8, past T-1 = 4
+    from ramlab import _linalg
+
     precision = 20
-    series = list(function_tuple(1, precision).series)
+    series = eager_generators(1, precision)
     series[2] = series[1] + TruncatedSeries([0] * 8 + [1] + [0] * (precision - 8))
     budget = DegreeBudget(0, 1)
-    full = max_vanishing_search(budget, CFG1, precision, FunctionTuple(tuple(series)))
+    full = max_vanishing_search(budget, CFG1, precision, seeded_tuple(1, series))
     certificates, systems = _record_certificates(monkeypatch)
-    row = max_vanishing_search(budget, CFG1, precision, FunctionTuple(tuple(series)), witness=False)
+    profiles, real = [], _linalg.rank_profile_mod_p
+
+    def counting(rows, T, p):
+        profiles.append(p)
+        return real(rows, T, p)
+
+    monkeypatch.setattr(multlab, "rank_profile_mod_p", counting)
+    monkeypatch.setattr(_linalg, "rank_profile_mod_p", counting)
+    row = max_vanishing_search(budget, CFG1, precision, seeded_tuple(1, series), witness=False)
     assert row == full
     assert row.T - 1 < row.n_star <= precision
     assert [c[0] for c in certificates] == [row.n_star] and len(systems) == 1
+    # one reduction per prime tried: the witness path reads the rank test's profile
+    assert len(profiles) == len(certificates)
 
 
 def test_a_prime_that_drops_the_rank_takes_the_witness_path(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from helpers import (
     char_scan_tokenize,
     count_series_products,
     delta,
+    eager_generators,
     fraction_sum_evaluate,
     from_monomial,
     generator_units,
@@ -33,7 +34,7 @@ from ramlab import _system, ring
 from ramlab._system import derive, velocity
 from ramlab.arith import bernoulli, y_pairs
 from ramlab._parse import MAX_NESTING, MAX_PARSED_TERMS, _position, _tokenize
-from ramlab.forms import discriminant_series, evaluate, evaluate_side, function_tuple, monomial_series
+from ramlab.forms import discriminant_series, eisenstein, evaluate, evaluate_side, function_tuple, monomial_series
 from ramlab.ring import ParseError, Polynomial, SystemConfig, format_polynomial, parse
 from ramlab.series import Order
 
@@ -257,14 +258,13 @@ def test_evaluate_examples():
     assert s.coeffs[3] == -41472
     assert s.order() == Order.finite(2)
     assert evaluate(Polynomial.constant(Fraction(5, 3), CFG1), tup).coeffs[0] == Fraction(5, 3)
-    assert evaluate(Polynomial.variable("E2", CFG1), tup) == tup.series[1]
+    assert evaluate(Polynomial.variable("E2", CFG1), tup) == eisenstein(1, 6)
     with pytest.raises(ValueError):
         evaluate(theta, function_tuple(3, 6))
 
 
 def test_a_tuple_of_another_m_is_refused():
-    # the tuple stores its series only; their count tells its m.  The core
-    # checks m before it reads a unit monomial's stored series
+    # the core checks the tuple's m before it reads a unit monomial's series
     tup = function_tuple(3, 6)
     theta = Polynomial.variable("z", CFG1) * delta_poly(CFG1)
     for p, at in [
@@ -308,7 +308,7 @@ def test_evaluate_matches_fraction_sum():
         assert all(type(c) is Fraction for c in zero.coeffs)
     # Ramanujan's D(E2) = (E2^2 - E4)/12: large terms that cancel to a small sum
     tup = function_tuple(1, 40)
-    assert evaluate(velocity("E2", CFG1), tup) == delta(tup.series[1])
+    assert evaluate(velocity("E2", CFG1), tup) == delta(eisenstein(1, 40))
 
 
 def test_pow_equals_repeated_product():
@@ -352,13 +352,15 @@ def test_evaluate_builds_pure_powers_by_squaring(monkeypatch):
 
 
 def test_a_generator_is_its_own_series(monkeypatch):
+    # built with no product on its first read, and the same object after
     tup = function_tuple(3, 30)
     monomial_series((0,) * CFG3.nvars, tup)  # caches the constant column
     count = count_series_products(monkeypatch)
-    for i in range(1, CFG3.nvars):
+    for i, eager in enumerate(eager_generators(3, 30)[1:], 1):
         mono = tuple(int(j == i) for j in range(CFG3.nvars))
-        assert monomial_series(mono, tup) is tup.series[i]
-        assert evaluate(from_monomial(mono, CFG3), tup) is tup.series[i]
+        s = monomial_series(mono, tup)
+        assert s == eager and tup.monomial_cache[mono] is s
+        assert evaluate(from_monomial(mono, CFG3), tup) is s
     assert count[0] == 0
 
 
@@ -543,12 +545,15 @@ def test_format_prints_long_coefficients_as_str_does():
 
 @pytest.mark.parametrize("m", [1, 3, 25, 61])
 def test_units_equal_the_slot_by_slot_construction(m):
-    assert ring._units(m) == generator_units(m)
+    cfg = SystemConfig(m)
+    units = generator_units(m)
+    assert {x: ring._unit(m, x) for x in cfg.names} == units
+    assert all(Polynomial.variable(x, cfg).terms == {units[x]: 1} for x in cfg.names)
 
 
 @pytest.mark.parametrize("name", ["E8", "g[0,5]", "", "e2"])
 def test_variable_refuses_a_name_outside_the_system(name):
-    # "" keys the monomial 1 in ring._units; it names no variable
+    # "" names no variable
     with pytest.raises(KeyError) as excinfo:
         Polynomial.variable(name, CFG3)
     assert excinfo.value.args == (f"unknown variable {name!r} for m=3",)
@@ -577,7 +582,10 @@ def test_velocities_equal_the_slot_by_slot_construction(m):
             for (_, a1, a2, a3, _), c in _system.eisenstein_polynomial((v + 1) // 2):
                 e = e + (x1**a1 * x2**a2 * x3**a3).scale(c)
             expected.append((1 - e).scale(bernoulli(v + 1) / (2 * v + 2)))
-    assert _system._velocities(m) == tuple(expected)
+    assert [velocity(x, cfg) for x in cfg.names] == expected
+    # derive reads each velocity over one denominator for all of them
+    assert _system._denominator(m) == lcm(*(c.denominator for vel in expected for c in vel.terms.values()))
+    assert [derive(var(x)) for x in cfg.names] == expected
 
 
 def test_parse_format_round_trip():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ramlab._checks import EquationCheck, SystemReport, verify_system
+from helpers import generator_units
 from ramlab.forms import FunctionTuple, function_tuple, monomial_series
 from ramlab.multlab import DegreeBudget, ExperimentRow, max_vanishing_search
 from ramlab.ring import Polynomial, SystemConfig, parse
@@ -20,7 +21,7 @@ CFG = SystemConfig(1)
 E2 = Polynomial.variable("E2", CFG)
 Z = TruncatedSeries([0, 1])
 OK = EquationCheck("b", None)
-# the series of function_tuple(1, 1) and function_tuple(3, 2)
+# the generator series of function_tuple(1, 1) and function_tuple(3, 2)
 TUP1 = tuple(map(TruncatedSeries, ([0, 1], [1, -24], [1, 240], [1, -504], [0, 1])))
 TUP3 = tuple(map(TruncatedSeries, (
     [0, 1, 0], [1, -24, -72], [1, 240, 2160], [1, -504, -16632],
@@ -54,7 +55,7 @@ CASES = [
     (SystemConfig, ("m",), (1,), (3,)),
     (StabilityVerdict, ("cofactor",), (E2,), (None,)),
     (Order, ("is_finite", "value"), (True, 3), (False, 4)),
-    (FunctionTuple, ("series",), (TUP1,), (TUP3,)),
+    (FunctionTuple, ("m", "precision"), (1, 1), (3, 2)),
     (EquationCheck, ("name", "first_mismatch"), ("a", 3), ("b", None)),
     (SystemReport, ("equations", "errata"), REPORT1, REPORT3),
     (DegreeBudget, ("d0", "d"), (0, 1), (2, 3)),
@@ -127,8 +128,8 @@ def test_a_derived_view_is_not_a_field():
         StabilityVerdict(stable=False, cofactor=None)
     with pytest.raises(TypeError):
         ExperimentRow(1, 0, 1, 4, 3, Order(True, 3), Fraction(3, 4), Fraction(3, 2), E2, 8, False)
-    # nor the basis size, the precision-limited flag, a tuple's m and
-    # precision, or a report's m and precision, which the other fields fix
+    # nor the basis size, the precision-limited flag, a tuple's series, or a
+    # report's m and precision, which the other fields fix
     with pytest.raises(TypeError):
         ExperimentRow(1, 0, 1, 5, 4, W1, 8, False)
     with pytest.raises(TypeError):
@@ -151,13 +152,14 @@ def test_a_derived_view_is_not_a_field():
     )
     assert (limited.T, limited.precision_limited, limited.measured_ord) == (72, True, Order.at_least(2))
     assert (limited.ratio, limited.ratio_paper) == (Fraction(2, 2 * 3**7), Fraction(2, 2 * 3**4))
-    assert (FunctionTuple(TUP1).precision, FunctionTuple(TUP3).precision) == (1, 2)
     assert (SystemReport(*REPORT1).ok, SystemReport(*REPORT3).ok) == (True, True)
 
 
 def test_the_fixture_records_are_the_ones_the_code_builds():
-    assert function_tuple(1, 1) == FunctionTuple(TUP1)
-    assert function_tuple(3, 2) == FunctionTuple(TUP3)
+    for m, precision, series in ((1, 1, TUP1), (3, 2, TUP3)):
+        tup = function_tuple(m, precision)
+        assert tup == FunctionTuple(m, precision)
+        assert tuple(monomial_series(unit, tup) for unit in generator_units(m).values()) == series
     assert verify_system(1, 2) == SystemReport(*REPORT1)
     assert verify_system(3, 2) == SystemReport(*REPORT3)
     assert max_vanishing_search(DegreeBudget(0, 1), CFG, 8) == ExperimentRow(*ROW)
@@ -171,11 +173,7 @@ def test_reprs():
     assert repr(Order(True, 3)) == "Order(is_finite=True, value=3)"
     assert repr(Order.at_least(4)) == "Order(is_finite=False, value=4)"
     assert (str(Order.finite(3)), str(Order.at_least(4))) == ("3", ">=4")
-    assert repr(function_tuple(1, 1)) == (
-        "FunctionTuple(series=(TruncatedSeries([0, 1]; precision=1), "
-        "TruncatedSeries([1, -24]; precision=1), TruncatedSeries([1, 240]; precision=1), "
-        "TruncatedSeries([1, -504]; precision=1), TruncatedSeries([0, 1]; precision=1)))"
-    )
+    assert repr(function_tuple(1, 1)) == "FunctionTuple(m=1, precision=1)"
     assert repr(EquationCheck("a", 3)) == "EquationCheck(name='a', first_mismatch=3)"
     assert repr(SystemReport((OK,), ())) == (
         "SystemReport(equations=(EquationCheck(name='b', first_mismatch=None),), errata=())"
@@ -215,9 +213,9 @@ def test_function_tuple_cache_is_outside_equality_hash_and_repr():
     with pytest.raises(AttributeError):
         tup.monomial_cache = {}
     with pytest.raises(TypeError):
-        FunctionTuple(tup.series, {})
+        FunctionTuple(3, 6, {})
     with pytest.raises(TypeError):
-        FunctionTuple(tup.series, monomial_cache={})
+        FunctionTuple(3, 6, monomial_cache={})
 
 
 def test_polynomials_series_and_verdicts_copy_and_pickle():
@@ -227,7 +225,7 @@ def test_polynomials_series_and_verdicts_copy_and_pickle():
     delta = parse("E4^3 - 1/3*E6^2 + g[0,1]", CFG)
     verdict = principal_stability(parse("z*(E4^3 - E6^2)", CFG))
     assert verdict.stable and not verdict.cofactor.is_zero()
-    for value in (E2, delta, Z, function_tuple(1, 4).series[2], verdict):
+    for value in (E2, delta, Z, monomial_series((0, 0, 1, 0, 0), function_tuple(1, 4)), verdict):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and type(twin) is type(value)
             assert repr(twin) == repr(value)
