@@ -183,10 +183,10 @@ def power_work(size, e: int) -> int:
         power *= 2
 
 
-# The largest m.  There are 4 + ((m+1)/2)^2 variables, 10,004 at m = 199, and
-# D holds an exponent tuple of that length per variable, so its memory grows
-# as m^4: `ramlab deriv --poly E2 --m 199` takes 3.4 s with a peak RSS of
-# 940 MiB (one run, 2 vCPUs, Python 3.11), so memory is the binding cost.
+# The largest m: 4 + ((m+1)/2)^2 variables, 10,004 at m = 199.  A command
+# builds only the variables it reads (`deriv --poly E2 --m 199`: 0.2 s and
+# 17 MiB), but `verify-system --m 199 --prec 300` checks all of them, in
+# 31-35 s and 139 MiB (2 vCPUs, Python 3.11), so time is the binding cost.
 MAX_M = 199
 
 
