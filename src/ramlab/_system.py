@@ -73,38 +73,31 @@ def velocity(name: str, cfg: SystemConfig) -> Polynomial:
     u, v = map(int, name[2:-1].split(","))
     if u < v - 1:
         return Polynomial.variable(f"g[{u + 1},{v}]", cfg)
-    # z, E2, E4, E6 lead every m's variables, so the m = 1 terms are padded with zeros
+    # D(g[v-1,v]) = (B_{v+1}/(2v+2)) * (1 - E_{v+1}) at m = 1; z, E2, E4, E6
+    # lead every m's variables, so its terms are padded with zeros
+    closing = (1 - eisenstein_polynomial((v + 1) // 2)).scale(bernoulli(v + 1) / (2 * v + 2))
     pad = (0,) * (cfg.nvars - 4)
-    return Polynomial(cfg, {mono[:4] + pad: c for mono, c in _closing(v)})
-
-
-def _closing(v: int) -> Polynomial:
-    """D(g[v-1,v]) at m = 1: (B_{v+1}/(2v+2)) * (1 - E_{v+1})."""
-    return (1 - eisenstein_polynomial((v + 1) // 2)).scale(bernoulli(v + 1) / (2 * v + 2))
-
-
-@lru_cache(maxsize=None)
-def _denominator(m: int) -> int:
-    """One denominator for every velocity at m; 12 clears E2's, E4's and E6's."""
-    return lcm(12, *(c.denominator for v in range(1, m + 1, 2) for c in _closing(v).terms.values()))
+    return Polynomial(cfg, {mono[:4] + pad: c for mono, c in closing})
 
 
 @lru_cache(maxsize=None)
 def _shifted(m: int, i: int) -> tuple:
-    """D(x_i)/x_i at m as terms (shift, numerator, 1) over `_denominator(m)`;
-    a shift may have an exponent -1.  Built when `derive` first reads it."""
-    cfg, den = SystemConfig(m), _denominator(m)
-    return tuple((mono[:i] + (mono[i] - 1,) + mono[i + 1 :], c.numerator * den // c.denominator, 1)
+    """D(x_i)/x_i at m as terms (shift, numerator, denominator), each over its
+    own coefficient's denominator; a shift may have an exponent -1.  Built
+    when `derive` first reads it."""
+    cfg = SystemConfig(m)
+    return tuple((mono[:i] + (mono[i] - 1,) + mono[i + 1 :], c.numerator, c.denominator)
                  for mono, c in velocity(cfg.names[i], cfg))
 
 
 def derive(p: Polynomial) -> Polynomial:
-    """The derivation D = z d/dz + sum of coefficient polynomials times d/dx."""
+    """The derivation D = z d/dz + sum of coefficient polynomials times d/dx.
+    Contributions to one monomial over different denominators are
+    cross-multiplied by `_products`."""
     m = p.config.m
-    den = _denominator(m)
     # (c*e) * mono * (D(x_i)/x_i) for each variable x_i of each term
     pairs = (
-        (((mono, c.numerator * e, c.denominator * den),), _shifted(m, i))
+        (((mono, c.numerator * e, c.denominator),), _shifted(m, i))
         for mono, c in p.terms.items() for i, e in enumerate(mono) if e
     )
     return Polynomial(p.config, _products(pairs))

@@ -3,7 +3,8 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -171,9 +172,10 @@ def test_derive_examples():
     )
 
 
-@pytest.mark.parametrize("m", [1, 3, 5, 7])
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 25])
 def test_derive_matches_naive_oracle(m):
-    # m=7 reaches g[0..6,7], whose closing velocity is the A_4 polynomial
+    # m=7 reaches g[0..6,7], whose closing velocity is the A_4 polynomial; up
+    # to m=7 a closing's terms share one denominator, at m=25 g[24,25]'s do not
     cfg = SystemConfig(m)
     rng = random.Random(900 + m)
     closing = Polynomial.variable(cfg.names[-1], cfg)
@@ -583,9 +585,27 @@ def test_velocities_equal_the_slot_by_slot_construction(m):
                 e = e + (x1**a1 * x2**a2 * x3**a3).scale(c)
             expected.append((1 - e).scale(bernoulli(v + 1) / (2 * v + 2)))
     assert [velocity(x, cfg) for x in cfg.names] == expected
-    # derive reads each velocity over one denominator for all of them
-    assert _system._denominator(m) == lcm(*(c.denominator for vel in expected for c in vel.terms.values()))
+    # derive reads each velocity term, less the variable it replaces, over its own denominator
+    for i, (name, vel) in enumerate(zip(cfg.names, expected)):
+        back = {tuple(map(add, shift, units[name])): (n, d) for shift, n, d in _system._shifted(m, i)}
+        assert back == {mono: (c.numerator, c.denominator) for mono, c in vel.terms.items()}
     assert [derive(var(x)) for x in cfg.names] == expected
+
+
+def test_derive_builds_only_the_closings_it_reads(monkeypatch):
+    cfg = SystemConfig(199)
+    built, eisenstein_polynomial = [], _system.eisenstein_polynomial
+
+    def counting(k):
+        built.append(k)
+        return eisenstein_polynomial(k)
+
+    monkeypatch.setattr(_system, "eisenstein_polynomial", counting)
+    _system._shifted.cache_clear()
+    derive(parse("z*E2*g[0,199]", cfg))
+    assert built == []
+    derive(Polynomial.variable("g[198,199]", cfg))
+    assert built == [100]  # E_200 for v = 199
 
 
 def test_parse_format_round_trip():
