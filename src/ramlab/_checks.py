@@ -22,7 +22,7 @@ from . import forms
 from ._system import eisenstein_polynomial, velocity
 from .arith import InternalConsistencyError, Record, bernoulli, fraction_str, y_pairs
 from .forms import evaluate_side
-from .ring import SystemConfig, _unit
+from .ring import SystemConfig
 
 __all__ = ["ak_polynomial", "EquationCheck", "SystemReport", "verify_system"]
 
@@ -79,11 +79,6 @@ def _compare(name: str, lhs, rhs, upto: int) -> EquationCheck:
     return EquationCheck(name, None)
 
 
-def _delta(s: TruncatedSeries):
-    """delta(s) = z ds/dz as a side: n*a/b at z^n, a/b the stored coefficient."""
-    return [n * c.numerator for n, c in enumerate(s.coeffs)], [c.denominator for c in s.coeffs]
-
-
 def _closing_rhs_literal(v: int, precision: int):
     """The uncorrected closing formula B_{2v+2} * (A_{v+1}(E4,E6) - 1) / (2v+2)
     as a side; A_{v+1}(E4,E6) = E_{2v+2}, whose constant term 1 cancels."""
@@ -98,34 +93,31 @@ def verify_system(m: int, precision: int) -> SystemReport:
     For every generator x but z, delta(x) must equal D(x) evaluated at the
     function tuple, through z^(precision-1).  The literal textbook variant
     of each closing equation is re-checked alongside and its verdict
-    recorded as errata evidence.  The equations run in variable order, and
-    each g series leaves the tuple's cache once its own equations are
-    checked, so at most two are held; E2, E4, E6 and the products of E4 and
-    E6 that the closings share stay.
+    recorded as errata evidence.  delta(x) reads x's q-expansion by slot,
+    and `evaluate_side` gives a one-variable velocity g[u+1,v] the same way,
+    so no g series enters the tuple's cache.
     """
     cfg = SystemConfig(m)
     tup = forms.function_tuple(m, precision)
     checks, errata, upto = [], [], precision - 1
 
-    def check(var: str, rhs: str) -> list:
-        """Compare delta(var) with D(var); return the delta side."""
-        unit = _unit(m, var)
+    def check(i: int, var: str, rhs: str):
+        """Compare delta(var), var in slot i, with D(var); return the delta side."""
         side = evaluate_side(velocity(var, cfg), tup)
-        delta = _delta(forms.monomial_series(unit, tup))
+        nums, dens = forms._generator_side(i, precision)
+        delta = [n * a for n, a in enumerate(nums)], dens  # z d/dz: n*a/b at z^n
         checks.append(_compare(f"delta({var}) = {rhs}", delta, side, upto))
-        if var[0] == "g":  # no later equation reads g[u,v]
-            del tup.monomial_cache[unit]
         return delta
 
-    check("E2", "(E2^2 - E4)/12")
-    check("E4", "(E2*E4 - E6)/3")
-    check("E6", "(E2*E6 - E4^2)/2")
-    for u, v in y_pairs(m):
+    check(1, "E2", "(E2^2 - E4)/12")
+    check(2, "E4", "(E2*E4 - E6)/3")
+    check(3, "E6", "(E2*E6 - E4^2)/2")
+    for i, (u, v) in enumerate(y_pairs(m), 4):
         var = f"g[{u},{v}]"
         if u < v - 1:
-            check(var, f"g[{u + 1},{v}]")
+            check(i, var, f"g[{u + 1},{v}]")
         else:
-            delta = check(var, f"B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}")
+            delta = check(i, var, f"B_{v + 1}*(1 - E_{v + 1})/{2 * v + 2}")
             if v > 1:
                 literal = f"literal: delta({var}) = B_{2 * v + 2}*(A_{v + 1} - 1)/{2 * v + 2}"
                 errata.append(_compare(literal, delta, _closing_rhs_literal(v, precision), upto))

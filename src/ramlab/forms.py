@@ -1,9 +1,10 @@
 """Concrete series of the system: E_{2k}, g_{u,v}, Delta, Theta and its
 order k0, the function tuple, and a polynomial's value at it.
 
-A tuple is (m, precision), and each generator's series is built on its
-first read, into the monomial cache, which evaluation fills: `evaluate_side`
-is the one core, p at the tuple as (numerators, denominators), and
+A tuple is (m, precision).  Each variable's q-expansion is written once,
+as an unreduced side (numerators, denominators) by slot, `_generator_side`,
+and its series is built from that on its first read into the monomial
+cache.  `evaluate_side` is the one core, p at the tuple as a side, and
 `evaluate` reads it.  `ring` forwards `evaluate` for the trace shim alone.
 
 The system is defined once, by D's velocities in `_system`, and E_{2k}
@@ -60,7 +61,7 @@ def eisenstein(k: int, precision: int) -> TruncatedSeries:
     if 2 * k > MAX_EISENSTEIN_WEIGHT:
         raise ValueError(f"the weight {2 * k} is over the limit {MAX_EISENSTEIN_WEIGHT}")
     den, nums = _eisenstein_numerators(k, precision)
-    return TruncatedSeries._of(tuple(Fraction(x, den) for x in nums))
+    return _series((nums, repeat(den)))
 
 
 def _eisenstein_numerators(k: int, precision: int) -> tuple[int, list[int]]:
@@ -77,10 +78,7 @@ def g_series(u: int, v: int, precision: int) -> TruncatedSeries:
         raise ValueError("v must be a positive odd integer")
     if not 0 <= u < v:
         raise ValueError("u must satisfy 0 <= u < v")
-    sums = divisor_power_sums(v, precision)
-    return TruncatedSeries._of(
-        (Fraction(0),) + tuple(Fraction(sums[n], n ** (v - u)) for n in range(1, precision + 1))
-    )
+    return _series(_generator_side(4 + (v // 2) ** 2 + u, precision))
 
 
 def discriminant_series(precision: int) -> TruncatedSeries:
@@ -129,13 +127,23 @@ def function_tuple(m: int, precision: int) -> FunctionTuple:
     return FunctionTuple(m, precision)
 
 
-def _generator_series(i: int, precision: int) -> TruncatedSeries:
-    """The series of the variable in slot i: z, E2, E4, E6, then g[u,v] in
-    `y_pairs` order, where the v pairs follow the ((v-1)/2)^2 of smaller v."""
+def _generator_side(i: int, precision: int):
+    """The q-expansion of the variable in slot i as a side, not reduced: z;
+    E2, E4, E6 over their one denominator; then g[u,v] in `y_pairs` order
+    (after the ((v-1)/2)^2 pairs of smaller v) as sigma_v(n) over n^(v-u)."""
+    if i == 0:
+        return [int(n == 1) for n in range(precision + 1)], repeat(1)
     if i < 4:
-        return eisenstein(i, precision) if i else TruncatedSeries.z(precision)
+        den, nums = _eisenstein_numerators(i, precision)
+        return nums, repeat(den)
     r = isqrt(i - 4)
-    return g_series(i - 4 - r * r, 2 * r + 1, precision)
+    e = 2 * r + 1 - (i - 4 - r * r)  # v - u
+    return list(divisor_power_sums(2 * r + 1, precision)), [1] + [n**e for n in range(1, precision + 1)]
+
+
+def _series(side) -> TruncatedSeries:
+    """A side's coefficients as reduced Fractions."""
+    return TruncatedSeries._of(tuple(map(Fraction, *side)))
 
 
 # -- evaluation at the function tuple ---------------------------------------
@@ -145,12 +153,12 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
     """The series of one monomial at the function tuple, memoised on the tuple.
 
     A z factor is a shift, and a generator's series is built here, on its
-    first read (`_generator_series`).  Otherwise the monomial is its graded
-    parent (one unit of its first nonzero variable removed) times that
-    variable's series: one product when the parent is cached, as it always
-    is along a downward-closed basis taken in graded order.  Without a cached
-    parent, a pure power is built by squaring and any other monomial as that
-    power times the rest.
+    first read, as the Fractions of its side (`_generator_side`).  Otherwise
+    the monomial is its graded parent (one unit of its first nonzero
+    variable removed) times that variable's series: one product when the
+    parent is cached, as it always is along a downward-closed basis taken in
+    graded order.  Without a cached parent, a pure power is built by
+    squaring and any other monomial as that power times the rest.
     """
     cache = tup.monomial_cache
     found = cache.get(mono)
@@ -165,7 +173,7 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
         i = mono.index(first)
         unit = (0,) * i + (1,) + (0,) * (len(mono) - i - 1)
         if mono == unit:
-            result = _generator_series(i, tup.precision)
+            result = _series(_generator_side(i, tup.precision))
         elif (parent := mono[:i] + (first - 1,) + mono[i + 1 :]) in cache:
             result = cache[parent] * monomial_series(unit, tup)
         elif sum(mono) > first:
@@ -181,15 +189,15 @@ def monomial_series(mono: Monomial, tup: FunctionTuple) -> TruncatedSeries:
 def evaluate_side(p: Polynomial, tup: FunctionTuple):
     """p at the function tuple as a side: a pair (numerators, denominators),
     coefficient n being the n-th numerator over the n-th denominator, not
-    reduced.  A tuple of another m is refused first.  A unit monomial (one
-    term, coefficient 1) is its cached series, term by term, in two lists:
-    a g series over one common denominator would need lcm(1..P)^(v-u).  Any other p is the sum of c *
-    monomial series in integers over one denominator, repeated."""
+    reduced.  A tuple of another m is refused first.  A variable (one term,
+    coefficient 1, degree 1) is its q-expansion, `_generator_side`, which
+    enters no cache: a g series over one common denominator would need
+    lcm(1..P)^(v-u).  Any other p is the sum of c * monomial series in
+    integers over one denominator, repeated."""
     if tup.m != p.config.m:
         raise ValueError("function tuple and polynomial have different m")
-    if len(p.terms) == 1 and 1 in p.terms.values():
-        coeffs = monomial_series(next(iter(p.terms)), tup).coeffs
-        return [c.numerator for c in coeffs], [c.denominator for c in coeffs]
+    if len(p.terms) == 1 and 1 in p.terms.values() and sum(unit := next(iter(p.terms))) == 1:
+        return _generator_side(unit.index(1), tup.precision)
     scaled = [(c, integer_numerators(monomial_series(mono, tup).coeffs)) for mono, c in p.terms.items()]
     # c * col = c.numerator * nums / (c.denominator * d)
     den = lcm(*(c.denominator * d for c, (d, _) in scaled))
@@ -201,14 +209,12 @@ def evaluate_side(p: Polynomial, tup: FunctionTuple):
 
 
 def evaluate(p: Polynomial, tup: FunctionTuple) -> TruncatedSeries:
-    """Substitute the function tuple into p; exact truncated series, read
-    from `evaluate_side`.  A unit monomial's side is term by term, and its
-    cached series is returned itself; any other side has one denominator,
-    and each coefficient is one Fraction (and its gcd)."""
-    nums, dens = evaluate_side(p, tup)
-    if isinstance(dens, repeat):
-        return TruncatedSeries._of(tuple(map(Fraction, nums, dens)))
-    return tup.monomial_cache[next(iter(p.terms))]
+    """Substitute the function tuple into p: a monomial (one term, coefficient
+    1) at a tuple of its m is its cached series itself, and any other p the
+    Fractions of `evaluate_side`, which refuses a tuple of another m."""
+    if tup.m == p.config.m and len(p.terms) == 1 and 1 in p.terms.values():
+        return monomial_series(next(iter(p.terms)), tup)
+    return _series(evaluate_side(p, tup))
 
 
 # -- the handlers of series, k0 and ord (see cli._COMMANDS) -----------------

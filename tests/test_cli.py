@@ -717,8 +717,8 @@ def test_every_command_refuses_the_same_m_before_building_its_variables(capsys, 
         raise AssertionError("a variable, velocity, series or tuple was built")
 
     # every per-name builder, under each name a module imports it by
-    for module, name in [(forms, "function_tuple"), (multlab, "function_tuple"), (forms, "_generator_series"),
-                         (ring, "_unit"), (_parse, "_unit"), (_checks, "_unit"),
+    for module, name in [(forms, "function_tuple"), (multlab, "function_tuple"), (forms, "_generator_side"),
+                         (ring, "_unit"), (_parse, "_unit"),
                          (_system, "velocity"), (_checks, "velocity")]:
         monkeypatch.setattr(module, name, refuse)
     start = time.perf_counter()

@@ -5,7 +5,7 @@ import pytest
 from helpers import ak_by_linear_solve, ak_coefficients, ak_evaluate, delta, eager_generators, fraction_verify_system
 from helpers import generator_units, sigma
 from helpers import sigma_table_eisenstein, sigma_table_g_series
-from ramlab import _checks
+from ramlab import _checks, forms
 from ramlab._checks import ak_polynomial, verify_system
 from ramlab._system import eisenstein_polynomial, velocity
 from ramlab.arith import MAX_M, InternalConsistencyError, bernoulli, variable_names
@@ -162,6 +162,12 @@ def test_each_generator_is_built_on_first_read_as_the_eager_oracle(m):
     for unit, eager in zip(generator_units(m).values(), eager_generators(m, 30)):
         assert monomial_series(unit, tup) == eager
         assert tup.monomial_cache[unit] == eager
+    # the side a series is built from, read by slot, is the same expansion
+    for precision in (0, 1, 30):
+        for i, eager in enumerate(eager_generators(m, precision)):
+            nums, dens = forms._generator_side(i, precision)
+            assert len(nums) == precision + 1
+            assert tuple(map(Fraction, nums, dens)) == eager.coeffs
 
 
 def test_a_generator_at_m_199_is_built_alone():
@@ -309,46 +315,51 @@ def test_verify_system_equals_the_fraction_path_under_a_perturbed_velocity(
 
 
 def test_verify_system_reads_a_single_variable_velocity_term_by_term(monkeypatch):
-    # g[u,v] -> g[u+1,v] is compared with the cached series, term by term:
-    # over one common denominator it would need lcm(1..P)^(v-u)
+    # g[u,v] -> g[u+1,v] is compared with g[u+1,v]'s q-expansion, term by
+    # term: over one common denominator it would need lcm(1..P)^(v-u)
     cfg, precision = SystemConfig(7), 30
     sides = []
     original = _checks.evaluate_side
 
     def record(p, tup):
         nums, dens = original(p, tup)
-        sides.append((p, nums, [d for _, d in zip(nums, dens)]))
-        return sides[-1][1:]
+        sides.append((p, nums, [d for _, d in zip(nums, dens)], set(tup.monomial_cache)))
+        return sides[-1][1:3]
 
     monkeypatch.setattr(_checks, "evaluate_side", record)
     assert verify_system(7, precision).ok
     names = variable_names(7)[1:]
     closing = [f"g[{v - 1},{v}]" for v in (1, 3, 5, 7)]
-    assert [p for p, _, _ in sides] == [velocity(var, cfg) for var in names]
-    tup = function_tuple(7, precision)
-    for var, (p, nums, dens) in zip(names, sides):
+    assert [p for p, _, _, _ in sides] == [velocity(var, cfg) for var in names]
+    units = generator_units(7)
+    for var, (p, nums, dens, cached) in zip(names, sides):
         if var in ["E2", "E4", "E6", *closing]:
             assert len(set(dens)) == 1  # one common denominator
         else:
+            # the side of g[u,v] itself, sigma_v(n) over n^(v-u), not read from the cache
             [(mono, c)] = p
-            stored = monomial_series(mono, tup).coeffs
-            assert c == 1 and len(set(dens)) > 1
-            assert (nums, dens) == ([x.numerator for x in stored], [x.denominator for x in stored])
+            u, v = map(int, var[2:-1].split(","))
+            u += 1
+            assert c == 1 and mono == units[f"g[{u},{v}]"] and mono not in cached
+            assert nums == [sigma(v, n) if n else 0 for n in range(precision + 1)]
+            assert dens == [n ** (v - u) if n else 1 for n in range(precision + 1)]
 
 
-def test_verify_system_holds_at_most_two_g_series_at_a_time(monkeypatch):
-    # g[u,v] leaves the tuple's cache once its own equations are checked
+def test_verify_system_caches_no_g_series(monkeypatch):
+    # every delta(x) and every one-variable velocity is read from its side,
+    # so no monomial with a g factor is cached at any evaluate_side call
     held = []
     original = _checks.evaluate_side
 
     def record(p, tup):
+        held.append(sum(1 for mono in tup.monomial_cache if any(mono[4:])))
         side = original(p, tup)
         held.append(sum(1 for mono in tup.monomial_cache if any(mono[4:])))
         return side
 
     monkeypatch.setattr(_checks, "evaluate_side", record)
     assert verify_system(7, 30).ok
-    assert max(held) == 2 and len(held) == len(variable_names(7)) - 1
+    assert held == [0] * 2 * (len(variable_names(7)) - 1)
 
 
 @pytest.mark.parametrize("precision", [0, 1, 2, 100])
@@ -368,8 +379,6 @@ def test_theta_is_delta_shifted_by_one(precision):
 
 def test_the_eisenstein_bounds_admit_their_largest_index(monkeypatch):
     # at the limit the work starts: here, replaced by a stub that stops it
-    from ramlab import forms
-
     class Started(Exception):
         pass
 
