@@ -186,7 +186,7 @@ def power_work(size, e: int) -> int:
 # The largest m: 4 + ((m+1)/2)^2 variables, 10,004 at m = 199.  A command
 # builds only the variables it reads (`deriv --poly E2 --m 199`: 0.07 s and
 # 17 MiB), but `verify-system --m 199 --prec 300` checks all of them, in
-# 31-35 s and 139 MiB (2 vCPUs, Python 3.11), so time is the binding cost.
+# 13-21 s and 139 MiB (2 vCPUs, Python 3.11), so time is the binding cost.
 MAX_M = 199
 
 

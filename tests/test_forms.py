@@ -336,13 +336,12 @@ def test_verify_system_reads_a_single_variable_velocity_term_by_term(monkeypatch
         if var in ["E2", "E4", "E6", *closing]:
             assert len(set(dens)) == 1  # one common denominator
         else:
-            # the side of g[u,v] itself, sigma_v(n) over n^(v-u), not read from the cache
+            # g[u+1,v]'s own side, sigma_v(n) over n^(v-u-1), not read from the cache
             [(mono, c)] = p
             u, v = map(int, var[2:-1].split(","))
-            u += 1
-            assert c == 1 and mono == units[f"g[{u},{v}]"] and mono not in cached
+            assert c == 1 and mono == units[f"g[{u + 1},{v}]"] and mono not in cached
             assert nums == [sigma(v, n) if n else 0 for n in range(precision + 1)]
-            assert dens == [n ** (v - u) if n else 1 for n in range(precision + 1)]
+            assert dens == [n ** (v - u - 1) if n else 1 for n in range(precision + 1)]
 
 
 def test_verify_system_caches_no_g_series(monkeypatch):
