@@ -222,7 +222,8 @@ def _inverse_columns(matrix: list[list[int]], p: int) -> list[list[int]]:
 
 # Lehmer's steps in _reconstruct: the leading bits they work on, how far
 # above the bound they stop, and the modulus length below which plain
-# Euclid is faster (about 2,000 bits for 61-bit primes)
+# Euclid is faster (about 2,000 bits, some 34 steps at a 60-bit prime;
+# the crossover depends on the modulus length, not on the prime)
 LEHMER_WORD = 62
 LEHMER_MARGIN = 128
 LEHMER_MIN_BITS = 2048
@@ -375,6 +376,7 @@ def solve_lifted_scaled(matrix: list[list[int]], rhs: list[int], p: int) -> tupl
     h2 = 1
     for row, b in zip(matrix, rhs):
         h2 *= sum(a * a for a in row) + b * b
+    unique_above = 2 * h2
     nbands = max(1, n // BAND_ROWS)
     cuts = [n * k // nbands for k in range(nbands + 1)]
     bands = [_band(matrix[lo:hi], rhs[lo:hi], p) for lo, hi in zip(cuts, cuts[1:])]
@@ -400,7 +402,7 @@ def solve_lifted_scaled(matrix: list[list[int]], rhs: list[int], p: int) -> tupl
         digits.append(digit)
         lifted *= p
         steps += 1
-        final = lifted > 2 * h2
+        final = lifted > unique_above
         if steps < check_at and not final:
             continue
         check_at += check_at // 2

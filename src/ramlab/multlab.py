@@ -116,15 +116,17 @@ def expected_basis_size(budget: DegreeBudget, cfg: SystemConfig) -> int:
     return (budget.d0 + 1) * comb(budget.d + nu, nu)
 
 
-# 61-bit primes for the rank profile, tried in order until the witness
-# certifies the cutoff; 2**61 - 1 is a Mersenne prime
-PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+# The primes for the rank profile, tried in order until the witness
+# certifies the cutoff: the three largest below 2**60.  Every scalar that
+# `_linalg` multiplies a packed vector by is a residue mod p, and below
+# 2**60 it fits two of CPython's 30-bit digits, where a 61-bit one takes three
+PRIMES = (2**60 - 93, 2**60 - 107, 2**60 - 173)
 
 # The largest basis size T a cell may have.  It prices the witness path:
 # lifting the witness costs about T**3 times the squared entry bits, which
-# grow with T, and the T=240 cell (m=3, d0=1, d=3) takes about a minute on
-# 2 vCPUs in text or JSON.  Under CSV a cell certified at T-1 skips the lift
-# (about 2 s at T=240), but the cap is the same.
+# grow with T, and the T=240 cell (m=3, d0=1, d=3) takes 42-77 s on a shared
+# 2-vCPU host in text or JSON, 33-35 s of it in the lift.  Under CSV a cell
+# certified at T-1 skips the lift (1.6-2.7 s at T=240), but the cap is the same.
 MAX_BASIS_SIZE = 240
 
 # Adaptive precision starts this many coefficients past the basis size T.

@@ -16,8 +16,10 @@ from ramlab import _linalg
 from ramlab._bareiss import RowReducer, solve_square
 from ramlab._linalg import kernel_mod_p, rank_profile_mod_p
 from ramlab.arith import InternalConsistencyError
+from ramlab.multlab import PRIMES
 
 P61 = 2**61 - 1
+P60 = PRIMES[0]  # the search's first prime, below 2**60
 
 
 def random_rows(rng: random.Random, ncols: int, nrows: int):
@@ -130,10 +132,11 @@ def test_solve_lifted_matches_gauss_jordan():
         except ValueError:
             continue  # singular over Q
         p = rng.choice([P61, 2**61 - 31, 101])
+        assert solve_lifted(matrix, rhs, P60) == expected
         try:
             got = solve_lifted(matrix, rhs, p)
         except ValueError:
-            # singular mod a small prime only; the 61-bit ones never are here
+            # singular mod a small prime only; the large ones never are here
             assert p == 101
             continue
         assert got == expected
@@ -160,6 +163,7 @@ def test_solve_lifted_in_bands_matches_gauss_jordan(monkeypatch, band_rows):
         except ValueError:
             continue
         p = rng.choice([P61, 101])
+        assert solve_lifted(matrix, rhs, P60) == expected
         try:
             got = solve_lifted(matrix, rhs, p)
         except ValueError:
@@ -169,7 +173,7 @@ def test_solve_lifted_in_bands_matches_gauss_jordan(monkeypatch, band_rows):
         solved += 1
 
 
-@pytest.mark.parametrize("p", [P61, 101, 7])
+@pytest.mark.parametrize("p", [P61, 101, 7, P60])
 def test_inverse_columns_matches_an_independent_inverse(p):
     # the leading entries of M's first row (the first column of M^T, which
     # is reduced) and of its first column vanish mod p, so rows are swapped
@@ -194,7 +198,7 @@ def test_inverse_columns_matches_an_independent_inverse(p):
 
 def test_fold_equals_the_step_by_step_sum():
     rng = random.Random(61)
-    for p in (P61, 101, 2):
+    for p in (P61, 101, 2, P60):
         for length in range(1, 40):
             n = rng.randint(1, 5)
             digits = [[rng.randrange(p) for _ in range(n)] for _ in range(length)]
@@ -218,7 +222,7 @@ def test_solve_lifted_holds_the_p_adic_solution_at_every_check(monkeypatch):
     monkeypatch.setattr(_linalg, "_rational_vector", recording)
     steps = [2, 3, 4, 6, 9, 13, 19, 28, 42, 63, 94, 141]
     rng = random.Random(67)
-    for p in (P61, 101):
+    for p in (P61, 101, P60):
         for _ in range(40):
             n = rng.randint(1, 8)
             matrix, rhs = random_integer_system(rng, n)
@@ -235,12 +239,13 @@ def test_solve_lifted_holds_the_p_adic_solution_at_every_check(monkeypatch):
 
 
 def test_solve_lifted_edge_cases():
-    assert solve_lifted([], [], P61) == []
-    assert solve_lifted([[3]], [2], P61) == [Fraction(2, 3)]
-    assert solve_lifted([[2, 1], [1, 3]], [3, 5], 7) == [Fraction(4, 5), Fraction(7, 5)]
-    # an integer solution, so the residue vanishes after a few steps
     big = 10**40
-    assert solve_lifted([[1, 2], [3, 4]], [5 * big, 11 * big], P61) == [big, 2 * big]
+    for p in (P61, P60):
+        assert solve_lifted([], [], p) == []
+        assert solve_lifted([[3]], [2], p) == [Fraction(2, 3)]
+        # an integer solution, so the residue vanishes after a few steps
+        assert solve_lifted([[1, 2], [3, 4]], [5 * big, 11 * big], p) == [big, 2 * big]
+    assert solve_lifted([[2, 1], [1, 3]], [3, 5], 7) == [Fraction(4, 5), Fraction(7, 5)]
     # nonsingular over Q but singular mod 7
     with pytest.raises(ValueError, match="singular"):
         solve_lifted([[7, 0], [0, 1]], [1, 1], 7)
@@ -248,15 +253,17 @@ def test_solve_lifted_edge_cases():
 
 def test_solve_lifted_raises_at_the_hadamard_bound(monkeypatch):
     monkeypatch.setattr(_linalg, "_reconstruct", lambda residue, modulus, bound: None)
-    with pytest.raises(InternalConsistencyError, match="Hadamard"):
-        solve_lifted([[2, 1], [1, 3]], [3, 5], P61)
+    for p in (P61, P60):
+        with pytest.raises(InternalConsistencyError, match="Hadamard"):
+            solve_lifted([[2, 1], [1, 3]], [3, 5], p)
 
 
 def test_solve_lifted_rejects_a_wrong_reconstruction(monkeypatch):
     # a reconstruction that is not a solution must not be returned
     monkeypatch.setattr(_linalg, "_reconstruct", lambda residue, modulus, bound: (1, 1))
-    with pytest.raises(InternalConsistencyError):
-        solve_lifted([[2, 1], [1, 3]], [3, 5], P61)
+    for p in (P61, P60):
+        with pytest.raises(InternalConsistencyError):
+            solve_lifted([[2, 1], [1, 3]], [3, 5], p)
 
 
 def test_rank_profile_matches_fraction_oracle():
@@ -266,6 +273,8 @@ def test_rank_profile_matches_fraction_oracle():
         rows = random_rows(rng, ncols, rng.randint(0, ncols + 4))
         target = rng.randint(1, ncols)
         cutoff, pivots, scaled = rank_profile_mod_p(iter(rows), target, P61)
+        # no denominator here is divisible by a large prime: both give the profile over Q
+        assert rank_profile_mod_p(iter(rows), target, P60) == (cutoff, pivots, scaled)
         oracle = FractionRowReducer(ncols)
         expected_cutoff, expected_kept = None, []
         for index, row in enumerate(rows):
@@ -297,6 +306,7 @@ def test_rank_profile_mod_a_small_prime_can_only_drop():
         # denominators divisible by 7 make the scaled rows vanish mod 7 off the top
         rows = [[x / 7 ** rng.randint(0, 2) for x in row] for row in rows]
         over_q, _, _ = rank_profile_mod_p(iter(rows), ncols, P61)
+        assert rank_profile_mod_p(iter(rows), ncols, P60)[0] == over_q
         mod_7, _, kept = rank_profile_mod_p(iter(rows), ncols, 7)
         if over_q is None:
             assert mod_7 is None
@@ -315,7 +325,7 @@ def test_kernel_mod_p_matches_fraction_oracle():
         rows = random_rows(rng, ncols, rng.randint(0, ncols + 4))
         # denominators divisible by 7 make the rank mod 7 drop off the top
         rows = [[x / 7 ** rng.randint(0, 2) for x in row] for row in rows]
-        for p in (P61, 7):
+        for p in (P61, 7, P60):
             profile = rank_profile_mod_p(iter(rows), ncols, p)
             cutoff, kernel, order = kernel_mod_p(profile, ncols, p)
             profile_cutoff, pivots, _ = profile
@@ -332,7 +342,7 @@ def test_kernel_mod_p_matches_fraction_oracle():
             read = rows if cutoff is None else rows[: cutoff + 1]
             products = [sum(a * b for a, b in zip(row, kernel)) for row in read]
             assert order == next((r for r, x in enumerate(products) if x), None)
-            if p == P61:
+            if p != 7:
                 # no prime-sized denominators: the profile is the one over Q,
                 # and the kernel vector is orthogonal to every row before the cutoff
                 reducer = FractionRowReducer(ncols)
@@ -379,9 +389,11 @@ def _residues_to_reconstruct(rng: random.Random, p: int, modulus: int, bound: in
 @pytest.mark.parametrize(
     "min_bits, margin, largest",
     [
-        (None, None, {P61: 200, 101: 200, 7: 200}),  # Lehmer from (2^61-1)^34 on
-        (0, None, {P61: 50, 101: 200, 7: 200}),  # Lehmer on short moduli too
-        (None, 0, {P61: 60}),  # Lehmer down to the bound: overshooting batches are dropped
+        # Lehmer from (2^61-1)^34 and P60^35 on
+        (None, None, {P61: 200, 101: 200, 7: 200, P60: 200}),
+        (0, None, {P61: 50, 101: 200, 7: 200, P60: 50}),  # Lehmer on short moduli too
+        # Lehmer down to the bound: overshooting batches are dropped
+        (None, 0, {P61: 60, P60: 60}),
     ],
 )
 def test_reconstruct_agrees_with_plain_euclid(monkeypatch, min_bits, margin, largest):
@@ -396,7 +408,7 @@ def test_reconstruct_agrees_with_plain_euclid(monkeypatch, min_bits, margin, lar
             modulus = p**k
             bound = isqrt(modulus // 2)
             residues = _residues_to_reconstruct(rng, p, modulus, bound)
-            if p == P61:  # the oracle is slow on long moduli: one kind per power
+            if p in (P61, P60):  # the oracle is slow on long moduli: one kind per power
                 residues = residues[k % 3 : k % 3 + 1]
             for residue in residues:
                 expected = euclid_reconstruct(residue, modulus, bound)
@@ -450,6 +462,7 @@ def test_peeled_solve_matches_gauss_jordan(monkeypatch):
             continue
         p = rng.choice([P61, 2**61 - 31, 101])
         sizes.clear()
+        assert _solve_peeled(matrix, rhs, P60) == expected
         try:
             got = _solve_peeled(matrix, rhs, p)
         except ValueError:
@@ -458,7 +471,7 @@ def test_peeled_solve_matches_gauss_jordan(monkeypatch):
         assert got == expected
         # the planted columns are peeled, so the lifted system is smaller;
         # with every column planted nothing is left to lift
-        assert sizes == [sizes[0]] and sizes[0] <= n - planted
+        assert sizes == [sizes[0]] * 2 and sizes[0] <= n - planted
         every_column += sizes[0] == 0
         solved += 1
     assert every_column > 20
@@ -470,11 +483,13 @@ def test_peeled_solve_refuses_a_singular_system(monkeypatch):
     matrix = [[2, 3, 1], [0, 0, 5], [0, 0, 7]]
     with pytest.raises(ValueError):
         gauss_jordan_solve(matrix, [1, 1, 1])
-    with pytest.raises(ValueError, match="singular"):
-        _linalg._solve_peeled(matrix, [1, 1, 1], P61)
+    for p in (P61, P60):
+        with pytest.raises(ValueError, match="singular"):
+            _linalg._solve_peeled(matrix, [1, 1, 1], p)
     # a single-entry column whose entry is 0 mod p: singular mod p, not over Q
     matrix = [[14, 1, 2], [0, 3, 5], [0, 1, 1]]
-    assert _solve_peeled(matrix, [1, 2, 3], P61) == gauss_jordan_solve(matrix, [1, 2, 3])
+    for p in (P61, P60):
+        assert _solve_peeled(matrix, [1, 2, 3], p) == gauss_jordan_solve(matrix, [1, 2, 3])
     sizes.clear()
     with pytest.raises(ValueError, match="singular"):
         _linalg._solve_peeled(matrix, [1, 2, 3], 7)
@@ -486,6 +501,7 @@ def test_peeled_solve_checks_the_whole_system(monkeypatch):
     # right for b_1 = 2, and caught by the check on the whole system otherwise
     matrix = [[3, 1], [0, 2]]
     monkeypatch.setattr(_linalg, "solve_lifted_scaled", lambda m, b, p: ([1], 1))
-    assert _solve_peeled(matrix, [3, 2], P61) == [Fraction(2, 3), Fraction(1)]
-    with pytest.raises(InternalConsistencyError, match="whole system"):
-        _linalg._solve_peeled(matrix, [3, 4], P61)
+    for p in (P61, P60):
+        assert _solve_peeled(matrix, [3, 2], p) == [Fraction(2, 3), Fraction(1)]
+        with pytest.raises(InternalConsistencyError, match="whole system"):
+            _linalg._solve_peeled(matrix, [3, 4], p)

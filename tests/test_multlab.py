@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import partial
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
@@ -156,7 +157,8 @@ def _grid(d0max, dmax):
     return [DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1)]
 
 
-@pytest.mark.parametrize(
+# both `search` grids, the `rank` cell, m=1 grid 2:3 and a precision-limited cell
+SEARCH_CELLS = pytest.mark.parametrize(
     "m, budgets, precision, limited",
     [
         (1, _grid(1, 2), None, False),
@@ -167,6 +169,9 @@ def _grid(d0max, dmax):
     ],
     ids=["search-m1-1:2", "search-m3-1:1", "rank", "grid-2:3", "precision-limited"],
 )
+
+
+@SEARCH_CELLS
 def test_derived_views_equal_the_formulas_once_stored(m, budgets, precision, limited):
     rows = experiment_grid(m, budgets, precision)
     assert any(row.precision_limited for row in rows) == limited
@@ -362,12 +367,58 @@ def test_search_raises_when_every_prime_fails(monkeypatch):
         max_vanishing_search(DegreeBudget(0, 2), CFG1, precision=4)
 
 
-def test_search_primes_are_distinct_61_bit_primes():
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the first 12 prime bases: deterministic below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_against_trial_division():
+    # 561 and 41041 are Carmichael numbers, which pass Fermat's test to every coprime base
+    assert [n for n in range(2000) if _is_prime(n)] == [
+        n for n in range(2, 2000) if all(n % d for d in range(2, isqrt(n) + 1))
+    ]
+    assert not _is_prime(561) and not _is_prime(41041) and not _is_prime(3215031751)
+    assert _is_prime(2**61 - 1) and not _is_prime((2**31 - 1) * (2**29 - 3))
+
+
+def test_search_primes_are_distinct_primes_below_2_60():
+    # below 2**60 a residue fills two of CPython's 30-bit digits
     assert len(set(multlab.PRIMES)) == len(multlab.PRIMES) >= 2
     for p in multlab.PRIMES:
-        assert p.bit_length() == 61
-        # Fermat's test to six bases; a typo in a constant would fail it
-        assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7, 11, 13))
+        assert p < 2**60 and _is_prime(p)
+
+
+# the 61-bit primes the search used before; the answers must not depend on the prime
+OLD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+
+@SEARCH_CELLS
+def test_search_answers_do_not_depend_on_the_primes(monkeypatch, m, budgets, precision, limited):
+    cfg = SystemConfig(m)
+    assert all(_is_prime(p) for p in OLD_PRIMES)
+    got = {}
+    for primes in (OLD_PRIMES, multlab.PRIMES):
+        monkeypatch.setattr(multlab, "PRIMES", primes)
+        got[primes] = [max_vanishing_search(b, cfg, precision) for b in budgets]
+    old, new = got.values()
+    assert _full_answer(old) == _full_answer(new)
+    assert any(row.precision_limited for row in new) == limited
 
 
 def test_compute_k0_builds_no_function_tuple(monkeypatch):
