@@ -404,21 +404,21 @@ def test_search_primes_are_distinct_primes_below_2_60():
         assert p < 2**60 and _is_prime(p)
 
 
-# the 61-bit primes the search used before; the answers must not depend on the prime
-OLD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+# three 61-bit primes, each scalar three digits wide: no answer may depend on the primes
+PRIMES_61 = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 
 @SEARCH_CELLS
 def test_search_answers_do_not_depend_on_the_primes(monkeypatch, m, budgets, precision, limited):
     cfg = SystemConfig(m)
-    assert all(_is_prime(p) for p in OLD_PRIMES)
-    got = {}
-    for primes in (OLD_PRIMES, multlab.PRIMES):
+    assert all(_is_prime(p) for p in PRIMES_61)
+    answers = []
+    for primes in (PRIMES_61, multlab.PRIMES):
         monkeypatch.setattr(multlab, "PRIMES", primes)
-        got[primes] = [max_vanishing_search(b, cfg, precision) for b in budgets]
-    old, new = got.values()
-    assert _full_answer(old) == _full_answer(new)
-    assert any(row.precision_limited for row in new) == limited
+        rows = [max_vanishing_search(b, cfg, precision) for b in budgets]
+        answers.append(_full_answer(rows))
+    assert answers[0] == answers[1]
+    assert any(row.precision_limited for row in rows) == limited
 
 
 def test_compute_k0_builds_no_function_tuple(monkeypatch):
