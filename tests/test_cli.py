@@ -676,6 +676,20 @@ def test_an_eisenstein_index_over_its_bound_exits_2_before_any_work(capsys, monk
     assert (code, out, err) == (2, "", f"error: {bound} is over the limit {limit}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the budget is checked before m: a valid and an invalid m give the same refusal
+        (("--m", "1", "--d0", "-1", "--d", "1"), "degree budgets must be nonnegative"),
+        (("--m", "2", "--d0", "-1", "--d", "1"), "degree budgets must be nonnegative"),
+        (("--m", "201", "--grid", "0:0"), "m=201 is over the limit 199"),
+    ],
+)
+def test_auxsearch_refusals_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = invoke(capsys, "auxsearch", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_an_oversized_grid_is_refused_before_the_rest_of_it_is_built(capsys, monkeypatch):
     # 1,002,001 cells; the grid is read in order and stops at its first cell
     # over the limit, d0=0 d=7, so only the eight budgets up to it are built
@@ -836,6 +850,33 @@ PINNED_OUTPUT = {
                          0, "d7c33c07e5ee676e8b9bab727be7978858130b253fe598b1c8b6d5c07cfdf08c"),
     "auxsearch-csv-m3": (("--format", "csv", "auxsearch", "--m", "3", "--grid", "1:1"),
                         0, "f206520efd91ecf2da87aa098b4f9ef17feeded1fc053e02c5baba95438f4f5b"),
+    # the single-budget form: the rank benchmark's cell, and a precision-limited
+    # cell, whose --strict run prints the same bytes and exits 1
+    "auxsearch-text-rank": (("auxsearch", "--m", "5", "--d0", "3", "--d", "1", "--prec", "57"),
+                           0, "ca4a72f194b883875cb69c29289580fd87af7bc52c067bfdba94cf03fb4b07b6"),
+    "auxsearch-json-rank": (("--format", "json", "auxsearch", "--m", "5", "--d0", "3", "--d", "1",
+                             "--prec", "57"),
+                           0, "d9f66f5fee7a2dd7285030284ef4bacb34aae142b2dfb7a659708ad72d013912"),
+    "auxsearch-csv-rank": (("--format", "csv", "auxsearch", "--m", "5", "--d0", "3", "--d", "1",
+                            "--prec", "57"),
+                          0, "267f5ffc6cc0100d42bbb0da64a9ece254d0700d83fea7661f49abc645fb07a0"),
+    "auxsearch-text-limited": (("auxsearch", "--m", "1", "--d0", "1", "--d", "2", "--prec", "12"),
+                              0, "b7955198f946a040f08ef10f8383fba5e81ad72ee88a18d4ddb165f91873077b"),
+    "auxsearch-json-limited": (("--format", "json", "auxsearch", "--m", "1", "--d0", "1", "--d", "2",
+                                "--prec", "12"),
+                              0, "3319711d936c3ac71afff9b9ac6250af9b313ebf3b5008f4f89088aaa0b86176"),
+    "auxsearch-csv-limited": (("--format", "csv", "auxsearch", "--m", "1", "--d0", "1", "--d", "2",
+                               "--prec", "12"),
+                             0, "991f1b017241dcc7422e86052041bedbfa1969ac5bda91826ceae3ea669a6706"),
+    "auxsearch-text-limited-strict": (("--strict", "auxsearch", "--m", "1", "--d0", "1", "--d", "2",
+                                       "--prec", "12"),
+                                     1, "b7955198f946a040f08ef10f8383fba5e81ad72ee88a18d4ddb165f91873077b"),
+    "auxsearch-json-limited-strict": (("--format", "json", "--strict", "auxsearch", "--m", "1", "--d0", "1",
+                                       "--d", "2", "--prec", "12"),
+                                     1, "3319711d936c3ac71afff9b9ac6250af9b313ebf3b5008f4f89088aaa0b86176"),
+    "auxsearch-csv-limited-strict": (("--format", "csv", "--strict", "auxsearch", "--m", "1", "--d0", "1",
+                                      "--d", "2", "--prec", "12"),
+                                    1, "991f1b017241dcc7422e86052041bedbfa1969ac5bda91826ceae3ea669a6706"),
 }
 
 
