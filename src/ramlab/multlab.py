@@ -1,8 +1,9 @@
 """Empirical multiplicity laboratory.
 
-Searches for auxiliary polynomials of constrained degrees with the highest
-possible order of vanishing at z = 0, and profiles the measured orders
-against the degree-product bound shape.
+Searches one `Cell` at a time (the ring's m and a degree budget, which give
+a monomial basis, its count T and the ratios' denominator) for the auxiliary
+polynomial with the highest possible order of vanishing at z = 0, and
+profiles the measured orders against the degree-product bound shape.
 
 The search takes the rank profile of the coefficient matrix modulo a prime
 and one exact kernel vector of the rows before its cutoff, with that
@@ -11,10 +12,10 @@ is at most the rank over Q, so the cutoff n*_p it finds is at least the
 true n*; a witness polynomial whose exact order of vanishing is n*_p proves
 n* >= n*_p, hence equality.  If the order and n*_p disagree, the next prime
 is tried.  A row that prints no witness (CSV) is certified by n*_p = T-1
-alone when it holds (see `_search`).  A cell's `ExperimentRow` stores that
-certificate alone; its basis size, its order, its ratios, whether it is
-precision-limited, and a grid's maxima and flagged cells are derived where
-printed.
+alone when it holds (see `_search`).  An `ExperimentRow` stores its cell
+and that certificate alone; its basis size, its order, its ratios, whether
+it is precision-limited, and a grid's maxima and flagged cells are derived
+where printed.
 
 The handler of `ramlab auxsearch`, with its grid syntax and its JSON and CSV
 rows, is here too: only that command loads this module.
@@ -29,31 +30,57 @@ from math import comb
 
 from . import CliError
 from ._linalg import kernel_mod_p, rank_profile_mod_p
-from .arith import InternalConsistencyError, Record, fraction_str, variable_names
+from .arith import InternalConsistencyError, Record, check_m, fraction_str, variable_names
 from .forms import function_tuple, monomial_series
 from .ring import Monomial, Polynomial, SystemConfig, monomial_key
 from .series import Order
 
 __all__ = [
-    "DegreeBudget",
+    "Cell",
     "ExperimentRow",
     "operational_exponent",
     "paper_exponent",
-    "monomial_basis",
     "max_vanishing_search",
     "experiment_grid",
 ]
 
 
-class DegreeBudget(Record):
-    """Max degree in z (d0) and max total degree in all other variables (d)."""
+class Cell(Record):
+    """The polynomials of the ring at m with degree at most d0 in z and total
+    degree at most d in all other variables."""
 
+    m: int
     d0: int
     d: int
 
     def __post_init__(self):
         if self.d0 < 0 or self.d < 0:
             raise ValueError("degree budgets must be nonnegative")
+        check_m(self.m)
+
+    @property
+    def T(self) -> int:  # the basis size, by the count formula
+        nu = operational_exponent(self.m)
+        return (self.d0 + 1) * comb(self.d + nu, nu)
+
+    def basis(self) -> list[Monomial]:
+        """All monomials with deg_z <= d0 and total non-z degree <= d, graded-lex."""
+        nrest = operational_exponent(self.m)
+        rest: list[tuple[int, ...]] = []
+        # a monomial of total degree k in the other variables is a multiset of k of them
+        for k in range(self.d + 1):
+            for chosen in combinations_with_replacement(range(nrest), k):
+                exps = [0] * nrest
+                for i in chosen:
+                    exps[i] += 1
+                rest.append(tuple(exps))
+        monos = [(e0,) + r for e0 in range(self.d0 + 1) for r in rest]
+        monos.sort(key=monomial_key)
+        return monos
+
+    def scale(self, nu: int) -> int:
+        """(d0+1)(d+1)^nu, the denominator of the ratio at the exponent nu."""
+        return (self.d0 + 1) * (self.d + 1) ** nu
 
 
 def operational_exponent(m: int) -> int:
@@ -67,16 +94,14 @@ def paper_exponent(m: int) -> int:
 
 
 class ExperimentRow(Record):
-    m: int
-    d0: int
-    d: int
+    cell: Cell
     n_star: int  # maximal vanishing cutoff achieved; precision + 1 when limited
     witness: Polynomial | None  # None when certified from the rank alone
     precision: int
 
     @property
     def T(self) -> int:  # the basis size
-        return expected_basis_size(DegreeBudget(self.d0, self.d), SystemConfig(self.m))
+        return self.cell.T
 
     @property
     def precision_limited(self) -> bool:  # the witness vanishes through every row
@@ -87,33 +112,12 @@ class ExperimentRow(Record):
         return Order(not self.precision_limited, self.n_star)
 
     @property
-    def ratio(self) -> Fraction:  # n_star / ((d0+1)(d+1)^nu), operational nu
-        return Fraction(self.n_star, (self.d0 + 1) * (self.d + 1) ** operational_exponent(self.m))
+    def ratio(self) -> Fraction:  # n_star / cell.scale(nu), operational nu
+        return Fraction(self.n_star, self.cell.scale(operational_exponent(self.cell.m)))
 
     @property
     def ratio_paper(self) -> Fraction:  # the same with the published exponent
-        return Fraction(self.n_star, (self.d0 + 1) * (self.d + 1) ** paper_exponent(self.m))
-
-
-def monomial_basis(budget: DegreeBudget, cfg: SystemConfig) -> list[Monomial]:
-    """All monomials with deg_z <= d0 and total non-z degree <= d, graded-lex."""
-    nrest = cfg.nvars - 1
-    rest: list[tuple[int, ...]] = []
-    # a monomial of total degree k in the other variables is a multiset of k of them
-    for k in range(budget.d + 1):
-        for chosen in combinations_with_replacement(range(nrest), k):
-            exps = [0] * nrest
-            for i in chosen:
-                exps[i] += 1
-            rest.append(tuple(exps))
-    monos = [(e0,) + r for e0 in range(budget.d0 + 1) for r in rest]
-    monos.sort(key=monomial_key)
-    return monos
-
-
-def expected_basis_size(budget: DegreeBudget, cfg: SystemConfig) -> int:
-    nu = operational_exponent(cfg.m)
-    return (budget.d0 + 1) * comb(budget.d + nu, nu)
+        return Fraction(self.n_star, self.cell.scale(paper_exponent(self.cell.m)))
 
 
 # The primes for the rank profile, tried in order until the witness
@@ -135,17 +139,13 @@ PRECISION_SLACK = 5
 
 
 def max_vanishing_search(
-    budget: DegreeBudget,
-    cfg: SystemConfig,
-    precision: int | None = None,
-    tup: FunctionTuple | None = None,
-    witness: bool = True,
+    cell: Cell, precision: int | None = None, tup: FunctionTuple | None = None, witness: bool = True
 ) -> ExperimentRow:
-    """Find the highest-vanishing combination of the budgeted monomials.
+    """Find the highest-vanishing combination of the cell's monomials.
 
     Adds one coefficient condition (matrix row) at a time until the rank
     reaches the basis size; the last kernel before that is, by maximality,
-    the best achievable vanishing order within the budget.
+    the best achievable vanishing order within the cell.
 
     An explicit precision is used as given.  Without one, the search starts
     at T + PRECISION_SLACK (`_first_precision`) and doubles while the result
@@ -162,15 +162,15 @@ def max_vanishing_search(
     With witness false, a cell whose cutoff mod p is T-1 is certified by
     the rank alone and its row has no witness (see `_search`).
     """
-    basis = monomial_basis(budget, cfg)
+    basis = cell.basis()
     T = len(basis)
-    if T != expected_basis_size(budget, cfg):
+    if T != cell.T:
         raise InternalConsistencyError(f"basis size {T} disagrees with the count formula")
 
     def search(precision: int) -> ExperimentRow:
         if tup is None or tup.precision < precision:
-            return _search(budget, cfg, basis, precision, function_tuple(cfg.m, precision), witness)
-        return _search(budget, cfg, basis, precision, tup, witness)
+            return _search(cell, basis, precision, function_tuple(cell.m, precision), witness)
+        return _search(cell, basis, precision, tup, witness)
 
     if precision is not None:
         return search(precision)
@@ -189,8 +189,7 @@ def _first_precision(T: int) -> int:
 
 
 def _search(
-    budget: DegreeBudget, cfg: SystemConfig, basis: list[Monomial], precision: int, tup: FunctionTuple,
-    witness: bool = True,
+    cell: Cell, basis: list[Monomial], precision: int, tup: FunctionTuple, witness: bool = True
 ) -> ExperimentRow:
     """The search at one fixed precision, on a function tuple at that
     precision or above; it reads rows 0..precision only.
@@ -217,7 +216,7 @@ def _search(
     for p in PRIMES:
         profile = rank_profile_mod_p(rows(), T, p)
         if not witness and profile[0] == T - 1:
-            return ExperimentRow(cfg.m, budget.d0, budget.d, T - 1, None, precision)
+            return ExperimentRow(cell, T - 1, None, precision)
         cutoff, kernel, order = kernel_mod_p(profile, T, p)
         if order == cutoff:
             break
@@ -232,36 +231,35 @@ def _search(
         raise InternalConsistencyError(f"{failure} for every prime")
     terms = {mono: c for mono, c in zip(basis, kernel) if c != 0}
     n_star = precision + 1 if cutoff is None else cutoff
-    return ExperimentRow(cfg.m, budget.d0, budget.d, n_star, Polynomial(cfg, terms), precision)
+    return ExperimentRow(cell, n_star, Polynomial(SystemConfig(cell.m), terms), precision)
 
 
 def experiment_grid(
-    m: int, budgets: Iterable[DegreeBudget], precision: int | None = None, witness: bool = True
+    cells: Iterable[Cell], precision: int | None = None, witness: bool = True
 ) -> list[ExperimentRow]:
-    """Run the search over a grid of budgets; deterministic row order.
+    """Run the search over a grid of cells of one m; deterministic row order.
 
     Every cell's basis size is checked against MAX_BASIS_SIZE, in the
-    budgets' order, before the first search runs, and no budget past the
-    first cell over it is read.  The cells share one function tuple, at the
-    largest precision any cell starts at (see `max_vanishing_search`): a
-    grid's bases nest, so each column series is built once per grid, not
-    once per cell, and a cell builds a tuple of its own only when it
-    escalates past the shared one.  `witness` is passed on to each cell's
-    `max_vanishing_search`.
+    cells' order, before the first search runs, and no cell past the first
+    one over it is read.  The cells share one function tuple, at the first
+    cell's m and the largest precision any cell starts at (see
+    `max_vanishing_search`): a grid's bases nest, so each column series is
+    built once per grid, not once per cell, and a cell builds a tuple of its
+    own only when it escalates past the shared one.  `witness` is passed on
+    to each cell's `max_vanishing_search`.
     """
-    cfg = SystemConfig(m)
-    cells, starts = [], []
-    for b in budgets:
-        T = expected_basis_size(b, cfg)
+    checked, starts = [], []
+    for cell in cells:
+        T = cell.T
         if T > MAX_BASIS_SIZE:
             raise ValueError(
-                f"the cell m={m}, d0={b.d0}, d={b.d} has T={T} basis monomials, "
+                f"the cell m={cell.m}, d0={cell.d0}, d={cell.d} has T={T} basis monomials, "
                 f"over the limit {MAX_BASIS_SIZE}"
             )
-        cells.append(b)
+        checked.append(cell)
         starts.append(_first_precision(T) if precision is None else precision)
-    tup = function_tuple(m, max(starts)) if starts else None
-    return [max_vanishing_search(b, cfg, precision, tup, witness) for b in cells]
+    tup = function_tuple(checked[0].m, max(starts)) if checked else None
+    return [max_vanishing_search(cell, precision, tup, witness) for cell in checked]
 
 
 # -- the handler of auxsearch (see cli._COMMANDS) --------------------------
@@ -274,24 +272,25 @@ def auxsearch_command(args, record) -> int:
     prints no witness, so its cells are searched without one where the rank
     alone certifies them."""
     if args.grid is None:
-        budgets = [DegreeBudget(args.d0, args.d)]
+        cells = [Cell(args.m, args.d0, args.d)]
     else:
-        budgets = _parse_grid(args.grid)
-    rows = experiment_grid(args.m, budgets, args.prec, witness=args.format != "csv")
-    record["params"] = {"m": args.m, "budgets": [{"d0": r.d0, "d": r.d} for r in rows], "prec": args.prec}
+        cells = _parse_grid(args.m, args.grid)
+    rows = experiment_grid(cells, args.prec, witness=args.format != "csv")
+    budgets = [{"d0": r.cell.d0, "d": r.cell.d} for r in rows]
+    record["params"] = {"m": args.m, "budgets": budgets, "prec": args.prec}
     record["payload"] = _rows_to_csv(rows) if args.format == "csv" else _experiment_rows(args.m, rows)
     return 1 if args.strict and any(r.precision_limited for r in rows) else 0
 
 
-def _parse_grid(spec: str) -> Iterator[DegreeBudget]:
-    """Grid spec "D0MAX:DMAX": every budget with d0 <= D0MAX and d <= DMAX,
+def _parse_grid(m: int, spec: str) -> Iterator[Cell]:
+    """Grid spec "D0MAX:DMAX": every cell at m with d0 <= D0MAX and d <= DMAX,
     built one at a time as it is read, so `experiment_grid` refuses a cell
     over its size limit before the rest of the grid is built."""
-    m = re.fullmatch(r"(\d+):(\d+)", spec)
-    if not m:
+    match = re.fullmatch(r"(\d+):(\d+)", spec)
+    if not match:
         raise CliError("grid spec must look like D0MAX:DMAX, e.g. 1:2")
-    d0max, dmax = int(m.group(1)), int(m.group(2))
-    return (DegreeBudget(d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1))
+    d0max, dmax = int(match.group(1)), int(match.group(2))
+    return (Cell(m, d0, d) for d0 in range(d0max + 1) for d in range(dmax + 1))
 
 
 def _experiment_rows(m: int, rows: list[ExperimentRow]) -> dict:
@@ -304,9 +303,9 @@ def _experiment_rows(m: int, rows: list[ExperimentRow]) -> dict:
         "exponent_paper": paper_exponent(m),
         "rows": [
             {
-                "m": r.m,
-                "d0": r.d0,
-                "d": r.d,
+                "m": r.cell.m,
+                "d0": r.cell.d0,
+                "d": r.cell.d,
                 "T": r.T,
                 "n_star": r.n_star,
                 "ord": str(r.measured_ord),
@@ -320,7 +319,7 @@ def _experiment_rows(m: int, rows: list[ExperimentRow]) -> dict:
         ],
         "max_ratio": fraction_str(max((r.ratio for r in rows), default=Fraction(0))),
         "max_ratio_paper": fraction_str(max((r.ratio_paper for r in rows), default=Fraction(0))),
-        "flagged": [{"d0": r.d0, "d": r.d} for r in rows if r.precision_limited],
+        "flagged": [{"d0": r.cell.d0, "d": r.cell.d} for r in rows if r.precision_limited],
     }
 
 
@@ -329,7 +328,7 @@ def _rows_to_csv(rows: list[ExperimentRow]) -> str:
     # every field is an integer or an order such as ">=5", so none needs quoting
     lines = ["m,d0,d,T,n_star,ord,ratio_num,ratio_den,flag"]
     for r in rows:
-        fields = (r.m, r.d0, r.d, r.T, r.n_star, r.measured_ord,
+        fields = (r.cell.m, r.cell.d0, r.cell.d, r.T, r.n_star, r.measured_ord,
                   r.ratio.numerator, r.ratio.denominator, int(r.precision_limited))
         lines.append(",".join(map(str, fields)))
     return "\n".join(lines) + "\n"

@@ -662,8 +662,8 @@ def euclid_reconstruct(residue: int, modulus: int, bound: int):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def recursive_monomial_basis(budget, cfg: SystemConfig) -> list:
-    """Oracle for multlab.monomial_basis: the exponent tuples of the non-z
+def recursive_monomial_basis(cell) -> list:
+    """Oracle for multlab.Cell.basis: the exponent tuples of the non-z
     variables built one variable per recursion level, then sorted."""
     rest = []
 
@@ -674,8 +674,8 @@ def recursive_monomial_basis(budget, cfg: SystemConfig) -> list:
         for e in range(remaining + 1):
             gen(prefix + (e,), remaining - e, slots - 1)
 
-    gen((), budget.d, cfg.nvars - 1)
-    monos = [(e0,) + r for e0 in range(budget.d0 + 1) for r in rest]
+    gen((), cell.d, SystemConfig(cell.m).nvars - 1)
+    monos = [(e0,) + r for e0 in range(cell.d0 + 1) for r in rest]
     monos.sort(key=ring.monomial_key)
     return monos
 
@@ -742,9 +742,7 @@ class FractionRowReducer:
         return [x / lead for x in vec]
 
 
-def reducer_search(
-    budget, cfg, basis, precision, tup, witness=True, reducer_cls=RowReducer
-) -> ExperimentRow:
+def reducer_search(cell, basis, precision, tup, witness=True, reducer_cls=RowReducer) -> ExperimentRow:
     """Oracle for multlab._search: exact row reduction over Q, one row at a time.
 
     The cutoff is the first row that would bring the rank to T, and the
@@ -754,7 +752,7 @@ def reducer_search(
     higher precision, is not read.
     """
     T = len(basis)
-    tup = function_tuple(cfg.m, precision)
+    tup = function_tuple(cell.m, precision)
     columns = [monomial_series(mono, tup) for mono in basis]
     reducer = reducer_cls(T)
     n_star = None
@@ -768,7 +766,7 @@ def reducer_search(
             reducer.add(reduced)
     flagged = n_star is None
     kernel = reducer.kernel_vector()
-    witness = Polynomial(cfg, {mono: c for mono, c in zip(basis, kernel) if c != 0})
+    witness = Polynomial(SystemConfig(cell.m), {mono: c for mono, c in zip(basis, kernel) if c != 0})
     measured = evaluate(witness, tup).order()
     if flagged:
         n_star = precision + 1
@@ -776,11 +774,4 @@ def reducer_search(
             raise InternalConsistencyError("oracle witness does not vanish")
     elif not (measured.is_finite and measured.value == n_star):
         raise InternalConsistencyError("oracle witness order disagrees with its cutoff")
-    return ExperimentRow(
-        m=cfg.m,
-        d0=budget.d0,
-        d=budget.d,
-        n_star=n_star,
-        witness=witness,
-        precision=precision,
-    )
+    return ExperimentRow(cell=cell, n_star=n_star, witness=witness, precision=precision)

@@ -23,7 +23,7 @@ from ramlab._checks import ak_polynomial, verify_system
 from ramlab._system import derive, velocity
 from ramlab.arith import bernoulli, fraction_str
 from ramlab.forms import compute_k0, eisenstein, evaluate, function_tuple
-from ramlab.multlab import DegreeBudget, _experiment_rows, experiment_grid
+from ramlab.multlab import Cell, _experiment_rows, experiment_grid
 from ramlab.ring import Polynomial, SystemConfig, format_polynomial, parse
 from ramlab.series import Order
 from ramlab.stability import principal_stability
@@ -157,15 +157,16 @@ def test_criterion_7_k0():
 
 def test_criterion_8_multiplicity_lab():
     start = time.monotonic()
-    budgets = [DegreeBudget(d0, d) for d0 in (0, 1) for d in (0, 1, 2)]
-    rows = experiment_grid(1, budgets)  # adaptive default precision
+    cells = [Cell(1, d0, d) for d0 in (0, 1) for d in (0, 1, 2)]
+    rows = experiment_grid(cells)  # adaptive default precision
     for row in rows:
         assert not row.precision_limited
         assert row.measured_ord.is_finite
         assert row.measured_ord.value == row.n_star
         assert row.n_star >= row.T - 1
-        assert row.ratio == Fraction(row.n_star, (row.d0 + 1) * (row.d + 1) ** 4)
-        assert row.ratio_paper == Fraction(row.n_star, (row.d0 + 1) * (row.d + 1) ** 3)
+        d0, d = row.cell.d0, row.cell.d
+        assert row.ratio == Fraction(row.n_star, (d0 + 1) * (d + 1) ** 4)
+        assert row.ratio_paper == Fraction(row.n_star, (d0 + 1) * (d + 1) ** 3)
     payload = _experiment_rows(1, rows)
     assert payload["exponent_operational"] == 4
     assert payload["exponent_paper"] == 3

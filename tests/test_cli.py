@@ -692,11 +692,11 @@ def test_auxsearch_refusals_exit_2_with_their_message(capsys, argv, message):
 
 def test_an_oversized_grid_is_refused_before_the_rest_of_it_is_built(capsys, monkeypatch):
     # 1,002,001 cells; the grid is read in order and stops at its first cell
-    # over the limit, d0=0 d=7, so only the eight budgets up to it are built
-    from ramlab.multlab import DegreeBudget
+    # over the limit, d0=0 d=7, so only the eight cells up to it are built
+    from ramlab.multlab import Cell
 
     built = []
-    check = DegreeBudget.__post_init__
+    check = Cell.__post_init__
 
     def counting(self):
         built.append((self.d0, self.d))
@@ -704,7 +704,7 @@ def test_an_oversized_grid_is_refused_before_the_rest_of_it_is_built(capsys, mon
             raise RuntimeError("the grid was built past its first oversized cell")
         check(self)
 
-    monkeypatch.setattr(DegreeBudget, "__post_init__", counting)
+    monkeypatch.setattr(Cell, "__post_init__", counting)
     code, out, err = invoke(capsys, "auxsearch", "--m", "1", "--grid", "1000:1000")
     assert (code, out) == (2, "")
     assert err == "error: the cell m=1, d0=0, d=7 has T=330 basis monomials, over the limit 240\n"

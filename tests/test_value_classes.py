@@ -1,7 +1,7 @@
 """The eight immutable value classes of the layers: construction by
 position and by keyword with every field given once, field-wise equality
 and hashing, immutability, repr, the views derived from the fields, and the
-validation of SystemConfig and DegreeBudget."""
+validation of SystemConfig and Cell."""
 
 import copy
 import pickle
@@ -12,7 +12,7 @@ import pytest
 from ramlab._checks import EquationCheck, SystemReport, verify_system
 from helpers import generator_units
 from ramlab.forms import FunctionTuple, function_tuple, monomial_series
-from ramlab.multlab import DegreeBudget, ExperimentRow, max_vanishing_search
+from ramlab.multlab import Cell, ExperimentRow, max_vanishing_search
 from ramlab.ring import Polynomial, SystemConfig, parse
 from ramlab.series import Order, TruncatedSeries
 from ramlab.stability import StabilityVerdict
@@ -47,8 +47,8 @@ REPORT3 = (
 # (T=5) and m=3, d0=1, d=2 at precision 1 (T=72, precision-limited)
 W1 = parse("-5145/5297*E2 - 147/5297*E4 - 5/5297*E6 - 90720/5297*g[0,1] + 1", CFG)
 W3 = parse("-g[1,3] + g[2,3]", SystemConfig(3))
-ROW = (1, 0, 1, 4, W1, 8)
-LIMITED = (3, 1, 2, 2, W3, 1)
+ROW = (Cell(1, 0, 1), 4, W1, 8)
+LIMITED = (Cell(3, 1, 2), 2, W3, 1)
 
 # class, its fields in order, and two value tuples that differ in every field
 CASES = [
@@ -58,8 +58,8 @@ CASES = [
     (FunctionTuple, ("m", "precision"), (1, 1), (3, 2)),
     (EquationCheck, ("name", "first_mismatch"), ("a", 3), ("b", None)),
     (SystemReport, ("equations", "errata"), REPORT1, REPORT3),
-    (DegreeBudget, ("d0", "d"), (0, 1), (2, 3)),
-    (ExperimentRow, ("m", "d0", "d", "n_star", "witness", "precision"), ROW, LIMITED),
+    (Cell, ("m", "d0", "d"), (1, 0, 1), (3, 2, 3)),
+    (ExperimentRow, ("cell", "n_star", "witness", "precision"), ROW, LIMITED),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -127,13 +127,17 @@ def test_a_derived_view_is_not_a_field():
     with pytest.raises(TypeError):
         StabilityVerdict(stable=False, cofactor=None)
     with pytest.raises(TypeError):
-        ExperimentRow(1, 0, 1, 4, 3, Order(True, 3), Fraction(3, 4), Fraction(3, 2), E2, 8, False)
+        ExperimentRow(Cell(1, 0, 1), 4, 3, Order(True, 3), Fraction(3, 4), Fraction(3, 2), E2, 8, False)
     # nor the basis size, the precision-limited flag, a tuple's series, or a
     # report's m and precision, which the other fields fix
     with pytest.raises(TypeError):
-        ExperimentRow(1, 0, 1, 5, 4, W1, 8, False)
+        ExperimentRow(Cell(1, 0, 1), 5, 4, W1, 8, False)
     with pytest.raises(TypeError):
         ExperimentRow(*ROW, T=5, precision_limited=False)
+    with pytest.raises(TypeError):
+        Cell(1, 0, 1, 5)
+    with pytest.raises(TypeError):
+        Cell(1, 0, 1, T=5)
     with pytest.raises(TypeError):
         FunctionTuple(1, 1, TUP1)
     with pytest.raises(TypeError):
@@ -162,8 +166,8 @@ def test_the_fixture_records_are_the_ones_the_code_builds():
         assert tuple(monomial_series(unit, tup) for unit in generator_units(m).values()) == series
     assert verify_system(1, 2) == SystemReport(*REPORT1)
     assert verify_system(3, 2) == SystemReport(*REPORT3)
-    assert max_vanishing_search(DegreeBudget(0, 1), CFG, 8) == ExperimentRow(*ROW)
-    assert max_vanishing_search(DegreeBudget(1, 2), SystemConfig(3), 1) == ExperimentRow(*LIMITED)
+    assert max_vanishing_search(Cell(1, 0, 1), 8) == ExperimentRow(*ROW)
+    assert max_vanishing_search(Cell(3, 1, 2), 1) == ExperimentRow(*LIMITED)
 
 
 def test_reprs():
@@ -178,10 +182,10 @@ def test_reprs():
     assert repr(SystemReport((OK,), ())) == (
         "SystemReport(equations=(EquationCheck(name='b', first_mismatch=None),), errata=())"
     )
-    assert repr(DegreeBudget(0, 1)) == "DegreeBudget(d0=0, d=1)"
+    assert repr(Cell(1, 0, 1)) == "Cell(m=1, d0=0, d=1)"
     assert repr(ExperimentRow(*LIMITED)) == (
-        "ExperimentRow(m=3, d0=1, d=2, n_star=2, witness=Polynomial('-g[1,3] + g[2,3]', m=3), "
-        "precision=1)"
+        "ExperimentRow(cell=Cell(m=3, d0=1, d=2), n_star=2, "
+        "witness=Polynomial('-g[1,3] + g[2,3]', m=3), precision=1)"
     )
 
 
@@ -195,10 +199,22 @@ def test_system_config_rejects_even_or_nonpositive_m(m):
 
 @pytest.mark.parametrize("d0, d", [(-1, 0), (0, -1), (-2, -3)])
 def test_degree_budget_rejects_negative_degrees(d0, d):
-    with pytest.raises(ValueError, match="degree budgets must be nonnegative"):
-        DegreeBudget(d0, d)
-    with pytest.raises(ValueError, match="degree budgets must be nonnegative"):
-        DegreeBudget(d0=d0, d=d)
+    # a cell checks its budget before its m, so an invalid m gives the same refusal
+    for m in (1, 2, 201):
+        with pytest.raises(ValueError, match="degree budgets must be nonnegative"):
+            Cell(m, d0, d)
+        with pytest.raises(ValueError, match="degree budgets must be nonnegative"):
+            Cell(m=m, d0=d0, d=d)
+
+
+@pytest.mark.parametrize(
+    "m, message", [(2, "m must be a positive odd integer"), (201, "m=201 is over the limit 199")]
+)
+def test_cell_rejects_the_m_that_system_config_rejects(m, message):
+    with pytest.raises(ValueError, match=message):
+        Cell(m, 0, 0)
+    with pytest.raises(ValueError, match=message):
+        SystemConfig(m)
 
 
 def test_function_tuple_cache_is_outside_equality_hash_and_repr():
