@@ -19,6 +19,9 @@ so a command's process start does not compile it:
   _system    D, its velocity table and E_{2k} in E4 and E6
   _checks    `verify_system` and `ak_polynomial`
   _bareiss   `RowReducer` and `solve_square`
+  _argparse  the argparse parser, for a command line that `cli` does not
+             parse from its tables (help, a usage error, any form but
+             `--name value`): no canonical command pays its 4.7 ms
 `ring`, `forms` and `_linalg` forward (`arith.forward_names`) only the names
 of these, and `forms.evaluate`, that the benchmark's trace shim wraps there.
 So `ramlab deriv` and `ramlab stable` load only `arith`, `ring`, `_parse` and

@@ -3,8 +3,9 @@ z, X1, X2, X3 (printed as z, E2, E4, E6) and Y_{u,v} (printed g[u,v]),
 with exact division and a text parser/printer: the polynomial algebra
 alone.
 
-Loading this module loads only `arith`, and `parse` loads the parser,
-`_parse`, only when it runs.  A unit monomial is built when it is read.
+Loading this module loads only `arith`.  `parse` loads the parser,
+`_parse`, and `exact_divide`, which only `stable` runs, loads `heapq`,
+each only when it runs.  A unit monomial is built when it is read.
 D, its velocities and E_{2k} in E4 and E6 live in `_system`; evaluation at
 the function tuple lives in `forms`, beside the tuple.  The names forwarded
 here, `derive` and `evaluate`, which the trace shim wraps as `ring.derive`
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from operator import add
 
 from .arith import Record, check_m, forward_names, int_str, positive_power, variable_names
@@ -183,6 +183,8 @@ class Polynomial:
         Leading means in graded reverse lex order: every monomial order gives
         the same quotient and verdict, and this one's heap key is a slice.
         """
+        from heapq import heapify, heappop, heappush
+
         self._check(q)
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")

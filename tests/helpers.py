@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
+from io import StringIO
 from math import comb, lcm
+from pathlib import Path
 
-from ramlab import ring
+from ramlab import _argparse, cli, ring
 from ramlab._bareiss import RowReducer
 from ramlab._checks import EquationCheck, SystemReport
 from ramlab._linalg import solve_lifted_scaled
@@ -775,3 +779,79 @@ def reducer_search(cell, basis, precision, tup, witness=True, reducer_cls=RowRed
     elif not (measured.is_finite and measured.value == n_star):
         raise InternalConsistencyError("oracle witness order disagrees with its cutoff")
     return ExperimentRow(cell=cell, n_star=n_star, witness=witness, precision=precision)
+
+
+# option values for random_argv: ones that an option of each kind (typed,
+# or a plain string) takes, and odd ones, which the option's type refuses
+# or argparse may read as an option.  Each list has tokens that start with
+# "-", with and without a space
+ARGV_VALUES = {
+    "int": ["1", "3", "0", "2", "-1", "-12", " 4", "-1 "],
+    "str": ["E2", "E4 - 1", "1:2", "deriv", "-E2 + 1", "-1/2*z + E4", "-3", "-.5"],
+    "odd": ["x", "1.5", "", "-E2", "-h E2", "-hE2", "--E2", "-1.5e3", "-x=y z", "-=5 x", "-",
+            "--", "-- E2", "-1/2*z"],
+}
+
+
+def random_argv(choice) -> list[str]:
+    """A command line near the canonical form, for checking cli's table
+    parser against argparse; `choice(seq)` picks an element of seq.  One
+    in two is written canonically: each option once as `--name value` or
+    not at all.  In the others an option may also be given as
+    `--name=value`, abbreviated or twice, and -h, --help, --, a stray token
+    or a second subcommand may go anywhere.  The global options go before
+    or after the subcommand."""
+    canonical = choice([True, False])
+    forms = ["canonical"] * 7 + ["absent"] + ([] if canonical else ["equals", "abbreviated", "twice"])
+
+    def given(name: str, kwargs: dict) -> list[list[str]]:
+        if kwargs.get("action") == "store_true":
+            value = None
+        else:
+            values = kwargs.get("choices") or ARGV_VALUES["str" if kwargs.get("type") is None else "int"]
+            value = choice([choice(values)] * 7 + [choice([*ARGV_VALUES["odd"], "xml"])])
+        token = f"--{name}"
+        form = choice(forms)
+        if form == "absent":
+            return []
+        if form == "equals" and value is not None:
+            return [[f"{token}={value}"]]
+        if form == "abbreviated":
+            token = token[:-1]
+        chunk = [token] if value is None else [token, value]
+        return [chunk, chunk] if form == "twice" else [chunk]
+
+    command = choice([*cli._COMMANDS] * 4 + ["nope"])
+    before, after = [], []
+    for name, (kwargs, _) in cli._GLOBALS.items():
+        for chunks in choice([[], [], [before], [after]] + ([] if canonical else [[before, after]])):
+            chunks.extend(given(name, kwargs))
+    for name, kwargs in cli._COMMANDS.get(command, (None, {}))[1].items():
+        after.extend(given(name, kwargs))
+    shuffled = []
+    while after:
+        shuffled.append(after.pop(choice(range(len(after)))))
+    argv = [token for chunk in [*before, [command], *shuffled] for token in chunk]
+    extra = None if canonical else choice([None, "-h", "--help", "--", "E2", "--nope", "series"])
+    if extra is not None:
+        argv.insert(choice(range(len(argv) + 1)), extra)
+    return argv
+
+
+def argparse_namespace(argv: list[str]):
+    """What the argparse parser makes of argv: its namespace, or the code
+    it exits with on help or a usage error."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            return _argparse.parse_args(list(argv), cli._GLOBALS, cli._COMMANDS)
+        except SystemExit as exc:
+            return exc.code
+
+
+def perfbench_workloads():
+    """The benchmark's workloads module, which imports no ramlab."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import argparse_namespace, perfbench_workloads, random_argv
 from ramlab import cli
 from ramlab.cli import run
 from ramlab.ring import SystemConfig, parse
@@ -893,10 +897,11 @@ def test_ord_refuses_the_zero_polynomial(capsys, poly):
     assert (code, out, err) == (2, "", "error: the zero polynomial has no order of vanishing\n")
 
 
+# `--m=1` is not canonical, so these command lines take the argparse parser
 @pytest.mark.parametrize(
     "argv",
-    [("deriv", "--poly", "E2", "--m", "1"), ("k0", "--m", "1", "--prec", "5"),
-     ("auxsearch", "--m", "1", "--d0", "0", "--d", "0")],
+    [("deriv", "--poly", "E2", "--m=1"), ("k0", "--m=1", "--prec", "5"),
+     ("auxsearch", "--m=1", "--d0", "0", "--d", "0")],
 )
 def test_only_the_named_subcommand_builds_its_options(capsys, monkeypatch, argv):
     import argparse
@@ -912,3 +917,85 @@ def test_only_the_named_subcommand_builds_its_options(capsys, monkeypatch, argv)
     assert invoke(capsys, *argv)[0] == 0
     own = {f"--{option}" for option in cli._COMMANDS[argv[0]][1]}
     assert set(added) - {"--help", "--format", "--out", "--strict"} == own
+
+
+def typed(namespace) -> dict:
+    """A namespace's attributes with the type of each value."""
+    return {name: (type(value), value) for name, value in vars(namespace).items()}
+
+
+def assert_parsed_as_argparse_parses(argv) -> bool:
+    """Whether the table parsed argv; if it did, argparse makes the same of it."""
+    ours = cli._parse_canonical(argv)
+    if ours is not None:
+        theirs = argparse_namespace(argv)
+        assert not isinstance(theirs, int), f"argparse exits on {argv}"
+        assert typed(ours) == typed(theirs)
+    return ours is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_command_line_the_table_parses_is_one_argparse_parses_the_same(data):
+    assert_parsed_as_argparse_parses(random_argv(lambda seq: data.draw(st.sampled_from(seq))))
+
+
+def test_random_command_lines_reach_both_parsers():
+    rng = random.Random(7)
+    parsed = [assert_parsed_as_argparse_parses(random_argv(rng.choice)) for _ in range(400)]
+    assert 40 <= sum(parsed) <= 360
+
+
+# command lines that the table parses, and ones that it leaves to argparse,
+# each with the reason
+TABLE_PATH = [
+    ("deriv", "--poly", "-E2 + 1", "--m", "1"),  # a space: argparse reads a value
+    ("--format", "json", "ak", "--k", "-4"),  # a negative number
+    ("k0", "--prec", "5", "--m", "1", "--out", "-.5", "--strict"),
+    ("--out", "deriv", "deriv", "--poly", "", "--m", " 3"),
+    ("auxsearch", "--m", "1", "--grid", "1:2", "--format", "csv"),
+]
+ARGPARSE_PATH = [
+    ("deriv", "--poly", "-E2", "--m", "1"),  # read as an unknown option
+    ("deriv", "--poly", "-h E2", "--m", "1"),  # may be -h
+    ("deriv", "--poly", "-- E2", "--m", "1"),  # may abbreviate a long option
+    ("deriv", "--poly", "-x=y z", "--m", "1"),  # may be split at "="
+    ("deriv", "--poly", "-", "--m", "1"),
+    ("deriv", "--poly", "E2", "--m=1"),
+    ("deriv", "--pol", "E2", "--m", "1"),
+    ("deriv", "--poly", "E2", "--m", "1", "--m", "2"),
+    ("--strict", "deriv", "--poly", "E2", "--m", "1", "--strict"),
+    ("deriv", "--poly", "E2", "--m", "1", "--"),
+    ("deriv", "--poly", "E2", "--m", "x"),
+    ("k0", "--m", "1", "--prec", "-1"),
+    ("--format", "xml", "deriv", "--poly", "E2", "--m", "1"),
+    ("--m", "1", "deriv", "--poly", "E2"),
+    ("deriv", "--poly", "E2"),
+    ("deriv", "--poly", "E2", "--m", "1", "E4"),
+    ("deriv", "--poly", "E2", "--m", "1", "deriv"),
+    ("deriv", "--poly", "E2", "--m"),
+    ("deriv", "--help"),
+    ("-h",),
+    ("--format", "json"),
+    (),
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_PATH)
+def test_canonical_command_lines_take_the_table(argv):
+    assert assert_parsed_as_argparse_parses(argv)
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_PATH)
+def test_other_command_lines_take_argparse(argv):
+    assert cli._parse_canonical(argv) is None
+
+
+@pytest.mark.parametrize("seed", [1, 90017])
+def test_every_benchmark_command_line_takes_the_table(seed):
+    # at the held-out seed, two expanded polynomials start with "-"
+    workloads = perfbench_workloads()
+    argvs = [argv for argvs in workloads.FIXED.values() for argv in argvs]
+    argvs += [case["argv"] for case in workloads.symbolic_inputs(seed)]
+    assert all(assert_parsed_as_argparse_parses(argv) for argv in argvs)
+    assert any(argv[2].startswith("-") for argv in argvs if argv[0] != "--format") == (seed == 90017)

@@ -1,11 +1,9 @@
-import importlib.util
 import random
 import sys
 import time
 from fractions import Fraction
 from math import comb
 from operator import add
-from pathlib import Path
 
 import pytest
 
@@ -25,6 +23,7 @@ from helpers import (
     naive_format,
     naive_poly_mul,
     oracle_corpus,
+    perfbench_workloads,
     phi,
     phi2_weights,
     random_coefficient,
@@ -113,11 +112,7 @@ def test_exact_divide_multiply_back():
 
 def _symbolic_inputs(seed):
     """The benchmark's seeded symbolic workload cases."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.symbolic_inputs(seed)
+    return perfbench_workloads().symbolic_inputs(seed)
 
 
 def test_exact_divide_matches_naive_oracle():

@@ -21,6 +21,9 @@ print(json.dumps(sorted(sys.modules)))
 
 # standard modules that only code generation or introspection needs
 HEAVY = {"dataclasses", "inspect", "dis", "ast"}
+# standard modules that only the argparse parser needs: its messages load
+# gettext and locale
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def test_source_has_no_assert_statements():
@@ -195,6 +198,12 @@ LOADS = {
         ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
          "ramlab.ring"],
     ),
+    # a command line not in the canonical form loads the argparse parser
+    "deriv-argparse": (
+        run_cli("deriv", "--poly", "E2", "--m=1"),
+        ["ramlab", "ramlab._argparse", "ramlab._parse", "ramlab._system", "ramlab.arith",
+         "ramlab.cli", "ramlab.ring"],
+    ),
     "deriv-m7": (
         run_cli("deriv", "--poly", "E2", "--m", "7"),
         ["ramlab", "ramlab._parse", "ramlab._system", "ramlab.arith", "ramlab.cli",
@@ -323,14 +332,23 @@ def test_importing_a_module_loads_none_of_the_modules_it_resolves_names_from(old
 
 
 @pytest.fixture(scope="module")
-def heavy_at_start() -> set[str]:
-    """The heavy modules a bare interpreter on this host loads anyway."""
-    return HEAVY & set(modules_after("pass"))
+def at_start() -> set[str]:
+    """The modules a bare interpreter on this host loads anyway."""
+    return set(modules_after("pass"))
 
 
 @pytest.mark.parametrize("code", COMMANDS.values(), ids=COMMANDS.keys())
-def test_no_command_loads_code_generation_modules(code, heavy_at_start):
-    assert HEAVY & set(modules_after(code)) <= heavy_at_start
+def test_no_command_loads_code_generation_modules(code, at_start):
+    assert HEAVY & set(modules_after(code)) <= at_start
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, "import-cli"])
+def test_no_canonical_command_loads_argparse_and_only_stable_loads_heapq(command, at_start):
+    # a canonical command line is parsed from cli's tables; heapq serves
+    # only exact division, which only stable runs
+    loaded = set(modules_after(COMMANDS.get(command, "import ramlab.cli"))) - at_start
+    assert loaded & ARGPARSE == set()
+    assert ("heapq" in loaded) == (command == "stable" and "heapq" not in at_start)
 
 
 def test_csv_auxsearch_does_not_load_the_csv_module():
