@@ -12,6 +12,11 @@ A canonical command line (one known subcommand, each option once as
 tables, into the namespace argparse builds from it.  Any other (help, a
 usage error, an abbreviation, `--name=value`, a repeated option, `--`)
 goes to argparse in `_argparse`: only such a line pays its 4.7 ms.
+
+`main()` ends the process, so once the command has run it freezes every
+object left, which interpreter shutdown's collections then skip (about
+9 ms a process); `run()`, which tests call in a long-lived process, leaves
+the collector as it found it.
 """
 
 from __future__ import annotations
@@ -241,7 +246,11 @@ def _run(argv: list[str] | None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    code = run()
+    import gc  # here, so that `import ramlab.cli` does not load it
+
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -773,6 +774,50 @@ def test_a_command_at_the_largest_m_builds_only_what_it_reads(argv, expected):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+
+
+def test_run_leaves_the_collector_as_it_found_it(capsys):
+    # tests and the trace shim call run() in a long-lived process, where
+    # frozen cyclic garbage would never be freed: only main() freezes
+    state = (gc.get_freeze_count(), gc.isenabled())
+    for argv, code in [(("auxsearch", "--m", "1", "--d0", "1", "--d", "1"), 0),
+                       (("deriv", "--poly", "E4^3-E6^2", "--m", "1"), 0),
+                       (("auxsearch", "--m", "1", "--d0", "-1", "--d", "1"), 2)]:
+        assert invoke(capsys, *argv)[0] == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+
+# a child that runs main() as the `ramlab` script does, with an atexit handler
+MAIN_CHILD = (
+    "import atexit, sys; atexit.register(sys.stderr.write, 'atexit ran\\n'); "
+    "sys.argv = ['ramlab', *sys.argv[1:]]; import ramlab.cli; ramlab.cli.main()"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("auxsearch", "--m", "1", "--d0", "1", "--d", "1"),
+        ("deriv", "--poly", "E4^3-E6^2", "--m", "1"),
+        ("--format", "json", "--out", "{out}", "k0", "--m", "1", "--prec", "5"),
+        ("auxsearch", "--m", "1", "--d0", "-1", "--d", "1"),
+        ("--strict", "auxsearch", "--m", "1", "--d0", "1", "--d", "2", "--prec", "12"),
+    ],
+    ids=["auxsearch", "deriv", "out", "refusal", "strict"],
+)
+def test_main_ends_through_interpreter_shutdown(tmp_path, capsys, argv):
+    # main() exits by SystemExit, so atexit handlers run and buffered stdout
+    # is flushed; os._exit would skip both, and profilers with them
+    code, out, err = invoke(capsys, *(a.format(out=tmp_path / "run.json") for a in argv))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # a buffered stdout
+    result = subprocess.run(
+        [sys.executable, "-c", MAIN_CHILD, *(a.format(out=tmp_path / "main.json") for a in argv)],
+        env=dict(env, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err + "atexit ran\n")
+    if "--out" in argv:
+        assert (tmp_path / "main.json").read_bytes() == (tmp_path / "run.json").read_bytes()
 
 
 @pytest.mark.parametrize("m", [63, 199])
